@@ -36,7 +36,7 @@ from .theorems import (
     proposition,
     registry,
     serialize_report,
-    verify,
+    verify_all,
 )
 
 # what the second member of each existential witness pair is
@@ -147,12 +147,10 @@ def cmd_verify(args) -> int:
     budget = None
     if args.max_n is not None:
         budget = EnumerationBudget(max_n=args.max_n)
-    reports = []
+    reports = verify_all(props, budget, parallel=args.parallel,
+                         workers=args.workers)
     all_ok = True
-    for p in props:
-        report = verify(p, budget, parallel=args.parallel,
-                        workers=args.workers)
-        reports.append(report)
+    for p, report in zip(props, reports):
         ok = acceptable(p, report)
         all_ok = all_ok and ok
         note = ""

@@ -6,6 +6,13 @@ existential (the sweep must find a witness).  Sweeps never stop early:
 the full budget is always traversed and the canonically first hit is
 reported, so sequential and parallel runs produce identical reports.
 
+A proposition is a formula that returns its hits on one instance: the
+counterexamples of a universal claim, the examples of an existential
+one.  Set-scope formulas turn a space's ClassTable into a bitmap over
+its subsets, space-scope formulas into a bool, and map-scope formulas
+read one int fact word per map.  One traversal per scope feeds every
+requested proposition.
+
 The instance order fixing "first" is: ground-set size ascending,
 topology canonical order, subset numeric order, map order by
 (domain size, codomain size, domain topology, codomain topology,
@@ -13,7 +20,10 @@ assignment lexicographic).
 """
 
 import json
+import os
 from dataclasses import dataclass, field, replace
+from functools import cache, partial
+from itertools import islice, product
 from multiprocessing import Pool
 
 from .documents import (
@@ -32,8 +42,6 @@ from .maps import (
     ContinuityClass,
     SpaceMap,
     enumerate_maps,
-    image,
-    preimage,
 )
 from .setclasses import (
     SetClass,
@@ -67,10 +75,14 @@ _EXISTENTIAL = {KIND_EXISTS}
 class Proposition:
     """One checkable claim.
 
-    scope fixes quantification: "space" evaluates once per topology,
-    "set" once per (topology, subset), "map" once per map between a pair
-    of topologies.  For universal kinds the evaluator must return True on
-    every instance; for existence-of-witness it marks witnesses.
+    scope fixes quantification: a "space" claim is checked on every
+    topology, a "set" claim on every (topology, subset), a "map" claim on
+    every map between a pair of topologies.  evaluate returns the hits,
+    which are counterexamples for universal kinds and witnesses for
+    existence-of-witness.  A "set" evaluator maps (ClassTable, profile)
+    to a bitmap over the subsets, a "space" evaluator maps the same
+    arguments to a bool, where profile() returns the space's
+    space_profile; a "map" evaluator maps a fact word to a bool.
     exploratory propositions are swept and reported but never gate an
     overall verdict.
     """
@@ -87,217 +99,200 @@ class Proposition:
         return self.kind in _EXISTENTIAL
 
 
-class SpaceFacts:
-    """Per-topology context handed to space- and set-scope evaluators."""
+SC, CC, SP = SetClass, ContinuityClass, SpaceProperty
 
-    __slots__ = ("t", "table", "_profile")
 
-    def __init__(self, t: Topology):
-        self.t = t
-        self.table = class_table(t)
-        self._profile = None
+def _bitmaps(table, *classes):
+    return [table.family_bitmap(c) for c in classes]
 
-    def profile(self):
-        if self._profile is None:
-            self._profile = space_profile(self.t)
-        return self._profile
 
-    def has(self, a, cls: SetClass) -> bool:
-        return self.table.contains(a, cls)
+def _where(t: Topology, holds) -> int:
+    """Bitmap of the subsets a of t with holds(a)."""
+    return sum(1 << a for a in t.subsets() if holds(a))
 
-    def scl(self, a):
-        return self.table.semi_closure_table[a]
+
+def _disagree(x, y, z):
+    """Where three formulations are not all equal (bitmaps or bools)."""
+    return (x ^ y) | (x ^ z)
 
 
 # ---------------------------------------------------------------------------
-# set-scope evaluators
+# set-scope formulas: bitmaps over the subsets of one space
 
 
-def _ev_l00(fx, a):
+def _ev_l00(table, profile):
     # the semi-closure of every beta-open set is semi-regular
-    if not fx.has(a, SetClass.BETA_OPEN):
-        return True
-    return fx.has(fx.scl(a), SetClass.SEMI_REGULAR)
+    bo, sr = _bitmaps(table, SC.BETA_OPEN, SC.SEMI_REGULAR)
+    scl = table.semi_closure_table
+    return bo & ~_where(table.topology, lambda a: sr >> scl[a] & 1)
 
 
-def _ev_t00(fx, a):
+def _ev_t00(table, profile):
     # AB-set <=> semi-open B-set <=> beta-open B-set
-    x = fx.has(a, SetClass.AB_SET)
-    y = fx.has(a, SetClass.SEMI_OPEN) and fx.has(a, SetClass.B_SET)
-    z = fx.has(a, SetClass.BETA_OPEN) and fx.has(a, SetClass.B_SET)
-    return x == y == z
+    ab, so, bo, b = _bitmaps(table, SC.AB_SET, SC.SEMI_OPEN, SC.BETA_OPEN,
+                             SC.B_SET)
+    return _disagree(ab, so & b, bo & b)
 
 
-def _ev_t0(fx, a):
+def _ev_t0(table, profile):
     # semi-regular <=> semi-closed AB-set <=> beta-closed AB-set
-    x = fx.has(a, SetClass.SEMI_REGULAR)
-    y = fx.has(a, SetClass.SEMI_CLOSED) and fx.has(a, SetClass.AB_SET)
-    z = fx.has(a, SetClass.BETA_CLOSED) and fx.has(a, SetClass.AB_SET)
-    return x == y == z
+    sr, sc, bc, ab = _bitmaps(table, SC.SEMI_REGULAR, SC.SEMI_CLOSED,
+                              SC.BETA_CLOSED, SC.AB_SET)
+    return _disagree(sr, sc & ab, bc & ab)
 
 
-def _ev_t0a(fx, a):
+def _ev_t0a(table, profile):
     # open <=> AB-set that is preopen or an ic-set
-    x = fx.has(a, SetClass.OPEN)
-    y = fx.has(a, SetClass.AB_SET) and (
-        fx.has(a, SetClass.PREOPEN) or fx.has(a, SetClass.IC_SET)
-    )
-    return x == y
+    op, ab, po, ic = _bitmaps(table, SC.OPEN, SC.AB_SET, SC.PREOPEN,
+                              SC.IC_SET)
+    return op ^ (ab & (po | ic))
 
 
-def _ev_cor_submax(fx, a):
+def _ev_cor_submax(table, profile):
     # in a submaximal space the AB-sets are exactly the beta-open sets
-    if not fx.profile()[SpaceProperty.SUBMAXIMAL]:
-        return True
-    return fx.has(a, SetClass.AB_SET) == fx.has(a, SetClass.BETA_OPEN)
+    if not profile()[SP.SUBMAXIMAL]:
+        return 0
+    ab, bo = _bitmaps(table, SC.AB_SET, SC.BETA_OPEN)
+    return ab ^ bo
 
 
-def _chain(f_from: SetClass, f_to: SetClass):
-    def ev(fx, a):
-        return not fx.has(a, f_from) or fx.has(a, f_to)
+def _gap(c_in: SetClass, c_out: SetClass):
+    """The sets in c_in but not in c_out."""
+    def ev(table, profile):
+        return table.family_bitmap(c_in) & ~table.family_bitmap(c_out)
     return ev
 
 
-def _ev_equiv_tset(fx, a):
-    return fx.has(a, SetClass.SEMI_CLOSED) == fx.has(a, SetClass.T_SET)
+def _differ(table, c: SetClass, other_route):
+    """Where family c and other_route(t, a), decided per subset, differ."""
+    t = table.topology
+    return table.family_bitmap(c) ^ _where(t, partial(other_route, t))
 
 
-def _ev_equiv_sr_sandwich(fx, a):
-    return fx.has(a, SetClass.SEMI_REGULAR) == is_semi_regular_sandwich(
-        fx.t, a
-    )
+def _ev_equiv_tset(table, profile):
+    sc, ts = _bitmaps(table, SC.SEMI_CLOSED, SC.T_SET)
+    return sc ^ ts
 
 
-def _ev_equiv_bset_scl(fx, a):
-    return fx.has(a, SetClass.B_SET) == is_b_set_via_semi_closure(fx.t, a)
+def _ev_equiv_sr_sandwich(table, profile):
+    return _differ(table, SC.SEMI_REGULAR, is_semi_regular_sandwich)
 
 
-def _ev_equiv_scl_form(fx, a):
-    return fx.scl(a) == semi_closure_closed_form(fx.t, a)
+def _ev_equiv_bset_scl(table, profile):
+    return _differ(table, SC.B_SET, is_b_set_via_semi_closure)
 
 
-def _ev_equiv_ic_subspace(fx, a):
-    return fx.has(a, SetClass.IC_SET) == is_ic_set_subspace(fx.t, a)
+def _ev_equiv_ic_subspace(table, profile):
+    return _differ(table, SC.IC_SET, is_ic_set_subspace)
 
 
-def _exists(in_class: SetClass, not_in: SetClass):
-    def ev(fx, a):
-        return fx.has(a, in_class) and not fx.has(a, not_in)
-    return ev
+def _ev_equiv_scl_form(table, profile):
+    t, scl = table.topology, table.semi_closure_table
+    return _where(t, lambda a: scl[a] != semi_closure_closed_form(t, a))
 
 
 # ---------------------------------------------------------------------------
-# space-scope evaluators
+# space-scope formulas: True when the space refutes the claim
 
 
-def _ev_t1(fx):
+def _ev_t1(table, profile):
     # extremally disconnected <=> AB family equals the opens
     # <=> every AB-set is open
-    ab = fx.table.family_bitmap(SetClass.AB_SET)
-    op = fx.table.family_bitmap(SetClass.OPEN)
-    e1 = fx.profile()[SpaceProperty.EXTREMALLY_DISCONNECTED]
-    e2 = ab == op
-    e3 = ab & ~op == 0
-    return e1 == e2 == e3
+    ab, op = _bitmaps(table, SC.AB_SET, SC.OPEN)
+    return _disagree(profile()[SP.EXTREMALLY_DISCONNECTED], ab == op,
+                     ab & ~op == 0)
 
 
-def _ev_t2(fx):
+def _ev_t2(table, profile):
     # submaximal <=> every preopen set is AB <=> every dense set is AB
-    ab = fx.table.family_bitmap(SetClass.AB_SET)
-    e1 = fx.profile()[SpaceProperty.SUBMAXIMAL]
-    e2 = fx.table.family_bitmap(SetClass.PREOPEN) & ~ab == 0
-    e3 = fx.table.family_bitmap(SetClass.DENSE) & ~ab == 0
-    return e1 == e2 == e3
+    ab, po, dense = _bitmaps(table, SC.AB_SET, SC.PREOPEN, SC.DENSE)
+    return _disagree(profile()[SP.SUBMAXIMAL], po & ~ab == 0,
+                     dense & ~ab == 0)
 
 
-def _ev_t3(fx):
+def _ev_t3(table, profile):
     # partition <=> every AB-set is clopen <=> every AB-set is preclosed
-    ab = fx.table.family_bitmap(SetClass.AB_SET)
-    e1 = fx.profile()[SpaceProperty.PARTITION]
-    e2 = ab & ~fx.table.family_bitmap(SetClass.CLOPEN) == 0
-    e3 = ab & ~fx.table.family_bitmap(SetClass.PRECLOSED) == 0
-    return e1 == e2 == e3
+    ab, clopen, pc = _bitmaps(table, SC.AB_SET, SC.CLOPEN, SC.PRECLOSED)
+    return _disagree(profile()[SP.PARTITION], ab & ~clopen == 0,
+                     ab & ~pc == 0)
 
 
-def _ev_t4(fx):
+def _ev_t4(table, profile):
     # indiscrete <=> the only AB-sets are empty and full
-    ab = fx.table.family_bitmap(SetClass.AB_SET)
-    e1 = fx.profile()[SpaceProperty.INDISCRETE]
-    e2 = ab == 1 | 1 << fx.t.full
-    return e1 == e2
+    ab = table.family_bitmap(SC.AB_SET)
+    return profile()[SP.INDISCRETE] != (ab == 1 | 1 << table.topology.full)
 
 
-def _ev_t5(fx):
+def _ev_t5(table, profile):
     # discrete <=> every subset is AB <=> every singleton is AB
-    ab = fx.table.family_bitmap(SetClass.AB_SET)
-    e1 = fx.profile()[SpaceProperty.DISCRETE]
-    e2 = ab == (1 << (1 << fx.t.n)) - 1
-    e3 = all(ab >> (1 << x) & 1 for x in range(fx.t.n))
-    return e1 == e2 == e3
+    ab = table.family_bitmap(SC.AB_SET)
+    n = table.topology.n
+    return _disagree(profile()[SP.DISCRETE], ab == (1 << (1 << n)) - 1,
+                     all(ab >> (1 << x) & 1 for x in range(n)))
 
 
-def _ev_t6(fx):
+def _ev_t6(table, profile):
     # hyperconnected <=> every nonempty AB-set is dense.  The empty set
     # is an AB-set in every space and is never dense for n >= 1, so the
     # claim is read with the same nonemptiness convention as
     # hyperconnectedness itself.
-    ab = fx.table.family_bitmap(SetClass.AB_SET)
-    dense = fx.table.family_bitmap(SetClass.DENSE)
-    e1 = fx.profile()[SpaceProperty.HYPERCONNECTED]
-    e2 = ab & ~dense & ~1 == 0
-    return e1 == e2
+    ab, dense = _bitmaps(table, SC.AB_SET, SC.DENSE)
+    return profile()[SP.HYPERCONNECTED] != (ab & ~dense & ~1 == 0)
 
 
-def _ev_t7(fx):
+def _ev_t7(table, profile):
     # semi-connected <=> no split into two disjoint nonempty AB-sets
-    ab = fx.table.family_bitmap(SetClass.AB_SET)
-    full = fx.t.full
-    e1 = fx.profile()[SpaceProperty.SEMI_CONNECTED]
-    e2 = not any(
+    ab = table.family_bitmap(SC.AB_SET)
+    full = table.topology.full
+    unsplit = not any(
         ab >> a & 1 and ab >> (full ^ a) & 1 for a in range(1, full)
     )
-    return e1 == e2
+    return profile()[SP.SEMI_CONNECTED] != unsplit
 
 
 # ---------------------------------------------------------------------------
-# map-scope evaluators: receive the continuity verdict vector
+# map-scope formulas: True when the map's fact word (see _fact_word) is
+# a hit
+
+# bit of each continuity class in a fact word; _SCL_OK marks the image
+# form of strong irresoluteness
+_CLASS_BIT = {cc: 1 << i for i, cc in enumerate(ContinuityClass)}
+_SCL_OK = 1 << len(ContinuityClass)
 
 
-def _imp_map(cc_from: ContinuityClass, cc_to: ContinuityClass):
-    def ev(cont, scl):
-        return not cont[cc_from] or cont[cc_to]
+def _bits(word: int, *classes):
+    return [word & _CLASS_BIT[cc] != 0 for cc in classes]
+
+
+def _map_gap(cc_in: ContinuityClass, cc_out: ContinuityClass):
+    """The maps in class cc_in but not in cc_out."""
+    def ev(word):
+        has_in, has_out = _bits(word, cc_in, cc_out)
+        return has_in and not has_out
     return ev
 
 
-def _ev_s42(cont, scl):
-    x = cont[ContinuityClass.AB_CONTINUOUS]
-    y = cont[ContinuityClass.SEMI_CONTINUOUS] and cont[ContinuityClass.B_CONTINUOUS]
-    z = cont[ContinuityClass.BETA_CONTINUOUS] and cont[ContinuityClass.B_CONTINUOUS]
-    return x == y == z
+def _ev_s42(word):
+    ab, semi, beta, b = _bits(word, CC.AB_CONTINUOUS, CC.SEMI_CONTINUOUS,
+                              CC.BETA_CONTINUOUS, CC.B_CONTINUOUS)
+    return _disagree(ab, semi and b, beta and b)
 
 
-def _ev_s42a(cont, scl):
-    x = cont[ContinuityClass.A_CONTINUOUS]
-    y = cont[ContinuityClass.BETA_CONTINUOUS] and cont[ContinuityClass.LC_CONTINUOUS]
-    return x == y
+def _ev_s42a(word):
+    a, beta, lc = _bits(word, CC.A_CONTINUOUS, CC.BETA_CONTINUOUS,
+                        CC.LC_CONTINUOUS)
+    return a != (beta and lc)
 
 
-def _ev_s43(cont, scl):
-    x = cont[ContinuityClass.CONTINUOUS]
-    y = cont[ContinuityClass.AB_CONTINUOUS] and (
-        cont[ContinuityClass.PRE_CONTINUOUS] or cont[ContinuityClass.IC_CONTINUOUS]
-    )
-    return x == y
+def _ev_s43(word):
+    cont, ab, pre, ic = _bits(word, CC.CONTINUOUS, CC.AB_CONTINUOUS,
+                              CC.PRE_CONTINUOUS, CC.IC_CONTINUOUS)
+    return cont != (ab and (pre or ic))
 
 
-def _ev_equiv_strirr_scl(cont, scl):
-    return cont[ContinuityClass.STRONGLY_IRRESOLUTE] == scl
-
-
-def _exists_map(cc_in: ContinuityClass, cc_not: ContinuityClass):
-    def ev(cont, scl):
-        return cont[cc_in] and not cont[cc_not]
-    return ev
+def _ev_equiv_strirr_scl(word):
+    (strirr,) = _bits(word, CC.STRONGLY_IRRESOLUTE)
+    return strirr != (word & _SCL_OK != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +301,8 @@ def _exists_map(cc_in: ContinuityClass, cc_not: ContinuityClass):
 
 def _build_registry():
     P = Proposition
-    so, ab = SetClass.SEMI_OPEN, SetClass.AB_SET
-    a_s, b_s, lc = SetClass.A_SET, SetClass.B_SET, SetClass.LOCALLY_CLOSED
-    cc = ContinuityClass
+    so, ab = SC.SEMI_OPEN, SC.AB_SET
+    a_s, b_s, lc = SC.A_SET, SC.B_SET, SC.LOCALLY_CLOSED
     return (
         # generalized-set claims
         P("l00", KIND_IMP_SET, "set",
@@ -326,15 +320,15 @@ def _build_registry():
           "open iff an AB-set that is preopen or an ic-set", _ev_t0a),
         # inclusion chain around AB-sets
         P("chain-a-ab", KIND_IMP_SET, "set",
-          "every A-set is an AB-set", _chain(a_s, ab)),
+          "every A-set is an AB-set", _gap(a_s, ab)),
         P("chain-ab-b", KIND_IMP_SET, "set",
-          "every AB-set is a B-set", _chain(ab, b_s)),
+          "every AB-set is a B-set", _gap(ab, b_s)),
         P("chain-ab-so", KIND_IMP_SET, "set",
-          "every AB-set is semi-open", _chain(ab, so)),
+          "every AB-set is semi-open", _gap(ab, so)),
         P("chain-a-lc", KIND_IMP_SET, "set",
-          "every A-set is locally closed", _chain(a_s, lc)),
+          "every A-set is locally closed", _gap(a_s, lc)),
         P("chain-lc-b", KIND_IMP_SET, "set",
-          "every locally closed set is a B-set", _chain(lc, b_s)),
+          "every locally closed set is a B-set", _gap(lc, b_s)),
         # agreement of independent formulations
         P("equiv-tset", KIND_EQ_SET, "set",
           "semi-closed agrees with the t-set equation int A = int cl A",
@@ -374,28 +368,28 @@ def _build_registry():
           "nonempty AB-sets", _ev_t7),
         # set-level witnesses: strictness and independence
         P("nonrev-ab-a", KIND_EXISTS, "set",
-          "some AB-set is not an A-set", _exists(ab, a_s)),
+          "some AB-set is not an A-set", _gap(ab, a_s)),
         P("nonrev-ab-b", KIND_EXISTS, "set",
-          "some B-set is not an AB-set", _exists(b_s, ab)),
+          "some B-set is not an AB-set", _gap(b_s, ab)),
         P("nonrev-ab-so", KIND_EXISTS, "set",
-          "some semi-open set is not an AB-set", _exists(so, ab)),
+          "some semi-open set is not an AB-set", _gap(so, ab)),
         P("indep-ab-lc", KIND_EXISTS, "set",
-          "some AB-set is not locally closed", _exists(ab, lc)),
+          "some AB-set is not locally closed", _gap(ab, lc)),
         P("indep-lc-ab", KIND_EXISTS, "set",
-          "some locally closed set is not an AB-set", _exists(lc, ab)),
+          "some locally closed set is not an AB-set", _gap(lc, ab)),
         # continuity hierarchy
         P("s41-i", KIND_IMP_MAP, "map",
           "every A-continuous function is AB-continuous",
-          _imp_map(cc.A_CONTINUOUS, cc.AB_CONTINUOUS)),
+          _map_gap(CC.A_CONTINUOUS, CC.AB_CONTINUOUS)),
         P("s41-ii", KIND_IMP_MAP, "map",
           "every strongly irresolute function is AB-continuous",
-          _imp_map(cc.STRONGLY_IRRESOLUTE, cc.AB_CONTINUOUS)),
+          _map_gap(CC.STRONGLY_IRRESOLUTE, CC.AB_CONTINUOUS)),
         P("s41-iii", KIND_IMP_MAP, "map",
           "every AB-continuous function is B-continuous",
-          _imp_map(cc.AB_CONTINUOUS, cc.B_CONTINUOUS)),
+          _map_gap(CC.AB_CONTINUOUS, CC.B_CONTINUOUS)),
         P("s41-iv", KIND_IMP_MAP, "map",
           "every AB-continuous function is semi-continuous",
-          _imp_map(cc.AB_CONTINUOUS, cc.SEMI_CONTINUOUS)),
+          _map_gap(CC.AB_CONTINUOUS, CC.SEMI_CONTINUOUS)),
         P("s42", KIND_EQ_MAP, "map",
           "AB-continuous iff semi- and B-continuous iff beta- and "
           "B-continuous", _ev_s42),
@@ -411,16 +405,16 @@ def _build_registry():
         # map-level witnesses: the hierarchy implications are strict
         P("nonrev-s41-i", KIND_EXISTS, "map",
           "some AB-continuous function is not A-continuous",
-          _exists_map(cc.AB_CONTINUOUS, cc.A_CONTINUOUS)),
+          _map_gap(CC.AB_CONTINUOUS, CC.A_CONTINUOUS)),
         P("nonrev-s41-ii", KIND_EXISTS, "map",
           "some AB-continuous function is not strongly irresolute",
-          _exists_map(cc.AB_CONTINUOUS, cc.STRONGLY_IRRESOLUTE)),
+          _map_gap(CC.AB_CONTINUOUS, CC.STRONGLY_IRRESOLUTE)),
         P("nonrev-s41-iii", KIND_EXISTS, "map",
           "some B-continuous function is not AB-continuous",
-          _exists_map(cc.B_CONTINUOUS, cc.AB_CONTINUOUS)),
+          _map_gap(CC.B_CONTINUOUS, CC.AB_CONTINUOUS)),
         P("nonrev-s41-iv", KIND_EXISTS, "map",
           "some semi-continuous function is not AB-continuous",
-          _exists_map(cc.SEMI_CONTINUOUS, cc.AB_CONTINUOUS)),
+          _map_gap(CC.SEMI_CONTINUOUS, CC.AB_CONTINUOUS)),
     )
 
 
@@ -526,189 +520,179 @@ def default_budget(scope: str) -> EnumerationBudget:
 
 
 def _report(p, budget, spaces, sets_, maps_, hits, best, exhausted):
-    witnesses = [best] if best is not None else []
-    if p.existential:
-        verdict = FOUND if best is not None else EXHAUSTED
-    elif best is not None:
+    if best is not None:
         verdict = FOUND
-    elif exhausted:
+    elif exhausted or p.existential:
         verdict = EXHAUSTED
     else:
         verdict = HOLDS
     return SweepReport(
-        proposition_id=p.id,
-        kind=p.kind,
-        description=p.description,
-        budget=budget,
-        spaces_checked=spaces,
-        sets_checked=sets_,
-        maps_checked=maps_,
-        hits=hits,
-        verdict=verdict,
-        witnesses=witnesses,
+        proposition_id=p.id, kind=p.kind, description=p.description,
+        budget=budget, spaces_checked=spaces, sets_checked=sets_,
+        maps_checked=maps_, hits=hits, verdict=verdict,
+        witnesses=[best] if best is not None else [],
     )
 
 
-def _verify_spaces(p, budget):
-    spaces = sets_ = hits = 0
-    best = None
+def _polarity(p) -> str:
+    return EXAMPLE if p.existential else COUNTEREXAMPLE
+
+
+def _sweep_spaces(props, budget):
+    """One traversal of the spaces in budget for set/space propositions."""
+    hits = [0] * len(props)
+    best = [None] * len(props)
+    spaces = sets_ = 0
     exhausted = False
     try:
         for n in range(budget.max_n + 1):
             for t in enumerate_topologies(n, budget):
-                fx = SpaceFacts(t)
+                table = class_table(t)
+                profile = cache(partial(space_profile, t))
                 spaces += 1
-                if p.scope == "space":
-                    ok = p.evaluate(fx)
-                    if not ok:
-                        hits += 1
-                        if best is None:
-                            best = Witness(p.id, COUNTEREXAMPLE, t)
-                    continue
-                for a in t.subsets():
-                    sets_ += 1
-                    val = p.evaluate(fx, a)
-                    if p.existential:
-                        if val:
-                            hits += 1
-                            if best is None:
-                                best = Witness(p.id, EXAMPLE, t, subset=a)
-                    elif not val:
-                        hits += 1
-                        if best is None:
-                            best = Witness(p.id, COUNTEREXAMPLE, t, subset=a)
+                sets_ += 1 << n
+                for i, p in enumerate(props):
+                    got = p.evaluate(table, profile)
+                    if not got:
+                        continue
+                    hits[i] += got.bit_count()
+                    if best[i] is None:
+                        low = (got & -got).bit_length() - 1
+                        subset = low if p.scope == "set" else None
+                        best[i] = Witness(p.id, _polarity(p), t, subset=subset)
     except BudgetExceeded:
         exhausted = True
-    return _report(p, budget, spaces, sets_, 0, hits, best, exhausted)
+    return [
+        _report(p, budget, spaces, sets_ if p.scope == "set" else 0, 0,
+                hits[i], best[i], exhausted)
+        for i, p in enumerate(props)
+    ]
 
 
-def _map_count(tx: Topology, ty: Topology) -> int:
-    return ty.n ** tx.n if tx.n else 1
+def _domain_facts(t: Topology):
+    """What _fact_word needs of a map's domain t.
 
-
-def _pair_facts(tx: Topology, ty: Topology):
-    """Continuity verdicts for every map tx -> ty.
-
-    Returns [(assignment, cont, scl_ok)] in lexicographic assignment
-    order, where cont maps each ContinuityClass to its verdict and
-    scl_ok is the image form of strong irresoluteness.
+    (bit, family bitmap) of each class in CONTINUITY_BINDING, the
+    semi-regular family, and the pairs (A, sCl A) with A != sCl A.
     """
-    table = class_table(tx)
-    bitmaps = {
-        cc: table.family_bitmap(sc) for cc, sc in CONTINUITY_BINDING.items()
-    }
-    sr_bm = table.family_bitmap(SetClass.SEMI_REGULAR)
-    scl_tab = table.semi_closure_table
-    nx_size = 1 << tx.n
-    ny_size = 1 << ty.n
-    out = []
-    for f in enumerate_maps(tx, ty):
-        pre = [preimage(f, b) for b in range(ny_size)]
-        cont = {
-            cc: all(bm >> pre[v] & 1 for v in ty.opens)
-            for cc, bm in bitmaps.items()
-        }
-        cont[ContinuityClass.STRONGLY_IRRESOLUTE] = all(
-            sr_bm >> q & 1 for q in pre
-        )
-        img = [image(f, a) for a in range(nx_size)]
-        scl_ok = all(
-            img[scl_tab[a]] & ~img[a] == 0 for a in range(nx_size)
-        )
-        out.append((f.assignment, cont, scl_ok))
-    return out
+    table = class_table(t)
+    bound = [
+        (_CLASS_BIT[cc], table.family_bitmap(sc))
+        for cc, sc in CONTINUITY_BINDING.items()
+    ]
+    scl = [(a, s) for a, s in enumerate(table.semi_closure_table) if s != a]
+    return bound, table.family_bitmap(SetClass.SEMI_REGULAR), scl
 
 
-_PAIR_FACTS_CACHE = {}
+def _fact_word(f: SpaceMap, facts) -> int:
+    """The _CLASS_BIT of every continuity class f has, and _SCL_OK.
+
+    The preimages of all codomain subsets are built up one fiber at a
+    time, the images of all domain subsets one point at a time, both in
+    numeric subset order.  of_opens, the family of preimages of the
+    opens, is a bitmap over domain subsets, and f is c-continuous iff
+    of_opens lies in c's family.
+    """
+    bound, sr, scl = facts
+    pre = [0]
+    for fiber in f.fibers:
+        pre += [q | fiber for q in pre]
+    of_opens = of_all = 0
+    for v in f.codomain.opens:
+        of_opens |= 1 << pre[v]
+    for q in pre:
+        of_all |= 1 << q
+    word = 0
+    for bit, family in bound:
+        if of_opens & ~family == 0:
+            word |= bit
+    if of_all & ~sr == 0:
+        word |= _CLASS_BIT[ContinuityClass.STRONGLY_IRRESOLUTE]
+    img = [0]
+    for y in f.assignment:
+        img += [i | 1 << y for i in img]
+    # f(sCl A) lies in f(A) for every domain subset A
+    if all(img[s] & ~img[a] == 0 for a, s in scl):
+        word |= _SCL_OK
+    return word
 
 
-def _pair_facts_cached(tx, ty):
-    if tx.n > 3 or ty.n > 3:
-        return _pair_facts(tx, ty)
-    key = (tx, ty)
-    got = _PAIR_FACTS_CACHE.get(key)
-    if got is None:
-        got = _PAIR_FACTS_CACHE[key] = _pair_facts(tx, ty)
-    return got
+def _fact_chunk(pairs):
+    """Fact-word histogram of every map between the given space pairs.
 
-
-def _scan_pair(p, tx, ty):
-    """(maps, hits, first witness) for one topology pair."""
-    maps_ = hits = 0
-    best = None
-    for assignment, cont, scl_ok in _pair_facts_cached(tx, ty):
-        maps_ += 1
-        val = p.evaluate(cont, scl_ok)
-        hit = val if p.existential else not val
-        if hit:
-            hits += 1
-            if best is None:
-                polarity = EXAMPLE if p.existential else COUNTEREXAMPLE
-                best = Witness(
-                    p.id, polarity, tx, codomain=ty, assignment=assignment
-                )
-    return maps_, hits, best
-
-
-def _map_chunk_worker(args):
-    pid, pairs = args
-    p = proposition(pid)
-    maps_ = hits = 0
-    best = None
+    {word: [count, (domain, codomain, assignment) of its first map]},
+    with words in the canonical order of their first maps.
+    """
+    words = {}
     for tx, ty in pairs:
-        m, h, w = _scan_pair(p, tx, ty)
-        maps_ += m
-        hits += h
-        if best is None:
-            best = w
-    return maps_, hits, best
+        facts = _domain_facts(tx)
+        for f in enumerate_maps(tx, ty):
+            word = _fact_word(f, facts)
+            if word in words:
+                words[word][0] += 1
+            else:
+                words[word] = [1, (tx, ty, f.assignment)]
+    return words
 
 
-def _verify_maps(p, budget, parallel=False, workers=None):
+def _tally(histograms):
+    """Merge chunk histograms, taken in canonical order, into one."""
+    words = {}
+    for chunk in histograms:
+        for word, (count, first) in chunk.items():
+            if word in words:
+                words[word][0] += count
+            else:
+                words[word] = [count, first]
+    return words
+
+
+_CHUNK_PAIRS = 32
+
+
+def _sweep_maps(props, budget, parallel, workers):
+    """One traversal of the maps in budget for map propositions."""
     # domains range over n <= max_n, codomains over n <= codomain_n;
     # spaces_checked counts every topology on either side once
     top = max(budget.max_n, budget.codomain_n)
     both_sides = replace(budget, max_n=top)
     try:
-        topos = {
-            n: list(enumerate_topologies(n, both_sides))
-            for n in range(top + 1)
-        }
+        topos = [list(enumerate_topologies(n, both_sides))
+                 for n in range(top + 1)]
     except BudgetExceeded:
-        return _report(p, budget, 0, 0, 0, 0, None, True)
-    spaces = sum(len(v) for v in topos.values())
-    pairs = [
-        (tx, ty)
-        for nx in range(budget.max_n + 1)
-        for ny in range(budget.codomain_n + 1)
-        for tx in topos[nx]
-        for ty in topos[ny]
-    ]
-    total = sum(_map_count(tx, ty) for tx, ty in pairs)
+        return [_report(p, budget, 0, 0, 0, 0, None, True) for p in props]
+    spaces = sum(map(len, topos))
+    sizes = list(product(range(budget.max_n + 1),
+                         range(budget.codomain_n + 1)))
+    # ny ** nx maps per pair of spaces; checked before any pair is built
+    total = sum(len(topos[nx]) * len(topos[ny]) * ny ** nx for nx, ny in sizes)
     if total > budget.max_maps:
-        return _report(p, budget, spaces, 0, 0, 0, None, True)
-    maps_ = hits = 0
-    best = None
-    if parallel:
-        chunk_size = 32
-        chunks = [
-            (p.id, pairs[i:i + chunk_size])
-            for i in range(0, len(pairs), chunk_size)
+        return [
+            _report(p, budget, spaces, 0, 0, 0, None, True) for p in props
         ]
-        with Pool(processes=workers) as pool:
-            for m, h, w in pool.imap(_map_chunk_worker, chunks):
-                maps_ += m
-                hits += h
-                if best is None:
-                    best = w
+    pairs = (
+        (tx, ty) for nx, ny in sizes for tx in topos[nx] for ty in topos[ny]
+    )
+    chunks = iter(lambda: list(islice(pairs, _CHUNK_PAIRS)), [])
+    if parallel:
+        # workers None leaves the pool at its default, os.cpu_count()
+        processes = workers and min(workers, os.cpu_count() or 1)
+        with Pool(processes=processes) as pool:
+            words = _tally(pool.imap(_fact_chunk, chunks))
     else:
-        for tx, ty in pairs:
-            m, h, w = _scan_pair(p, tx, ty)
-            maps_ += m
-            hits += h
-            if best is None:
-                best = w
-    return _report(p, budget, spaces, 0, maps_, hits, best, False)
+        words = _tally(map(_fact_chunk, chunks))
+    maps_ = sum(count for count, _ in words.values())
+    reports = []
+    for p in props:
+        hit = [entry for word, entry in words.items() if p.evaluate(word)]
+        best = None
+        if hit:
+            tx, ty, assignment = hit[0][1]
+            best = Witness(p.id, _polarity(p), tx, codomain=ty,
+                           assignment=assignment)
+        hits = sum(count for count, _ in hit)
+        reports.append(_report(p, budget, spaces, 0, maps_, hits, best, False))
+    return reports
 
 
 def verify(p, budget: EnumerationBudget | None = None, parallel: bool = False,
@@ -719,20 +703,36 @@ def verify(p, budget: EnumerationBudget | None = None, parallel: bool = False,
     exception.  parallel distributes map sweeps over worker processes;
     the report is byte-identical to the sequential one.
     """
-    if isinstance(p, str):
-        p = proposition(p)
-    if budget is None:
-        budget = default_budget(p.scope)
-    if p.scope == "map":
-        return _verify_maps(p, budget, parallel, workers)
-    return _verify_spaces(p, budget)
+    return verify_all([p], budget, parallel, workers)[0]
 
 
 def verify_all(ids=None, budget: EnumerationBudget | None = None,
                parallel: bool = False, workers: int | None = None):
-    """Sweep the requested propositions (default: the whole registry)."""
-    props = registry() if ids is None else [proposition(i) for i in ids]
-    return [verify(p, budget, parallel, workers) for p in props]
+    """Sweep the requested propositions (default: the whole registry).
+
+    ids holds proposition ids or Proposition objects.  The set- and
+    space-scope propositions share one traversal of the spaces, the
+    map-scope ones one traversal of the maps; budget None gives each
+    group its default_budget.  With parallel, the map traversal runs on
+    one process pool of workers processes, at most os.cpu_count(); a
+    workers value below 1 is a ValueError, raised before any sweep.
+    Reports come back in request order.
+    """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if ids is None:
+        ids = registry()
+    props = [proposition(p) if isinstance(p, str) else p for p in ids]
+    swept = {}
+    spatial = [p for p in props if p.scope != "map"]
+    if spatial:
+        swept.update(zip(spatial, _sweep_spaces(
+            spatial, budget or default_budget("set"))))
+    mapped = [p for p in props if p.scope == "map"]
+    if mapped:
+        swept.update(zip(mapped, _sweep_maps(
+            mapped, budget or default_budget("map"), parallel, workers)))
+    return [swept[p] for p in props]
 
 
 def acceptable(p, report: SweepReport) -> bool:
@@ -779,10 +779,7 @@ def find_counterexample(class_from: SetClass, class_to: SetClass,
     polarity = EXAMPLE if key else COUNTEREXAMPLE
     for n in range(budget.max_n + 1):
         for t in enumerate_topologies(n, budget):
-            table = class_table(t)
-            gap = table.family_bitmap(class_from) & ~table.family_bitmap(
-                class_to
-            )
+            gap = _gap(class_from, class_to)(class_table(t), None)
             if gap:
                 a = (gap & -gap).bit_length() - 1
                 return Witness(pid, polarity, t, subset=a)
@@ -809,24 +806,21 @@ def _evaluate_witness(w: Witness) -> bool:
     if pid in _BY_ID:
         p = _BY_ID[pid]
         if p.scope == "map":
-            facts = _pair_facts_cached(w.topology, w.codomain)
-            for assignment, cont, scl_ok in facts:
-                if assignment == tuple(w.assignment):
-                    return p.evaluate(cont, scl_ok)
-            raise ValueError("witness map not found in its own pair")
-        fx = SpaceFacts(w.topology)
-        if p.scope == "space":
-            return p.evaluate(fx)
-        if w.subset is None:
-            raise ValueError(f"witness for {pid!r} needs a subset")
-        return p.evaluate(fx, w.subset)
+            f = SpaceMap(w.topology, w.codomain, w.assignment)
+            hit = p.evaluate(_fact_word(f, _domain_facts(f.domain)))
+        else:
+            got = p.evaluate(class_table(w.topology),
+                             partial(space_profile, w.topology))
+            if p.scope == "set":
+                if w.subset is None:
+                    raise ValueError(f"witness for {pid!r} needs a subset")
+                got = got >> w.subset & 1
+            hit = bool(got)
+        return hit if p.existential else not hit
     if pid.startswith("counterexample-") and "-to-" in pid:
         frm, to = pid[len("counterexample-"):].split("-to-", 1)
-        cf, ct = SetClass(frm), SetClass(to)
-        table = class_table(w.topology)
-        return not table.contains(w.subset, cf) or table.contains(
-            w.subset, ct
-        )
+        gap = _gap(SetClass(frm), SetClass(to))(class_table(w.topology), None)
+        return not gap >> w.subset & 1
     raise KeyError(f"cannot replay unknown proposition {pid!r}")
 
 

@@ -1,4 +1,4 @@
-"""Shared fixture spaces for the test suite.
+"""Shared fixture spaces and a stand-in process pool for the test suite.
 
 Points are indexed a=bit0, b=bit1, c=bit2, d=bit3, so subset literals
 below read right to left.
@@ -46,3 +46,24 @@ def random_preorder_topology(seeds):
                 rows[i] = merged
                 changed = True
     return topology_from_preorder(Preorder(tuple(rows)))
+
+
+class FakePool:
+    """Stands in for multiprocessing.Pool and starts no process.
+
+    Install partial(FakePool, made) as theorems.Pool: each pool appends
+    its processes argument to the list made, and imap runs the work in
+    this process.
+    """
+
+    def __init__(self, made, processes=None):
+        made.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)

@@ -1,6 +1,8 @@
 """Command line behavior: outputs, exit codes, library agreement."""
 
 import json
+import os
+from functools import partial
 
 import pytest
 
@@ -11,10 +13,11 @@ from fintopo import (
     encode_space,
     is_in_class,
     replay_witness,
+    theorems,
 )
 from fintopo.cli import main
 
-from helpers import four_point_space, sierpinski, three_point_space
+from helpers import FakePool, four_point_space, sierpinski, three_point_space
 
 
 @pytest.fixture
@@ -163,6 +166,31 @@ def test_verify_all_small_budget(capsys):
     # inconclusive existentials are reported but do not fail the run
     assert "nonrev-ab-so: budget-exhausted" in out
     assert "FAILED" not in out
+
+
+def test_verify_workers_below_one_is_usage_error(monkeypatch, capsys):
+    made = []
+    monkeypatch.setattr(theorems, "Pool", partial(FakePool, made))
+    for workers in ("0", "-1"):
+        code = main(["verify", "all", "--parallel", "--workers", workers])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+    assert made == []
+
+
+def test_verify_workers_clamped_to_cpu_count(monkeypatch, capsys):
+    made = []
+    monkeypatch.setattr(theorems, "Pool", partial(FakePool, made))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["verify", "s41-i", "s42", "t4", "--max-n", "2", "--parallel"]
+    assert main([*argv, "--workers", "100000"]) == 0
+    assert made == [2]
+    clamped = capsys.readouterr().out
+    assert main(argv[:-1]) == 0
+    assert capsys.readouterr().out == clamped
 
 
 def test_enumerate_count_only(capsys):

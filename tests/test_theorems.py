@@ -1,6 +1,9 @@
 """Proposition registry, exhaustive sweeps, witness replay."""
 
+import hashlib
 import json
+import os
+from functools import partial
 
 import pytest
 
@@ -11,17 +14,22 @@ from fintopo import (
     SpaceMap,
     Witness,
     acceptable,
+    continuity_profile,
+    enumerate_maps,
+    enumerate_topologies,
     find_counterexample,
     is_continuous_in,
     proposition,
     registry,
     replay_witness,
     serialize_report,
+    strongly_irresolute_scl,
     verify,
     verify_all,
+    theorems,
 )
 
-from helpers import four_point_space, sierpinski
+from helpers import FakePool, four_point_space, sierpinski
 
 # map sweep with four-point domains but codomains capped at two points
 CAPPED = EnumerationBudget(max_n=4, codomain_max_n=2)
@@ -38,6 +46,13 @@ EXPECTED_IDS = (
     "s41-i", "s41-ii", "s41-iii", "s41-iv", "s42", "s42a", "s43",
     "equiv-strirr-scl",
     "nonrev-s41-i", "nonrev-s41-ii", "nonrev-s41-iii", "nonrev-s41-iv",
+)
+
+# sha256 of serialize_report(verify_all()), the default `verify all`
+# report: 27 set/space propositions on <= 4 points, 12 map propositions
+# on <= 3
+DEFAULT_REPORT_SHA256 = (
+    "51835d0e3dffb0653a96403ceea8e6772acc4a54fca20b4fa6fd820a9875713c"
 )
 
 KINDS = {
@@ -320,3 +335,86 @@ def test_witness_subset_names():
     doc = w.to_document()
     assert doc["space"]["points"] == ["a", "b"]
     assert doc["subset"] == ["b"]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_default_report_bytes_one_traversal_per_scope(monkeypatch):
+    calls = []
+    real = theorems.enumerate_topologies
+
+    def counted(n, budget=None):
+        calls.append(n)
+        return real(n, budget)
+    monkeypatch.setattr(theorems, "enumerate_topologies", counted)
+    assert _sha256(serialize_report(verify_all())) == DEFAULT_REPORT_SHA256
+    # sizes 0..4 once for all set/space propositions, 0..3 once for all
+    # map propositions
+    assert sorted(calls) == sorted([*range(5), *range(4)])
+
+
+def test_parallel_default_report_uses_one_pool(monkeypatch):
+    made = []
+    real = theorems.Pool
+
+    def counted(*args, **kwargs):
+        made.append(kwargs.get("processes"))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(theorems, "Pool", counted)
+    report = verify_all(parallel=True, workers=2)
+    assert _sha256(serialize_report(report)) == DEFAULT_REPORT_SHA256
+    assert made == [min(2, os.cpu_count())]
+
+
+def test_map_budget_is_checked_before_pairs_exist():
+    # 7,332 spaces on <= 5 points make 7332**2 pairs and far more maps
+    # than max_maps; the refusal comes from per-size counts alone
+    report = verify("s41-i", EnumerationBudget(max_n=5))
+    assert report.verdict == "budget-exhausted"
+    assert report.maps_checked == 0
+    assert report.spaces_checked == 7332
+
+
+def test_workers_below_one_rejected_before_any_sweep(monkeypatch):
+    made = []
+    monkeypatch.setattr(theorems, "Pool", partial(FakePool, made))
+    for workers in (0, -3):
+        with pytest.raises(ValueError):
+            verify_all(["t4", "s41-i"], parallel=True, workers=workers)
+    assert made == []
+
+
+def test_workers_clamped_to_cpu_count(monkeypatch):
+    made = []
+    monkeypatch.setattr(theorems, "Pool", partial(FakePool, made))
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    budget = EnumerationBudget(max_n=2)
+    ids = ["t4", "s41-i", "s42", "nonrev-s41-ii"]
+    par = verify_all(ids, budget, parallel=True, workers=10**6)
+    assert made == [3]
+    verify_all(ids, budget, parallel=True, workers=2)
+    assert made == [3, 2]
+    seq = verify_all(ids, budget)
+    assert made == [3, 2]
+    assert serialize_report(par) == serialize_report(seq)
+
+
+def test_fact_words_agree_with_definitions():
+    # every map between spaces on <= 3 points: one bit per continuity
+    # class against maps.continuity_profile, the scl bit against
+    # maps.strongly_irresolute_scl
+    spaces = [t for n in range(4) for t in enumerate_topologies(n)]
+    maps_ = 0
+    for tx in spaces:
+        facts = theorems._domain_facts(tx)
+        for ty in spaces:
+            for f in enumerate_maps(tx, ty):
+                word = theorems._fact_word(f, facts)
+                for cc, holds in continuity_profile(f).items():
+                    assert (word & theorems._CLASS_BIT[cc] != 0) == holds
+                scl_ok = word & theorems._SCL_OK != 0
+                assert scl_ok == strongly_irresolute_scl(f)
+                maps_ += 1
+    assert maps_ == 24907
