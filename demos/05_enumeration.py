@@ -1,8 +1,9 @@
 """Enumerating every topology on n labeled points.
 
 The enumerator walks preorders (finite topologies in disguise) with
-transitivity pruning and streams the spaces in a canonical order.  Two
-independent oracles confirm the counts.
+transitivity pruning and yields the spaces in a canonical order; the
+count builds no space at all.  Two independent oracles confirm the
+counts.
 """
 
 import time
@@ -15,7 +16,7 @@ from fintopo import (
     enumerate_topologies_naive,
 )
 
-# the labeled counts start 1, 1, 4, 29, 355, 6942
+# the labeled counts start 1, 1, 4, 29, 355, 6942, 209527
 for n in range(5):
     print(f"topologies on {n} labeled points: {count_topologies(n)}")
 

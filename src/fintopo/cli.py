@@ -15,8 +15,14 @@ from .documents import (
     encode_space,
     mask_to_names,
     names_to_mask,
+    read_json,
 )
-from .enumeration import EnumerationBudget, enumerate_topologies
+from .enumeration import (
+    MAX_ENUMERATION_N,
+    EnumerationBudget,
+    count_topologies,
+    enumerate_topologies,
+)
 from .errors import (
     BudgetExceeded,
     DocumentError,
@@ -29,6 +35,7 @@ from .setclasses import (
     PREDICATES,
     WITNESS_FUNCTIONS,
     SetClass,
+    check_subset_budget,
 )
 from .spaceprops import space_profile
 from .theorems import (
@@ -47,8 +54,6 @@ _SECOND_FAMILY = {
     SetClass.AB_SET: "semi-regular",
 }
 
-_MAX_ENUMERATION_N = 6
-
 
 def _format_set(mask, points) -> str:
     return "{" + ",".join(mask_to_names(mask, points)) + "}"
@@ -59,21 +64,12 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _read_json(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path!r}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{path!r} is not valid JSON: {exc}")
-
-
 def _decode_space_checked(doc):
     """decode_space with axiom violations rendered with point names."""
     points = doc.get("points") if isinstance(doc, dict) else None
+    # names that would break the one-line error fall back to masks
     named = isinstance(points, list) and all(
-        isinstance(p, str) for p in points
+        isinstance(p, str) and p.isprintable() for p in points
     )
     try:
         return decode_space(doc)
@@ -94,8 +90,9 @@ def _decode_space_checked(doc):
 
 
 def cmd_classify_set(args) -> int:
-    doc = _read_json(args.space)
+    doc = read_json(args.space, "space")
     t, points = _decode_space_checked(doc)
+    check_subset_budget(t)
     index = {name: x for x, name in enumerate(points)}
     a = names_to_mask(args.subset, index)
     print(f"subset {_format_set(a, points)} in space on {t.n} point(s)")
@@ -113,7 +110,7 @@ def cmd_classify_set(args) -> int:
 
 
 def cmd_classify_space(args) -> int:
-    doc = _read_json(args.space)
+    doc = read_json(args.space, "space")
     t, _ = _decode_space_checked(doc)
     print(f"space on {t.n} point(s) with {len(t.opens)} open set(s)")
     for prop, value in space_profile(t).items():
@@ -122,8 +119,11 @@ def cmd_classify_space(args) -> int:
 
 
 def cmd_classify_map(args) -> int:
-    doc = _read_json(args.map)
+    doc = read_json(args.map, "map")
     f, dom_points, cod_points = decode_map(doc)
+    # the domain predicates and strong irresoluteness scan every subset
+    check_subset_budget(f.domain)
+    check_subset_budget(f.codomain)
     shown = ", ".join(
         f"{dom_points[x]}->{cod_points[f.assignment[x]]}"
         for x in range(f.domain.n)
@@ -170,13 +170,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.n > _MAX_ENUMERATION_N:
+    if args.n > MAX_ENUMERATION_N:
         return _fail(
-            f"enumeration is capped at n={_MAX_ENUMERATION_N}"
+            f"enumeration is capped at n={MAX_ENUMERATION_N}"
         )
     budget = EnumerationBudget(max_n=args.n)
     if args.count_only:
-        print(sum(1 for _ in enumerate_topologies(args.n, budget)))
+        print(count_topologies(args.n, budget))
         return 0
     for t in enumerate_topologies(args.n, budget):
         print(json.dumps(encode_space(t), sort_keys=True))
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream all topologies on n labeled points",
     )
     p.add_argument("--n", type=int, required=True,
-                   help=f"ground-set size (0..{_MAX_ENUMERATION_N})")
+                   help=f"ground-set size (0..{MAX_ENUMERATION_N})")
     p.add_argument("--count-only", action="store_true",
                    help="print only the number of topologies")
     p.set_defaults(func=cmd_enumerate)

@@ -28,7 +28,8 @@ def mask_to_names(mask: SubsetMask, points) -> list:
 def names_to_mask(names, index) -> SubsetMask:
     mask = 0
     for name in names:
-        if name not in index:
+        # a list or object is no point name, and is not hashable either
+        if not isinstance(name, str) or name not in index:
             raise DocumentError(f"unknown point {name!r}")
         mask |= 1 << index[name]
     return mask
@@ -97,16 +98,25 @@ def encode_map(f: SpaceMap, domain_points=None, codomain_points=None) -> dict:
     }
 
 
+def read_json(path, what: str):
+    """The JSON value in the file at path; every failure is a DocumentError.
+
+    what names the file in messages ("space", "map", "domain", ...).
+    Nesting too deep for the parser counts as invalid JSON.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DocumentError(f"cannot read {what} file {path!r}: {exc}")
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise DocumentError(f"{what} file is not valid JSON: {exc}")
+
+
 def _resolve_space_field(field, what):
     """A map document's domain/codomain: inline document or file path."""
     if isinstance(field, str):
-        try:
-            with open(field, encoding="utf-8") as fh:
-                field = json.load(fh)
-        except OSError as exc:
-            raise DocumentError(f"cannot read {what} file {field!r}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"{what} file is not valid JSON: {exc}")
+        field = read_json(field, what)
     return decode_space(field)
 
 
@@ -121,12 +131,13 @@ def decode_map(doc) -> tuple:
     cod, cod_points = _resolve_space_field(doc["codomain"], "codomain")
     raw = doc["assignment"]
     if isinstance(raw, list):
-        try:
-            raw = dict(
-                (pair[0], pair[1]) for pair in raw if len(pair) == 2
-            )
-        except (TypeError, IndexError):
+        if not all(
+            isinstance(pair, list) and len(pair) == 2
+            and isinstance(pair[0], str)
+            for pair in raw
+        ):
             raise DocumentError("assignment pairs must be [from, to]")
+        raw = dict(raw)
         if len(raw) != len(doc["assignment"]):
             raise DocumentError("assignment pairs must be [from, to]")
     if not isinstance(raw, dict):
@@ -142,29 +153,15 @@ def decode_map(doc) -> tuple:
     assignment = []
     for name in dom_points:
         target = raw[name]
-        if target not in cod_index:
+        if not isinstance(target, str) or target not in cod_index:
             raise DocumentError(f"unknown codomain point {target!r}")
         assignment.append(cod_index[target])
     return SpaceMap(dom, cod, assignment), dom_points, cod_points
 
 
 def load_space(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DocumentError(f"cannot read space file {path!r}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"space file is not valid JSON: {exc}")
-    return decode_space(doc)
+    return decode_space(read_json(path, "space"))
 
 
 def load_map(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DocumentError(f"cannot read map file {path!r}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"map file is not valid JSON: {exc}")
-    return decode_map(doc)
+    return decode_map(read_json(path, "map"))

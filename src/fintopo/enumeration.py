@@ -1,18 +1,24 @@
 """Exhaustive enumeration of all topologies on n labeled points.
 
-Main path: finite topologies correspond exactly to preorders, so the
-enumerator walks reflexive relation matrices row by row, pruning partial
-assignments that already violate transitivity, and converts each preorder
-to its up-set topology.  Two independent routes exist for cross-checks:
-a naive filter over all candidate open-set families (small n ground
-truth) and a vectorized transitive-relation counter.
+Main path: finite topologies correspond exactly to preorders (Stong,
+1966), so the enumerator walks reflexive relation matrices row by row,
+drawing each row only from the masks the decided rows still allow, and
+takes each preorder's up-sets as the unions of its rows.  Counting needs
+no topology at all: count_topologies counts the validated rows.  Two
+independent routes exist for cross-checks: a naive filter over all
+candidate open-set families (small n ground truth) and a vectorized
+transitive-relation counter.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetExceeded
-from .space import Preorder, build_topology, full_mask, topology_from_preorder
+from .space import Preorder, Topology, build_topology, full_mask, up_sets
+
+# Largest ground set enumerated when no budget is given.  The CLI's
+# enumerate command is capped by the same constant.
+MAX_ENUMERATION_N = 6
 
 
 @dataclass(frozen=True)
@@ -47,39 +53,70 @@ class EnumerationBudget:
 def _preorder_rows(n: int):
     """Yield every reflexive transitive row assignment on n points.
 
-    rows[i] is the up-set mask of point i.  Pairwise containment checks
-    on decided rows enforce transitivity incrementally: once every
-    decided pair (a, b) with b in rows[a] satisfies rows[a] >= rows[b],
-    chains through decided points compose automatically.
+    rows[i] is the up-set mask of point i, decided in index order.  Row i
+    must lie inside every decided row that contains i, so its candidates
+    are i plus the submasks of the AND of those rows, taken in increasing
+    order.  Each candidate is then checked only for the down condition:
+    a decided j in row i needs rows[j] inside row i.  Once every decided
+    pair (a, b) with b in rows[a] satisfies rows[a] >= rows[b], chains
+    through decided points compose automatically.
     """
     if n == 0:
         yield ()
         return
-    rows = [0] * n
+    full = full_mask(n)
 
-    def extend(i):
-        if i == n:
-            yield tuple(rows)
-            return
+    def extend(prefix):
+        i = len(prefix)
         base = 1 << i
-        for extra in range(1 << n):
-            if extra & base:
-                continue
-            candidate = base | extra
-            ok = True
-            for j in range(i):
-                if candidate >> j & 1 and candidate & rows[j] != rows[j]:
-                    ok = False
+        upper = full
+        for row in prefix:
+            if row & base:
+                upper &= row
+        free = upper & ~base
+        decided = [(1 << j, row) for j, row in enumerate(prefix)]
+        last = i == n - 1
+        sub = 0
+        while True:
+            candidate = base | sub
+            for bit, row in decided:
+                if candidate & bit and row & ~candidate:
                     break
-                if rows[j] >> i & 1 and rows[j] & candidate != candidate:
-                    ok = False
-                    break
-            if ok:
-                rows[i] = candidate
-                yield from extend(i + 1)
-        rows[i] = 0
+            else:
+                if last:
+                    yield prefix + (candidate,)
+                else:
+                    yield from extend(prefix + (candidate,))
+            if sub == free:
+                break
+            # the next larger submask of free
+            sub = (sub - free) & free
 
-    yield from extend(0)
+    yield from extend(())
+
+
+def _checked_budget(n: int, budget: EnumerationBudget | None):
+    """The budget to enumerate n points under, refused before any work."""
+    if n < 0:
+        raise ValueError(f"n={n} must be non-negative")
+    budget = budget or EnumerationBudget(max_n=MAX_ENUMERATION_N)
+    if n > budget.max_n:
+        raise BudgetExceeded(f"n={n} exceeds budget max_n={budget.max_n}")
+    return budget
+
+
+def _preorders(n: int, budget: EnumerationBudget):
+    """Validated row tuples of every preorder on n points, in row order.
+
+    Raises BudgetExceeded at the (max_spaces + 1)-th preorder.
+    """
+    for count, rows in enumerate(_preorder_rows(n), 1):
+        Preorder(rows).validate()
+        if count > budget.max_spaces:
+            raise BudgetExceeded(
+                f"more than {budget.max_spaces} topologies at n={n}"
+            )
+        yield rows
 
 
 def enumerate_topologies(n: int, budget: EnumerationBudget | None = None):
@@ -87,20 +124,27 @@ def enumerate_topologies(n: int, budget: EnumerationBudget | None = None):
 
     Canonical order sorts by the opens list (count first, then the
     numeric tuple), so the stream is reproducible across runs and
-    backends.
+    backends.  Without a budget, n is capped at MAX_ENUMERATION_N.  The
+    budget is checked on the call, before any work.  The stream is not
+    lazy: every preorder is generated and its canonical key sorted before
+    the first topology is yielded, so memory grows with the count.  Only
+    the keys (opens and rows as int tuples) are held; each Topology is
+    built when it is yielded.
     """
-    budget = budget or EnumerationBudget(max_n=max(n, 4))
-    if n > budget.max_n:
-        raise BudgetExceeded(f"n={n} exceeds budget max_n={budget.max_n}")
-    found = []
-    for rows in _preorder_rows(n):
-        found.append(topology_from_preorder(Preorder(rows)))
-        if len(found) > budget.max_spaces:
-            raise BudgetExceeded(
-                f"more than {budget.max_spaces} topologies at n={n}"
-            )
-    found.sort(key=lambda t: t.canonical_key())
-    yield from found
+    budget = _checked_budget(n, budget)
+    return _canonical_stream(n, budget)
+
+
+def _canonical_stream(n: int, budget: EnumerationBudget):
+    keys = []
+    for rows in _preorders(n, budget):
+        opens = up_sets(rows)
+        keys.append((len(opens), opens, rows))
+    # (count, opens) is the canonical key and unique, so rows never decide
+    keys.sort()
+    for _, opens, rows in keys:
+        # rows double as the minimal neighbourhoods
+        yield Topology(n, opens, rows)
 
 
 def enumerate_topologies_naive(n: int, budget: EnumerationBudget | None = None):
@@ -138,7 +182,13 @@ def _closed_under_ops(family) -> bool:
 
 
 def count_topologies(n: int, budget: EnumerationBudget | None = None) -> int:
-    return sum(1 for _ in enumerate_topologies(n, budget))
+    """The number of topologies on n points, without building any.
+
+    Counts the validated preorders under the same budget checks as
+    enumerate_topologies, raising at the same point.
+    """
+    budget = _checked_budget(n, budget)
+    return sum(1 for _ in _preorders(n, budget))
 
 
 def count_reflexive_transitive_relations(n: int, chunk: int = 1 << 16) -> int:

@@ -14,7 +14,8 @@ from functools import lru_cache
 from .errors import GroundSetTooLarge
 from .space import SubsetMask, Topology, closure, complement, full_mask, interior
 
-# class_table refuses ground sets with more than this many subsets.
+# class_table, and the CLI's per-subset commands, refuse ground sets with
+# more than this many subsets (more than 12 points).
 DEFAULT_SUBSET_BUDGET = 1 << 12
 
 
@@ -299,6 +300,16 @@ def _family_bitmap(masks) -> int:
     return bm
 
 
+def check_subset_budget(
+    t: Topology, subset_budget: int = DEFAULT_SUBSET_BUDGET
+) -> None:
+    """Refuse a space whose 2^n subsets a per-subset scan cannot afford."""
+    if 1 << t.n > subset_budget:
+        raise GroundSetTooLarge(
+            f"2^{t.n} subsets exceed the sweep budget of {subset_budget}"
+        )
+
+
 @lru_cache(maxsize=16384)
 def class_table(t: Topology, subset_budget: int = DEFAULT_SUBSET_BUDGET) -> ClassTable:
     """Classify all 2^n subsets of t in one sweep with memoized operators.
@@ -306,11 +317,8 @@ def class_table(t: Topology, subset_budget: int = DEFAULT_SUBSET_BUDGET) -> Clas
     The n = 0 space degenerates cleanly: its unique subset is empty and
     full at once and lands in every class.
     """
+    check_subset_budget(t, subset_budget)
     size = 1 << t.n
-    if size > subset_budget:
-        raise GroundSetTooLarge(
-            f"2^{t.n} subsets exceed the sweep budget of {subset_budget}"
-        )
     full = t.full
     int_t = [interior(t, a) for a in range(size)]
     cl_t = [full ^ int_t[full ^ a] for a in range(size)]

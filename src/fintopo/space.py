@@ -105,7 +105,11 @@ class Topology:
 
 
 def _sorted_opens(opens) -> tuple:
-    return tuple(sorted(set(opens), key=subset_key))
+    # numeric sort, then a stable sort by popcount: subset_key order
+    # without building a key tuple per mask
+    ordered = sorted(set(opens))
+    ordered.sort(key=int.bit_count)
+    return tuple(ordered)
 
 
 def _min_nbhd_table(n: int, opens) -> list:
@@ -200,17 +204,22 @@ class Preorder:
         return bool(self.rows[x] >> y & 1)
 
     def validate(self) -> None:
-        _check_fits(self.n, self.rows)
-        for x in range(self.n):
-            if not self.rows[x] >> x & 1:
+        rows = self.rows
+        _check_fits(self.n, rows)
+        for x, row in enumerate(rows):
+            if not row >> x & 1:
                 raise NotAPreorder(f"relation is not reflexive at {x}")
-        for x in range(self.n):
-            row = self.rows[x]
-            for y in iter_points(row):
-                if self.rows[y] & ~row:
+        # row x must contain the row of each of its points
+        for x, row in enumerate(rows):
+            rest = row
+            while rest:
+                low = rest & -rest
+                y = low.bit_length() - 1
+                if rows[y] | row != row:
                     raise NotAPreorder(
                         f"relation is not transitive through {x} <= {y}"
                     )
+                rest ^= low
 
     def __eq__(self, other):
         return isinstance(other, Preorder) and self.rows == other.rows
@@ -236,6 +245,20 @@ def specialization_preorder(t: Topology) -> Preorder:
     return Preorder(rows)
 
 
+def up_sets(rows) -> tuple:
+    """The up-sets of the preorder with these rows, sorted like opens.
+
+    Row x is the smallest up-set containing x, so every up-set is the
+    union of the rows of its points: the family is the union-closure of
+    the rows.  The rows are not validated here.
+    """
+    family = {0}
+    for row in rows:
+        if row not in family:
+            family |= {u | row for u in family}
+    return _sorted_opens(family)
+
+
 def topology_from_preorder(p: Preorder) -> Topology:
     """The topology whose opens are the up-sets of the preorder.
 
@@ -244,19 +267,6 @@ def topology_from_preorder(p: Preorder) -> Topology:
     identity on finite topologies.
     """
     p.validate()
-    n = p.n
-    opens = []
-    for u in range(1 << n):
-        rest = u
-        ok = True
-        while rest:
-            x = (rest & -rest).bit_length() - 1
-            if p.rows[x] & ~u:
-                ok = False
-                break
-            rest &= rest - 1
-        if ok:
-            opens.append(u)
     # rows double as the minimal neighbourhoods: row x is the smallest
     # up-set containing x.
-    return Topology(n, _sorted_opens(opens), list(p.rows))
+    return Topology(p.n, up_sets(p.rows), p.rows)

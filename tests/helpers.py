@@ -1,4 +1,4 @@
-"""Shared fixture spaces and a stand-in process pool for the test suite.
+"""Shared fixture spaces, definitional oracles and a stand-in process pool.
 
 Points are indexed a=bit0, b=bit1, c=bit2, d=bit3, so subset literals
 below read right to left.
@@ -46,6 +46,42 @@ def random_preorder_topology(seeds):
                 rows[i] = merged
                 changed = True
     return topology_from_preorder(Preorder(tuple(rows)))
+
+
+def up_sets_by_scan(rows):
+    """Definitional oracle: scan all 2^n masks for the preorder's up-sets.
+
+    A set is an up-set iff it contains the whole row of each of its
+    points.  Returned sorted by (popcount, value), like Topology.opens.
+    """
+    n = len(rows)
+    found = []
+    for u in range(1 << n):
+        if all(rows[x] & ~u == 0 for x in iter_points(u)):
+            found.append(u)
+    return tuple(sorted(found, key=lambda m: (m.bit_count(), m)))
+
+
+def preorders_by_brute_force(n):
+    """Row tuples of every reflexive transitive relation on n points.
+
+    Filters all 2^(n^2 - n) reflexive relations with the definition of
+    transitivity, x <= y <= z implies x <= z, and returns them sorted.
+    """
+    cells = [(x, y) for x in range(n) for y in range(n) if x != y]
+    found = []
+    for bits in range(1 << len(cells)):
+        rows = [1 << x for x in range(n)]
+        for b, (x, y) in enumerate(cells):
+            if bits >> b & 1:
+                rows[x] |= 1 << y
+        if all(
+            rows[x] >> z & 1
+            for x in range(n) for y in iter_points(rows[x])
+            for z in iter_points(rows[y])
+        ):
+            found.append(tuple(rows))
+    return sorted(found)
 
 
 class FakePool:

@@ -9,6 +9,7 @@ import pytest
 from fintopo import (
     SetClass,
     SpaceMap,
+    build_topology,
     encode_map,
     encode_space,
     is_in_class,
@@ -214,3 +215,54 @@ def test_enumerate_cap(capsys):
 
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 2
+
+
+def _chain_document(n):
+    """A space document for the n-point chain: opens are the prefixes."""
+    return encode_space(build_topology(n, [(1 << k) - 1 for k in range(n + 1)]))
+
+
+def _assert_one_error_line(captured):
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+
+
+def test_per_subset_commands_refuse_more_than_12_points(tmp_path, capsys):
+    chain = _chain_document(13)
+    chain_path = tmp_path / "chain13.json"
+    chain_path.write_text(json.dumps(chain))
+    assert main(["classify-set", str(chain_path), "a"]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert "2^13 subsets" in captured.err
+    small = encode_space(sierpinski())
+    for domain, codomain in [(chain, small), (small, chain)]:
+        doc = {
+            "domain": domain,
+            "codomain": codomain,
+            "assignment": {p: codomain["points"][0] for p in domain["points"]},
+        }
+        map_path = tmp_path / "map13.json"
+        map_path.write_text(json.dumps(doc))
+        assert main(["classify-map", str(map_path)]) == 2
+        _assert_one_error_line(capsys.readouterr())
+
+
+def test_classify_set_accepts_12_points(tmp_path, capsys):
+    path = tmp_path / "chain12.json"
+    path.write_text(json.dumps(_chain_document(12)))
+    assert main(["classify-set", str(path), "a"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "subset {a} in space on 12 point(s)"
+    assert "  open: yes" in out
+
+
+def test_json_nested_too_deep_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    for command in ("classify-space", "classify-set", "classify-map"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured)
+        assert "not valid JSON" in captured.err

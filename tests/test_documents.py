@@ -118,6 +118,24 @@ def test_decode_map_errors(mutate):
         decode_map(doc)
 
 
+@pytest.mark.parametrize("assignment", [
+    ["ab", ["b", "a"]],  # a string is no [from, to] pair
+    [{"a": "b"}, ["b", "a"]],
+    [[["a"], "b"], ["b", "a"]],
+    {"a": ["a"], "b": "a"},
+])
+def test_decode_map_rejects_malformed_pairs_and_targets(assignment):
+    doc = encode_map(SpaceMap(sierpinski(), sierpinski(), (0, 1)))
+    doc["assignment"] = assignment
+    with pytest.raises(DocumentError):
+        decode_map(doc)
+
+
+def test_space_open_with_a_list_as_point_is_rejected():
+    with pytest.raises(DocumentError, match="unknown point"):
+        decode_space({"points": ["a"], "opens": [[], ["a"], [["a"]]]})
+
+
 def test_map_document_with_file_references(tmp_path):
     dom_file = tmp_path / "dom.json"
     dom_file.write_text(json.dumps(encode_space(three_point_space())))

@@ -1,18 +1,29 @@
 """Topology enumeration: counts, canonical order, and oracle agreement."""
 
+import hashlib
 import os
+import subprocess
+import sys
 
 import pytest
 
+import fintopo
 from fintopo import (
+    MAX_ENUMERATION_N,
     BudgetExceeded,
     EnumerationBudget,
+    Preorder,
+    Topology,
     build_topology,
     count_reflexive_transitive_relations,
     count_topologies,
     enumerate_topologies,
     enumerate_topologies_naive,
+    topology_from_preorder,
 )
+from fintopo import enumeration
+
+from helpers import preorders_by_brute_force, up_sets_by_scan
 
 # labeled topology counts for n = 0..4
 KNOWN_COUNTS = [1, 1, 4, 29, 355]
@@ -96,3 +107,130 @@ def test_n5_count_cross_checked():
     budget = EnumerationBudget(max_n=5)
     assert count_topologies(5, budget) == 6942
     assert count_reflexive_transitive_relations(5) == 6942
+
+
+def test_up_sets_match_definitional_scan():
+    for n in range(6):
+        for rows in enumeration._preorder_rows(n):
+            t = topology_from_preorder(Preorder(rows))
+            assert t.opens == up_sets_by_scan(rows)
+            assert t.min_nbhd == rows
+
+
+def test_rows_are_exactly_the_preorders():
+    for n in range(5):
+        rows = list(enumeration._preorder_rows(n))
+        assert sorted(rows) == preorders_by_brute_force(n)
+        for r in rows:
+            Preorder(r).validate()
+
+
+def test_enumeration_equals_sorted_oracle_list():
+    for n in range(6):
+        budget = EnumerationBudget(max_n=n)
+        oracle = sorted(
+            (
+                build_topology(n, up_sets_by_scan(rows))
+                for rows in enumeration._preorder_rows(n)
+            ),
+            key=Topology.canonical_key,
+        )
+        got = list(enumerate_topologies(n, budget))
+        assert got == oracle
+        assert [t.min_nbhd for t in got] == [t.min_nbhd for t in oracle]
+        assert count_topologies(n, budget) == len(oracle)
+
+
+def test_validate_runs_on_every_preorder_and_budget_counts_match(
+    monkeypatch,
+):
+    validated = []
+
+    class CountedPreorder(Preorder):
+        def validate(self):
+            validated.append(self.rows)
+            super().validate()
+
+    monkeypatch.setattr(enumeration, "Preorder", CountedPreorder)
+    assert count_topologies(4) == 355
+    assert len(validated) == 355
+    validated.clear()
+    assert len(list(enumerate_topologies(4))) == 355
+    assert len(validated) == 355
+    # both paths raise at the (max_spaces + 1)-th space
+    for cap in (1, 100, 354):
+        budget = EnumerationBudget(max_n=4, max_spaces=cap)
+        validated.clear()
+        with pytest.raises(BudgetExceeded):
+            count_topologies(4, budget)
+        assert len(validated) == cap + 1
+        validated.clear()
+        with pytest.raises(BudgetExceeded):
+            list(enumerate_topologies(4, budget))
+        assert len(validated) == cap + 1
+    budget = EnumerationBudget(max_n=4, max_spaces=355)
+    assert count_topologies(4, budget) == 355
+    assert len(list(enumerate_topologies(4, budget))) == 355
+
+
+def test_default_cap_refuses_before_any_work(monkeypatch):
+    def no_rows(n):
+        raise AssertionError("rows generated past the cap")
+
+    monkeypatch.setattr(enumeration, "_preorder_rows", no_rows)
+    assert MAX_ENUMERATION_N == 6
+    with pytest.raises(BudgetExceeded):
+        enumerate_topologies(MAX_ENUMERATION_N + 1)
+    with pytest.raises(BudgetExceeded):
+        count_topologies(MAX_ENUMERATION_N + 1)
+    with pytest.raises(BudgetExceeded):
+        enumerate_topologies(5, EnumerationBudget(max_n=4))
+    with pytest.raises(ValueError):
+        count_topologies(-1)
+
+
+def test_explicit_budget_lifts_the_default_cap():
+    budget = EnumerationBudget(max_n=7, max_spaces=5)
+    with pytest.raises(BudgetExceeded, match="more than 5 topologies"):
+        count_topologies(7, budget)
+
+
+# sha256 of the canonical n=6 stream, one line of opens per topology
+N6_STREAM_SHA256 = (
+    "e50f18a62c7b4e57dad150d76309cbbe481ac7545a733c3c69cc08e571d0f00d"
+)
+
+
+@pytest.mark.skipif(not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")
+def test_n6_canonical_stream_pinned():
+    digest = hashlib.sha256()
+    for t in enumerate_topologies(6):
+        digest.update((",".join(map(str, t.opens)) + "\n").encode())
+    assert digest.hexdigest() == N6_STREAM_SHA256
+
+
+_N7_CHILD = """
+import resource
+from fintopo import EnumerationBudget, count_topologies
+budget = EnumerationBudget(max_n=7, max_spaces=10_000_000)
+print(count_topologies(7, budget))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+# Linux carries a process's peak RSS across exec, so a child started from
+# this large test process would report the test process's peak.  A small
+# launcher in between leaves the child's ru_maxrss to the count itself.
+_LAUNCHER = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+
+
+@pytest.mark.skipif(not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")
+def test_n7_count_in_bounded_memory():
+    src = os.path.dirname(os.path.dirname(fintopo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-c", _LAUNCHER, sys.executable, "-c", _N7_CHILD]
+    out = subprocess.run(
+        argv, env=env, check=True, capture_output=True, text=True,
+    ).stdout.split()
+    assert int(out[0]) == 9_535_241  # OEIS A000798
+    assert int(out[1]) < 64 * 1024  # ru_maxrss is in KiB on Linux
