@@ -2,11 +2,12 @@
 
 Exit codes: 0 when everything requested verified or was found as
 expected, 1 when a swept proposition failed, 2 on usage, parse, or
-validation errors.
+validation errors, 141 when stdout was closed before the output ended.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .documents import (
@@ -30,12 +31,12 @@ from .errors import (
     NotClosedUnderUnion,
     TopologyError,
 )
-from .maps import ContinuityClass, is_continuous_in
+from .maps import continuity_profile
 from .setclasses import (
-    PREDICATES,
-    WITNESS_FUNCTIONS,
     SetClass,
+    _intersection_witness,
     check_subset_budget,
+    class_table,
 )
 from .spaceprops import space_profile
 from .theorems import (
@@ -46,12 +47,12 @@ from .theorems import (
     verify_all,
 )
 
-# what the second member of each existential witness pair is
+# the class of the second member of each existential witness pair
 _SECOND_FAMILY = {
-    SetClass.LOCALLY_CLOSED: "closed",
-    SetClass.A_SET: "regular-closed",
-    SetClass.B_SET: "semi-closed",
-    SetClass.AB_SET: "semi-regular",
+    SetClass.LOCALLY_CLOSED: SetClass.CLOSED,
+    SetClass.A_SET: SetClass.REGULAR_CLOSED,
+    SetClass.B_SET: SetClass.SEMI_CLOSED,
+    SetClass.AB_SET: SetClass.SEMI_REGULAR,
 }
 
 
@@ -92,18 +93,19 @@ def _decode_space_checked(doc):
 def cmd_classify_set(args) -> int:
     doc = read_json(args.space, "space")
     t, points = _decode_space_checked(doc)
-    check_subset_budget(t)
+    table = class_table(t)
     index = {name: x for x, name in enumerate(points)}
     a = names_to_mask(args.subset, index)
     print(f"subset {_format_set(a, points)} in space on {t.n} point(s)")
     for cls in SetClass:
-        member = PREDICATES[cls](t, a)
+        member = table.contains(a, cls)
         line = f"  {cls.value}: {'yes' if member else 'no'}"
-        if member and cls in WITNESS_FUNCTIONS:
-            u, v = WITNESS_FUNCTIONS[cls](t, a)
+        if member and cls in _SECOND_FAMILY:
+            second = _SECOND_FAMILY[cls]
+            u, v = _intersection_witness(t, a, table.family(second))
             line += (
                 f"  [open {_format_set(u, points)} & "
-                f"{_SECOND_FAMILY[cls]} {_format_set(v, points)}]"
+                f"{second.value} {_format_set(v, points)}]"
             )
         print(line)
     return 0
@@ -112,6 +114,8 @@ def cmd_classify_set(args) -> int:
 def cmd_classify_space(args) -> int:
     doc = read_json(args.space, "space")
     t, _ = _decode_space_checked(doc)
+    # submaximality and semi-connectedness scan every subset
+    check_subset_budget(t)
     print(f"space on {t.n} point(s) with {len(t.opens)} open set(s)")
     for prop, value in space_profile(t).items():
         print(f"  {prop.value}: {'yes' if value else 'no'}")
@@ -121,7 +125,7 @@ def cmd_classify_space(args) -> int:
 def cmd_classify_map(args) -> int:
     doc = read_json(args.map, "map")
     f, dom_points, cod_points = decode_map(doc)
-    # the domain predicates and strong irresoluteness scan every subset
+    # the fact word tabulates every subset of both spaces
     check_subset_budget(f.domain)
     check_subset_budget(f.codomain)
     shown = ", ".join(
@@ -130,8 +134,7 @@ def cmd_classify_map(args) -> int:
     )
     print(f"map [{shown}] between spaces on {f.domain.n} and "
           f"{f.codomain.n} point(s)")
-    for cc in ContinuityClass:
-        value = is_continuous_in(f, cc)
+    for cc, value in continuity_profile(f).items():
         print(f"  {cc.value}: {'yes' if value else 'no'}")
     return 0
 
@@ -251,7 +254,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed reader surfaces here rather than at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the exit-time flush must not hit the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as if the signal had killed us
     except (DocumentError, TopologyError, BudgetExceeded) as exc:
         return _fail(str(exc))
     except ValueError as exc:

@@ -3,14 +3,16 @@
 Every continuity notion except strong irresoluteness is an instance of
 one scheme: f is c-continuous when the preimage of every open set of the
 codomain lies in set class c of the domain.  The binding table below is
-the only per-class data; no continuity predicate is hand-written.
+the only per-class data.  The map's fact word (_fact_word) decides every
+class at once and is the one evaluator; is_continuous_in stays as the
+definitional oracle it is tested against.
 """
 
 from enum import Enum
 from itertools import product
 
 from .errors import BudgetExceeded
-from .setclasses import SetClass, is_in_class, is_semi_regular, semi_closure
+from .setclasses import SetClass, class_table, is_in_class, semi_closure
 from .space import SubsetMask, Topology
 
 DEFAULT_MAP_BUDGET = 1 << 22
@@ -115,7 +117,7 @@ def is_strongly_irresolute(f: SpaceMap) -> bool:
     below is kept as an independent implementation.
     """
     return all(
-        is_semi_regular(f.domain, preimage(f, b))
+        is_in_class(f.domain, preimage(f, b), SetClass.SEMI_REGULAR)
         for b in f.codomain.subsets()
     )
 
@@ -128,9 +130,64 @@ def strongly_irresolute_scl(f: SpaceMap) -> bool:
     )
 
 
+# bit of each continuity class in a fact word; _SCL_OK marks the image
+# form of strong irresoluteness
+_CLASS_BIT = {cc: 1 << i for i, cc in enumerate(ContinuityClass)}
+_SCL_OK = 1 << len(ContinuityClass)
+
+
+def _domain_facts(t: Topology):
+    """What _fact_word needs of a map's domain t.
+
+    (bit, family bitmap) of each class in CONTINUITY_BINDING, the
+    semi-regular family, and the pairs (A, sCl A) with A != sCl A.
+    """
+    table = class_table(t)
+    bound = [
+        (_CLASS_BIT[cc], table.family_bitmap(sc))
+        for cc, sc in CONTINUITY_BINDING.items()
+    ]
+    scl = [(a, s) for a, s in enumerate(table.semi_closure_table) if s != a]
+    return bound, table.family_bitmap(SetClass.SEMI_REGULAR), scl
+
+
+def _fact_word(f: SpaceMap, facts) -> int:
+    """The _CLASS_BIT of every continuity class f has, and _SCL_OK.
+
+    The preimages of all codomain subsets are built up one fiber at a
+    time, the images of all domain subsets one point at a time, both in
+    numeric subset order.  of_opens, the family of preimages of the
+    opens, is a bitmap over domain subsets, and f is c-continuous iff
+    of_opens lies in c's family.
+    """
+    bound, sr, scl = facts
+    pre = [0]
+    for fiber in f.fibers:
+        pre += [q | fiber for q in pre]
+    of_opens = of_all = 0
+    for v in f.codomain.opens:
+        of_opens |= 1 << pre[v]
+    for q in pre:
+        of_all |= 1 << q
+    word = 0
+    for bit, family in bound:
+        if of_opens & ~family == 0:
+            word |= bit
+    if of_all & ~sr == 0:
+        word |= _CLASS_BIT[ContinuityClass.STRONGLY_IRRESOLUTE]
+    img = [0]
+    for y in f.assignment:
+        img += [i | 1 << y for i in img]
+    # f(sCl A) lies in f(A) for every domain subset A
+    if all(img[s] & ~img[a] == 0 for a, s in scl):
+        word |= _SCL_OK
+    return word
+
+
 def continuity_profile(f: SpaceMap):
     """Verdict for every continuity class, in declaration order."""
-    return {cc: is_continuous_in(f, cc) for cc in ContinuityClass}
+    word = _fact_word(f, _domain_facts(f.domain))
+    return {cc: word & bit != 0 for cc, bit in _CLASS_BIT.items()}
 
 
 def enumerate_maps(tx: Topology, ty: Topology, budget: int = DEFAULT_MAP_BUDGET):

@@ -14,7 +14,7 @@ from functools import lru_cache
 from .errors import GroundSetTooLarge
 from .space import SubsetMask, Topology, closure, complement, full_mask, interior
 
-# class_table, and the CLI's per-subset commands, refuse ground sets with
+# class_table, and the CLI's classify commands, refuse ground sets with
 # more than this many subsets (more than 12 points).
 DEFAULT_SUBSET_BUDGET = 1 << 12
 
@@ -300,24 +300,24 @@ def _family_bitmap(masks) -> int:
     return bm
 
 
-def check_subset_budget(
-    t: Topology, subset_budget: int = DEFAULT_SUBSET_BUDGET
-) -> None:
+def check_subset_budget(t: Topology) -> None:
     """Refuse a space whose 2^n subsets a per-subset scan cannot afford."""
-    if 1 << t.n > subset_budget:
+    if 1 << t.n > DEFAULT_SUBSET_BUDGET:
         raise GroundSetTooLarge(
-            f"2^{t.n} subsets exceed the sweep budget of {subset_budget}"
+            f"2^{t.n} subsets exceed the sweep budget of "
+            f"{DEFAULT_SUBSET_BUDGET}"
         )
 
 
-@lru_cache(maxsize=16384)
-def class_table(t: Topology, subset_budget: int = DEFAULT_SUBSET_BUDGET) -> ClassTable:
+# sweeps read each space's table for a run of consecutive instances only
+@lru_cache(maxsize=8)
+def class_table(t: Topology) -> ClassTable:
     """Classify all 2^n subsets of t in one sweep with memoized operators.
 
     The n = 0 space degenerates cleanly: its unique subset is empty and
     full at once and lands in every class.
     """
-    check_subset_budget(t, subset_budget)
+    check_subset_budget(t)
     size = 1 << t.n
     full = t.full
     int_t = [interior(t, a) for a in range(size)]
@@ -332,13 +332,15 @@ def class_table(t: Topology, subset_budget: int = DEFAULT_SUBSET_BUDGET) -> Clas
     semi_regular = [a for a in semi_closed if semi_open_bm >> a & 1]
     regular_closed = [a for a in range(size) if a == cl_t[int_t[a]]]
 
-    scl_t = []
-    for a in range(size):
-        acc = full
-        for s in semi_closed:
-            if s & a == a:
-                acc &= s
-        scl_t.append(acc)
+    # sCl a, the AND of the semi-closed supersets of a, folded point by point
+    scl_t = [full] * size
+    for s in semi_closed:
+        scl_t[s] = s
+    for x in range(t.n):
+        bit = 1 << x
+        for a in range(size):
+            if not a & bit:
+                scl_t[a] &= scl_t[a | bit]
 
     def intersections(second):
         second = list(second)
@@ -388,7 +390,7 @@ def class_table(t: Topology, subset_budget: int = DEFAULT_SUBSET_BUDGET) -> Clas
     return ClassTable(t, tuple(int_t), tuple(cl_t), tuple(scl_t), bitmaps)
 
 
-# single-subset dispatch used by the CLI and the witness replayer
+# single-subset dispatch: the oracles class_table is checked against
 PREDICATES = {
     SetClass.OPEN: is_open,
     SetClass.CLOSED: is_closed,
@@ -416,7 +418,7 @@ def is_in_class(t: Topology, a: SubsetMask, cls: SetClass) -> bool:
     return PREDICATES[cls](t, a)
 
 
-# existential classes whose defining pair is reported by the CLI
+# the defining-pair scan of each existential class, one subset at a time
 WITNESS_FUNCTIONS = {
     SetClass.LOCALLY_CLOSED: locally_closed_witness,
     SetClass.A_SET: a_set_witness,

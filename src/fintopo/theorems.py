@@ -38,9 +38,12 @@ from .documents import (
 from .enumeration import EnumerationBudget, enumerate_topologies
 from .errors import BudgetExceeded
 from .maps import (
-    CONTINUITY_BINDING,
+    _CLASS_BIT,
+    _SCL_OK,
     ContinuityClass,
     SpaceMap,
+    _domain_facts,
+    _fact_word,
     enumerate_maps,
 )
 from .setclasses import (
@@ -251,13 +254,8 @@ def _ev_t7(table, profile):
 
 
 # ---------------------------------------------------------------------------
-# map-scope formulas: True when the map's fact word (see _fact_word) is
-# a hit
-
-# bit of each continuity class in a fact word; _SCL_OK marks the image
-# form of strong irresoluteness
-_CLASS_BIT = {cc: 1 << i for i, cc in enumerate(ContinuityClass)}
-_SCL_OK = 1 << len(ContinuityClass)
+# map-scope formulas: True when the map's fact word (see maps._fact_word)
+# is a hit
 
 
 def _bits(word: int, *classes):
@@ -567,54 +565,6 @@ def _sweep_spaces(props, budget):
                 hits[i], best[i], exhausted)
         for i, p in enumerate(props)
     ]
-
-
-def _domain_facts(t: Topology):
-    """What _fact_word needs of a map's domain t.
-
-    (bit, family bitmap) of each class in CONTINUITY_BINDING, the
-    semi-regular family, and the pairs (A, sCl A) with A != sCl A.
-    """
-    table = class_table(t)
-    bound = [
-        (_CLASS_BIT[cc], table.family_bitmap(sc))
-        for cc, sc in CONTINUITY_BINDING.items()
-    ]
-    scl = [(a, s) for a, s in enumerate(table.semi_closure_table) if s != a]
-    return bound, table.family_bitmap(SetClass.SEMI_REGULAR), scl
-
-
-def _fact_word(f: SpaceMap, facts) -> int:
-    """The _CLASS_BIT of every continuity class f has, and _SCL_OK.
-
-    The preimages of all codomain subsets are built up one fiber at a
-    time, the images of all domain subsets one point at a time, both in
-    numeric subset order.  of_opens, the family of preimages of the
-    opens, is a bitmap over domain subsets, and f is c-continuous iff
-    of_opens lies in c's family.
-    """
-    bound, sr, scl = facts
-    pre = [0]
-    for fiber in f.fibers:
-        pre += [q | fiber for q in pre]
-    of_opens = of_all = 0
-    for v in f.codomain.opens:
-        of_opens |= 1 << pre[v]
-    for q in pre:
-        of_all |= 1 << q
-    word = 0
-    for bit, family in bound:
-        if of_opens & ~family == 0:
-            word |= bit
-    if of_all & ~sr == 0:
-        word |= _CLASS_BIT[ContinuityClass.STRONGLY_IRRESOLUTE]
-    img = [0]
-    for y in f.assignment:
-        img += [i | 1 << y for i in img]
-    # f(sCl A) lies in f(A) for every domain subset A
-    if all(img[s] & ~img[a] == 0 for a, s in scl):
-        word |= _SCL_OK
-    return word
 
 
 def _fact_chunk(pairs):

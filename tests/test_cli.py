@@ -2,23 +2,40 @@
 
 import json
 import os
+import random
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 
 from fintopo import (
+    ContinuityClass,
     SetClass,
     SpaceMap,
     build_topology,
+    closure,
     encode_map,
     encode_space,
+    interior,
+    is_continuous_in,
     is_in_class,
     replay_witness,
     theorems,
 )
 from fintopo.cli import main
+from fintopo.setclasses import WITNESS_FUNCTIONS
 
-from helpers import FakePool, four_point_space, sierpinski, three_point_space
+from helpers import (
+    FakePool,
+    four_point_space,
+    random_preorder_topology,
+    sierpinski,
+    three_point_space,
+)
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -249,6 +266,24 @@ def test_per_subset_commands_refuse_more_than_12_points(tmp_path, capsys):
         _assert_one_error_line(capsys.readouterr())
 
 
+def test_classify_space_refuses_more_than_12_points(tmp_path, capsys):
+    path = tmp_path / "chain13.json"
+    path.write_text(json.dumps(_chain_document(13)))
+    assert main(["classify-space", str(path)]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert "2^13 subsets" in captured.err
+
+
+def test_classify_space_accepts_12_points(tmp_path, capsys):
+    path = tmp_path / "chain12.json"
+    path.write_text(json.dumps(_chain_document(12)))
+    assert main(["classify-space", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "space on 12 point(s) with 13 open set(s)"
+    assert "  hyperconnected: yes" in out
+
+
 def test_classify_set_accepts_12_points(tmp_path, capsys):
     path = tmp_path / "chain12.json"
     path.write_text(json.dumps(_chain_document(12)))
@@ -266,3 +301,100 @@ def test_json_nested_too_deep_is_one_error_line(tmp_path, capsys):
         captured = capsys.readouterr()
         _assert_one_error_line(captured)
         assert "not valid JSON" in captured.err
+
+
+def _sparse_space(rng, n):
+    # sparse seed rows keep the closed preorder away from indiscrete
+    return random_preorder_topology(
+        [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)]
+    )
+
+
+# the label of the second member of each existential witness pair
+_SECOND_LABEL = {
+    SetClass.LOCALLY_CLOSED: "closed",
+    SetClass.A_SET: "regular-closed",
+    SetClass.B_SET: "semi-closed",
+    SetClass.AB_SET: "semi-regular",
+}
+
+
+def _oracle_classify_set(t, points, a):
+    """classify-set's stdout from the per-subset predicates."""
+    def shown(mask):
+        return "{" + ",".join(p for x, p in enumerate(points)
+                              if mask >> x & 1) + "}"
+
+    lines = [f"subset {shown(a)} in space on {t.n} point(s)"]
+    for cls in SetClass:
+        member = is_in_class(t, a, cls)
+        line = f"  {cls.value}: {'yes' if member else 'no'}"
+        if member and cls in WITNESS_FUNCTIONS:
+            u, v = WITNESS_FUNCTIONS[cls](t, a)
+            line += f"  [open {shown(u)} & {_SECOND_LABEL[cls]} {shown(v)}]"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def test_classify_set_matches_per_subset_oracles(tmp_path, capsys):
+    rng = random.Random(2718)
+    bracketed = set()
+    for n in (8, 9, 10, 11, 12):
+        t = _sparse_space(rng, n)
+        doc = encode_space(t)
+        path = tmp_path / f"space{n}.json"
+        path.write_text(json.dumps(doc))
+        u = rng.choice(t.opens)
+        subsets = [
+            rng.getrandbits(n),
+            u & (t.full ^ rng.choice(t.opens)),
+            u & closure(t, interior(t, rng.getrandbits(n))),
+            u & (rng.getrandbits(n) | interior(t, closure(t, u))),
+        ]
+        for a in subsets:
+            names = [p for x, p in enumerate(doc["points"]) if a >> x & 1]
+            assert main(["classify-set", str(path), *names]) == 0
+            out = capsys.readouterr().out
+            assert out == _oracle_classify_set(t, doc["points"], a)
+            bracketed.update(line.split(":")[0].strip()
+                             for line in out.splitlines() if "[open" in line)
+    assert bracketed == {cls.value for cls in _SECOND_LABEL}
+
+
+def test_classify_map_matches_per_map_oracle(tmp_path, capsys):
+    rng = random.Random(1618)
+    seen = {cc: set() for cc in ContinuityClass}
+    for j in range(12):
+        tx = _sparse_space(rng, rng.randint(5, 7))
+        ty = _sparse_space(rng, rng.randint(5, 7))
+        # few image points make preimages coarse, so verdicts vary
+        targets = rng.sample(range(ty.n), 1 + j % 3)
+        f = SpaceMap(tx, ty, [rng.choice(targets) for _ in range(tx.n)])
+        doc = encode_map(f)
+        path = tmp_path / f"map{j}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classify-map", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        expected = []
+        for cc in ContinuityClass:
+            holds = is_continuous_in(f, cc)
+            seen[cc].add(holds)
+            expected.append(f"  {cc.value}: {'yes' if holds else 'no'}")
+        assert lines[1:] == expected
+    assert all(len(verdicts) == 2 for verdicts in seen.values())
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # about 1 MB of documents overfills the pipe, so the writer is still
+    # writing when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fintopo.cli", "enumerate", "--n", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert json.loads(proc.stdout.readline())["points"] == list("abcde")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

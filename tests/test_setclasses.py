@@ -1,5 +1,7 @@
 """Set class membership: frozen verdicts, witnesses, and dual routes."""
 
+import random
+
 import pytest
 
 from fintopo import (
@@ -25,7 +27,13 @@ from fintopo.setclasses import (
     semi_regular_sandwich_witness,
 )
 
-from helpers import discrete, four_point_space, indiscrete, three_point_space
+from helpers import (
+    discrete,
+    four_point_space,
+    indiscrete,
+    random_preorder_topology,
+    three_point_space,
+)
 
 
 def classes_of(t, a):
@@ -204,6 +212,26 @@ def test_classes_of_listing():
 
 
 def test_class_table_budget_guard():
-    t = discrete(3)
-    with pytest.raises(GroundSetTooLarge):
-        class_table(t, subset_budget=4)
+    # the cap is 2^12 subsets: 13 points are refused before any table exists
+    with pytest.raises(GroundSetTooLarge, match=r"2\^13 subsets"):
+        class_table(indiscrete(13))
+    assert class_table(indiscrete(12)).contains(0, SetClass.OPEN)
+
+
+def test_semi_closure_table_matches_definition():
+    # the table's fold against the definitional scan, on every space up to
+    # four points and on seeded random spaces of 8 to 11 points
+    spaces = [t for n in range(5) for t in enumerate_topologies(n)]
+    rng = random.Random(4711)
+    for n in (8, 9, 10, 11):
+        # sparse seed rows keep the closed preorder away from indiscrete
+        seeds = [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+                 for _ in range(n)]
+        spaces.append(random_preorder_topology(seeds))
+    moved = 0
+    for t in spaces:
+        scl = class_table(t).semi_closure_table
+        for a in t.subsets():
+            assert scl[a] == semi_closure(t, a), (t, a)
+            moved += scl[a] != a
+    assert moved > 1000

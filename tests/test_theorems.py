@@ -14,7 +14,6 @@ from fintopo import (
     SpaceMap,
     Witness,
     acceptable,
-    continuity_profile,
     enumerate_maps,
     enumerate_topologies,
     find_counterexample,
@@ -26,6 +25,7 @@ from fintopo import (
     strongly_irresolute_scl,
     verify,
     verify_all,
+    maps,
     theorems,
 )
 
@@ -403,18 +403,19 @@ def test_workers_clamped_to_cpu_count(monkeypatch):
 
 def test_fact_words_agree_with_definitions():
     # every map between spaces on <= 3 points: one bit per continuity
-    # class against maps.continuity_profile, the scl bit against
-    # maps.strongly_irresolute_scl
+    # class against the definitional maps.is_continuous_in, the scl bit
+    # against maps.strongly_irresolute_scl
     spaces = [t for n in range(4) for t in enumerate_topologies(n)]
     maps_ = 0
     for tx in spaces:
-        facts = theorems._domain_facts(tx)
+        facts = maps._domain_facts(tx)
         for ty in spaces:
             for f in enumerate_maps(tx, ty):
-                word = theorems._fact_word(f, facts)
-                for cc, holds in continuity_profile(f).items():
-                    assert (word & theorems._CLASS_BIT[cc] != 0) == holds
-                scl_ok = word & theorems._SCL_OK != 0
+                word = maps._fact_word(f, facts)
+                for cc in ContinuityClass:
+                    holds = is_continuous_in(f, cc)
+                    assert (word & maps._CLASS_BIT[cc] != 0) == holds
+                scl_ok = word & maps._SCL_OK != 0
                 assert scl_ok == strongly_irresolute_scl(f)
                 maps_ += 1
     assert maps_ == 24907
