@@ -11,12 +11,11 @@ import os
 import sys
 
 from .documents import (
-    decode_map,
-    decode_space,
     encode_space,
-    mask_to_names,
+    format_set,
+    load_map,
+    load_space,
     names_to_mask,
-    read_json,
 )
 from .enumeration import (
     MAX_ENUMERATION_N,
@@ -24,17 +23,11 @@ from .enumeration import (
     count_topologies,
     enumerate_topologies,
 )
-from .errors import (
-    BudgetExceeded,
-    DocumentError,
-    NotClosedUnderIntersection,
-    NotClosedUnderUnion,
-    TopologyError,
-)
+from .errors import BudgetExceeded
 from .maps import continuity_profile
 from .setclasses import (
+    SECOND_FAMILY,
     SetClass,
-    _intersection_witness,
     check_subset_budget,
     class_table,
 )
@@ -47,73 +40,33 @@ from .theorems import (
     verify_all,
 )
 
-# the class of the second member of each existential witness pair
-_SECOND_FAMILY = {
-    SetClass.LOCALLY_CLOSED: SetClass.CLOSED,
-    SetClass.A_SET: SetClass.REGULAR_CLOSED,
-    SetClass.B_SET: SetClass.SEMI_CLOSED,
-    SetClass.AB_SET: SetClass.SEMI_REGULAR,
-}
-
-
-def _format_set(mask, points) -> str:
-    return "{" + ",".join(mask_to_names(mask, points)) + "}"
-
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
 
 
-def _decode_space_checked(doc):
-    """decode_space with axiom violations rendered with point names."""
-    points = doc.get("points") if isinstance(doc, dict) else None
-    # names that would break the one-line error fall back to masks
-    named = isinstance(points, list) and all(
-        isinstance(p, str) and p.isprintable() for p in points
-    )
-    try:
-        return decode_space(doc)
-    except (NotClosedUnderUnion, NotClosedUnderIntersection) as exc:
-        kind = (
-            "union" if isinstance(exc, NotClosedUnderUnion)
-            else "intersection"
-        )
-        u, v = exc.witness
-        if named:
-            shown = f"{_format_set(u, points)} and {_format_set(v, points)}"
-        else:
-            shown = f"{u:#b} and {v:#b}"
-        raise DocumentError(
-            f"invalid topology: not closed under {kind}; "
-            f"witness opens {shown}"
-        )
-
-
 def cmd_classify_set(args) -> int:
-    doc = read_json(args.space, "space")
-    t, points = _decode_space_checked(doc)
+    t, points = load_space(args.space)
     table = class_table(t)
     index = {name: x for x, name in enumerate(points)}
     a = names_to_mask(args.subset, index)
-    print(f"subset {_format_set(a, points)} in space on {t.n} point(s)")
+    print(f"subset {format_set(a, points)} in space on {t.n} point(s)")
     for cls in SetClass:
         member = table.contains(a, cls)
         line = f"  {cls.value}: {'yes' if member else 'no'}"
-        if member and cls in _SECOND_FAMILY:
-            second = _SECOND_FAMILY[cls]
-            u, v = _intersection_witness(t, a, table.family(second))
+        if member and cls in SECOND_FAMILY:
+            u, v = table.witness(a, cls)
             line += (
-                f"  [open {_format_set(u, points)} & "
-                f"{second.value} {_format_set(v, points)}]"
+                f"  [open {format_set(u, points)} & "
+                f"{SECOND_FAMILY[cls].value} {format_set(v, points)}]"
             )
         print(line)
     return 0
 
 
 def cmd_classify_space(args) -> int:
-    doc = read_json(args.space, "space")
-    t, _ = _decode_space_checked(doc)
+    t, _ = load_space(args.space)
     # submaximality and semi-connectedness scan every subset
     check_subset_budget(t)
     print(f"space on {t.n} point(s) with {len(t.opens)} open set(s)")
@@ -123,8 +76,7 @@ def cmd_classify_space(args) -> int:
 
 
 def cmd_classify_map(args) -> int:
-    doc = read_json(args.map, "map")
-    f, dom_points, cod_points = decode_map(doc)
+    f, dom_points, cod_points = load_map(args.map)
     # the fact word tabulates every subset of both spaces
     check_subset_budget(f.domain)
     check_subset_budget(f.codomain)
@@ -262,9 +214,8 @@ def main(argv=None) -> int:
         # the exit-time flush must not hit the closed pipe again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as if the signal had killed us
-    except (DocumentError, TopologyError, BudgetExceeded) as exc:
-        return _fail(str(exc))
-    except ValueError as exc:
+    # DocumentError and TopologyError are ValueErrors
+    except (BudgetExceeded, ValueError) as exc:
         return _fail(str(exc))
 
 

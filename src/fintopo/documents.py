@@ -9,7 +9,11 @@ masks; names exist only at this boundary.
 import json
 import string
 
-from .errors import DocumentError
+from .errors import (
+    DocumentError,
+    NotClosedUnderIntersection,
+    NotClosedUnderUnion,
+)
 from .maps import SpaceMap
 from .space import SubsetMask, Topology, build_topology, iter_points
 
@@ -23,6 +27,11 @@ def default_point_names(n: int):
 
 def mask_to_names(mask: SubsetMask, points) -> list:
     return [points[x] for x in iter_points(mask)]
+
+
+def format_set(mask: SubsetMask, points) -> str:
+    """The subset written with its point names, as {a,b}."""
+    return "{" + ",".join(mask_to_names(mask, points)) + "}"
 
 
 def names_to_mask(names, index) -> SubsetMask:
@@ -76,7 +85,17 @@ def decode_space(doc) -> tuple:
     ):
         raise DocumentError("opens must be a list of lists of point names")
     opens = [names_to_mask(u, index) for u in opens_field]
-    return build_topology(len(points), opens), list(points)
+    try:
+        return build_topology(len(points), opens), list(points)
+    except (NotClosedUnderUnion, NotClosedUnderIntersection) as exc:
+        op = "union" if isinstance(exc, NotClosedUnderUnion) else "intersection"
+        # names that would break the one-line error fall back to masks
+        named = all(p.isprintable() for p in points)
+        shown = " and ".join(
+            format_set(m, points) if named else f"{m:#b}" for m in exc.witness
+        )
+        raise type(exc)(*exc.witness, f"invalid topology: not closed under "
+                        f"{op}; witness opens {shown}") from None
 
 
 def encode_map(f: SpaceMap, domain_points=None, codomain_points=None) -> dict:

@@ -37,10 +37,16 @@ class EnumerationBudget:
     codomain_max_n: int | None = None
 
     def __post_init__(self):
-        if self.max_n < 0 or self.max_spaces <= 0 or self.max_maps <= 0:
-            raise ValueError("budget fields must be positive")
+        if self.max_n < 0:
+            raise ValueError(f"max_n must be non-negative, got {self.max_n}")
         if self.codomain_max_n is not None and self.codomain_max_n < 0:
-            raise ValueError("codomain_max_n must be non-negative")
+            raise ValueError("codomain_max_n must be non-negative, got "
+                             f"{self.codomain_max_n}")
+        for name in ("max_spaces", "max_maps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)}"
+                )
 
     @property
     def codomain_n(self) -> int:
@@ -191,7 +197,11 @@ def count_topologies(n: int, budget: EnumerationBudget | None = None) -> int:
     return sum(1 for _ in _preorders(n, budget))
 
 
-def count_reflexive_transitive_relations(n: int, chunk: int = 1 << 16) -> int:
+# relation matrices per vectorized chunk of the relation filter
+_RELATION_CHUNK = 1 << 16
+
+
+def count_reflexive_transitive_relations(n: int) -> int:
     """Count preorders on n points by brute transitivity filtering.
 
     Independent cross-check for enumerate_topologies: materializes every
@@ -208,8 +218,8 @@ def count_reflexive_transitive_relations(n: int, chunk: int = 1 << 16) -> int:
         raise BudgetExceeded("relation filter is sized for n <= 5")
     total = 0
     shifts = np.arange(bits, dtype=np.uint32)
-    for start in range(0, 1 << bits, chunk):
-        stop = min(start + chunk, 1 << bits)
+    for start in range(0, 1 << bits, _RELATION_CHUNK):
+        stop = min(start + _RELATION_CHUNK, 1 << bits)
         idx = np.arange(start, stop, dtype=np.uint32)
         flags = (idx[:, None] >> shifts) & 1
         rel = np.zeros((stop - start, n, n), dtype=bool)

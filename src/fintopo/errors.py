@@ -12,17 +12,19 @@ class MissingEmptyOrFull(TopologyError):
 class NotClosedUnderUnion(TopologyError):
     """Two opens whose union is missing.  The pair is kept as a witness."""
 
-    def __init__(self, u: int, v: int):
+    def __init__(self, u: int, v: int, message: str = ""):
         self.witness = (u, v)
-        super().__init__(f"union of opens {u:#b} and {v:#b} is not open")
+        super().__init__(message or f"union of opens {u:#b} and {v:#b} is not open")
 
 
 class NotClosedUnderIntersection(TopologyError):
     """Two opens whose intersection is missing.  The pair is kept as a witness."""
 
-    def __init__(self, u: int, v: int):
+    def __init__(self, u: int, v: int, message: str = ""):
         self.witness = (u, v)
-        super().__init__(f"intersection of opens {u:#b} and {v:#b} is not open")
+        super().__init__(
+            message or f"intersection of opens {u:#b} and {v:#b} is not open"
+        )
 
 
 class NotAPreorder(TopologyError):

@@ -190,16 +190,17 @@ def continuity_profile(f: SpaceMap):
     return {cc: word & bit != 0 for cc, bit in _CLASS_BIT.items()}
 
 
-def enumerate_maps(tx: Topology, ty: Topology, budget: int = DEFAULT_MAP_BUDGET):
+def enumerate_maps(tx: Topology, ty: Topology):
     """All assignments from tx's points to ty's, lexicographically.
 
     n_x = 0 yields exactly the empty map.  Raises BudgetExceeded before
-    yielding anything if ty.n ** tx.n is over budget.
+    yielding anything if ty.n ** tx.n is over DEFAULT_MAP_BUDGET.
     """
     count = ty.n ** tx.n if tx.n else 1
-    if count > budget:
+    if count > DEFAULT_MAP_BUDGET:
         raise BudgetExceeded(
-            f"{count} maps exceed the enumeration budget of {budget}"
+            f"{count} maps exceed the enumeration budget of "
+            f"{DEFAULT_MAP_BUDGET}"
         )
     if tx.n and ty.n == 0:
         return

@@ -12,7 +12,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import GroundSetTooLarge
-from .space import SubsetMask, Topology, closure, complement, full_mask, interior
+from .space import SubsetMask, Topology, closure, complement, interior
 
 # class_table, and the CLI's classify commands, refuse ground sets with
 # more than this many subsets (more than 12 points).
@@ -39,6 +39,17 @@ class SetClass(Enum):
     AB_SET = "AB-set"
     IC_SET = "ic-set"
     T_SET = "t-set"
+
+
+# Each existential class holds the sets u & v with u open and v in its
+# second family.  The literal *_witness scans below spell out the same
+# families on their own, so that they stay independent oracles.
+SECOND_FAMILY = {
+    SetClass.LOCALLY_CLOSED: SetClass.CLOSED,
+    SetClass.A_SET: SetClass.REGULAR_CLOSED,
+    SetClass.B_SET: SetClass.SEMI_CLOSED,
+    SetClass.AB_SET: SetClass.SEMI_REGULAR,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +303,11 @@ class ClassTable:
     def family_bitmap(self, cls: SetClass) -> int:
         return self._bitmaps[cls]
 
+    def witness(self, a: SubsetMask, cls: SetClass):
+        """The *_witness pair of a in existential class cls, or None."""
+        second = self.family(SECOND_FAMILY[cls])
+        return _intersection_witness(self.topology, a, second)
+
 
 def _family_bitmap(masks) -> int:
     bm = 0
@@ -324,7 +340,8 @@ def class_table(t: Topology) -> ClassTable:
     cl_t = [full ^ int_t[full ^ a] for a in range(size)]
 
     open_bm = _family_bitmap(t.opens)
-    closed_bm = _family_bitmap(full ^ u for u in t.opens)
+    closed = [full ^ u for u in t.opens]
+    closed_bm = _family_bitmap(closed)
 
     semi_closed = [a for a in range(size) if int_t[cl_t[a]] & ~a == 0]
     semi_open = [a for a in range(size) if a & ~cl_t[int_t[a]] == 0]
@@ -341,14 +358,6 @@ def class_table(t: Topology) -> ClassTable:
         for a in range(size):
             if not a & bit:
                 scl_t[a] &= scl_t[a | bit]
-
-    def intersections(second):
-        second = list(second)
-        got = set()
-        for u in t.opens:
-            for v in second:
-                got.add(u & v)
-        return _family_bitmap(got)
 
     bitmaps = {
         SetClass.OPEN: open_bm,
@@ -376,10 +385,6 @@ def class_table(t: Topology) -> ClassTable:
         SetClass.BETA_CLOSED: _family_bitmap(
             a for a in range(size) if int_t[cl_t[int_t[a]]] & ~a == 0
         ),
-        SetClass.LOCALLY_CLOSED: intersections(full ^ u for u in t.opens),
-        SetClass.A_SET: intersections(regular_closed),
-        SetClass.B_SET: intersections(semi_closed),
-        SetClass.AB_SET: intersections(semi_regular),
         SetClass.IC_SET: _family_bitmap(
             a for a in range(size) if a & cl_t[int_t[a]] & ~int_t[a] == 0
         ),
@@ -387,6 +392,16 @@ def class_table(t: Topology) -> ClassTable:
             a for a in range(size) if int_t[a] == int_t[cl_t[a]]
         ),
     }
+    # the members of each second family, for the existential classes
+    members = {
+        SetClass.CLOSED: closed,
+        SetClass.REGULAR_CLOSED: regular_closed,
+        SetClass.SEMI_CLOSED: semi_closed,
+        SetClass.SEMI_REGULAR: semi_regular,
+    }
+    for cls, second in SECOND_FAMILY.items():
+        family = members[second]
+        bitmaps[cls] = _family_bitmap({u & v for u in t.opens for v in family})
     return ClassTable(t, tuple(int_t), tuple(cl_t), tuple(scl_t), bitmaps)
 
 

@@ -200,9 +200,6 @@ class Preorder:
         self.rows = tuple(rows)
         self.n = len(self.rows)
 
-    def leq(self, x: int, y: int) -> bool:
-        return bool(self.rows[x] >> y & 1)
-
     def validate(self) -> None:
         rows = self.rows
         _check_fits(self.n, rows)

@@ -36,7 +36,7 @@ from .documents import (
     names_to_mask,
 )
 from .enumeration import EnumerationBudget, enumerate_topologies
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, DocumentError
 from .maps import (
     _CLASS_BIT,
     _SCL_OK,
@@ -715,6 +715,20 @@ _KNOWN_GAPS = {
 }
 
 
+def _gap_proposition(class_from: SetClass, class_to: SetClass) -> Proposition:
+    """The registered claim for a tracked gap, else an ad-hoc universal
+    one: every class_from set is in class_to."""
+    key = _KNOWN_GAPS.get((class_from, class_to))
+    if key:
+        return _BY_ID[key]
+    return Proposition(
+        f"counterexample-{class_from.value}-to-{class_to.value}",
+        KIND_IMP_SET, "set",
+        f"every {class_from.value} set is {class_to.value}",
+        _gap(class_from, class_to),
+    )
+
+
 def find_counterexample(class_from: SetClass, class_to: SetClass,
                         budget: EnumerationBudget | None = None):
     """First set in class_from but not class_to, in canonical order.
@@ -724,63 +738,76 @@ def find_counterexample(class_from: SetClass, class_to: SetClass,
     registry tracks, so replay goes through the same evaluator.
     """
     budget = budget or default_budget("set")
-    key = _KNOWN_GAPS.get((class_from, class_to))
-    pid = key or f"counterexample-{class_from.value}-to-{class_to.value}"
-    polarity = EXAMPLE if key else COUNTEREXAMPLE
+    p = _gap_proposition(class_from, class_to)
     for n in range(budget.max_n + 1):
         for t in enumerate_topologies(n, budget):
-            gap = _gap(class_from, class_to)(class_table(t), None)
+            gap = p.evaluate(class_table(t), None)
             if gap:
                 a = (gap & -gap).bit_length() - 1
-                return Witness(pid, polarity, t, subset=a)
+                return Witness(p.id, _polarity(p), t, subset=a)
     return None
 
 
 def _decode_witness(doc):
+    if not isinstance(doc, dict):
+        raise DocumentError("witness document must be an object")
+    if not isinstance(doc.get("proposition"), str):
+        raise DocumentError("witness document needs a 'proposition' string")
+    pid, polarity = doc["proposition"], doc.get("polarity")
     if "map" in doc:
         f, _, _ = decode_map(doc["map"])
-        return Witness(
-            doc["proposition"], doc["polarity"], f.domain,
-            codomain=f.codomain, assignment=f.assignment,
-        )
+        return Witness(pid, polarity, f.domain, codomain=f.codomain,
+                       assignment=f.assignment)
+    if "space" not in doc:
+        raise DocumentError("witness document needs 'map' or 'space'")
     t, points = decode_space(doc["space"])
     subset = None
     if "subset" in doc:
+        if not isinstance(doc["subset"], list):
+            raise DocumentError("witness subset must be a list of point names")
         index = {name: x for x, name in enumerate(points)}
         subset = names_to_mask(doc["subset"], index)
-    return Witness(doc["proposition"], doc["polarity"], t, subset=subset)
+    return Witness(pid, polarity, t, subset=subset)
 
 
 def _evaluate_witness(w: Witness) -> bool:
     pid = w.proposition_id
-    if pid in _BY_ID:
-        p = _BY_ID[pid]
-        if p.scope == "map":
-            f = SpaceMap(w.topology, w.codomain, w.assignment)
-            hit = p.evaluate(_fact_word(f, _domain_facts(f.domain)))
-        else:
-            got = p.evaluate(class_table(w.topology),
-                             partial(space_profile, w.topology))
-            if p.scope == "set":
-                if w.subset is None:
-                    raise ValueError(f"witness for {pid!r} needs a subset")
-                got = got >> w.subset & 1
-            hit = bool(got)
-        return hit if p.existential else not hit
-    if pid.startswith("counterexample-") and "-to-" in pid:
-        frm, to = pid[len("counterexample-"):].split("-to-", 1)
-        gap = _gap(SetClass(frm), SetClass(to))(class_table(w.topology), None)
-        return not gap >> w.subset & 1
-    raise KeyError(f"cannot replay unknown proposition {pid!r}")
+    # an ad-hoc id is one _gap_proposition gives an untracked gap
+    gaps = (_gap_proposition(a, b) for a, b in product(SetClass, repeat=2))
+    p = _BY_ID.get(pid) or next((g for g in gaps if g.id == pid), None)
+    if p is None:
+        raise KeyError(f"cannot replay unknown proposition {pid!r}")
+    if (w.assignment is not None) != (p.scope == "map"):
+        shape = "a map" if p.scope == "map" else "a space"
+        raise DocumentError(f"witness for {pid!r} needs {shape}")
+    if p.scope == "map":
+        f = SpaceMap(w.topology, w.codomain, w.assignment)
+        hit = p.evaluate(_fact_word(f, _domain_facts(f.domain)))
+    else:
+        got = p.evaluate(class_table(w.topology),
+                         partial(space_profile, w.topology))
+        if p.scope == "set":
+            if w.subset is None:
+                raise DocumentError(f"witness for {pid!r} needs a subset")
+            got = got >> w.subset & 1
+        hit = bool(got)
+    return hit if p.existential else not hit
 
 
 def replay_witness(doc) -> bool:
     """Re-evaluate a (possibly serialized) witness.
 
     True when the evaluation reproduces the recorded polarity: True for
-    an existential example, False for a counterexample.
+    an existential example, False for a counterexample.  A malformed
+    document, or a witness of the wrong shape or polarity for its
+    proposition, raises DocumentError; an unknown id raises KeyError.
     """
     w = doc if isinstance(doc, Witness) else _decode_witness(doc)
+    if w.polarity not in (EXAMPLE, COUNTEREXAMPLE):
+        raise DocumentError(
+            f"witness polarity must be {EXAMPLE!r} or {COUNTEREXAMPLE!r}, "
+            f"got {w.polarity!r}"
+        )
     val = _evaluate_witness(w)
     if w.polarity == EXAMPLE:
         return val is True

@@ -131,6 +131,22 @@ def test_corrupted_space_names_axiom_witness(space_files, capsys):
     assert "witness opens {a} and {b}" in err
 
 
+def test_map_with_corrupted_domain_names_axiom_witness(tmp_path, capsys):
+    bad = {"points": ["a", "b", "c"],
+           "opens": [[], ["a"], ["b"], ["a", "b", "c"]]}
+    path = tmp_path / "badmap.json"
+    path.write_text(json.dumps({
+        "domain": bad,
+        "codomain": encode_space(sierpinski()),
+        "assignment": {"a": "a", "b": "a", "c": "b"},
+    }))
+    assert main(["classify-map", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid topology: not closed under union; "
+        "witness opens {a} and {b}\n"
+    )
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["classify-space", "/nonexistent.json"]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -140,6 +156,13 @@ def test_verify_single_proposition(capsys):
     assert main(["verify", "t4", "--max-n", "2"]) == 0
     out = capsys.readouterr().out
     assert "t4: holds-exhaustively" in out
+
+
+def test_verify_negative_max_n_names_the_field(capsys):
+    assert main(["verify", "t4", "--max-n", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: max_n must be non-negative, got -1\n"
+    )
 
 
 def test_verify_witness_line_replays(capsys):

@@ -95,6 +95,17 @@ def test_budget_field_validation():
         EnumerationBudget(max_spaces=0)
 
 
+@pytest.mark.parametrize("field, value, rule", [
+    ("max_n", -1, "non-negative"),
+    ("codomain_max_n", -1, "non-negative"),
+    ("max_spaces", 0, "positive"),
+    ("max_maps", 0, "positive"),
+])
+def test_budget_error_names_the_field(field, value, rule):
+    with pytest.raises(ValueError, match=f"^{field} must be {rule}, got {value}$"):
+        EnumerationBudget(**{field: value})
+
+
 def test_relation_counter_small():
     assert count_reflexive_transitive_relations(0) == 1
     assert count_reflexive_transitive_relations(1) == 1

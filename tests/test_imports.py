@@ -1,0 +1,52 @@
+"""Import hygiene of the package, checked by parsing its modules with ast."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fintopo"
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imports(tree):
+    """(bound name, imported name) of every import in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], alias.name
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.asname or alias.name, alias.name
+
+
+def _used_names(tree):
+    """Names the module reads, counting the strings in __all__."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_unused_imports(path):
+    tree = _parse(path)
+    used = _used_names(tree)
+    assert [name for name, _ in _imports(tree) if name not in used] == []
+
+
+def test_cli_imports_no_private_names():
+    tree = _parse(SRC / "cli.py")
+    private = [
+        name for _, name in _imports(tree)
+        if name.rsplit(".", 1)[-1].startswith("_")
+    ]
+    assert private == []

@@ -121,6 +121,6 @@ def test_enumerate_maps_lexicographic_order():
 
 
 def test_enumerate_maps_budget():
-    t3 = three_point_space()
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_maps(t3, t3, budget=10))
+    # 7^8 = 5,764,801 maps exceed DEFAULT_MAP_BUDGET = 2^22
+    with pytest.raises(BudgetExceeded, match="5764801 maps"):
+        list(enumerate_maps(indiscrete(8), indiscrete(7)))

@@ -15,6 +15,8 @@ from fintopo import (
 )
 from fintopo.setclasses import (
     PREDICATES,
+    SECOND_FAMILY,
+    WITNESS_FUNCTIONS,
     a_set_witness,
     ab_set_witness,
     b_set_via_semi_closure_witness,
@@ -185,6 +187,16 @@ def test_class_table_matches_predicates_exhaustively():
                 assert table.contains(a, cls) == PREDICATES[cls](t, a), (
                     t, a, cls,
                 )
+
+
+def test_class_table_witness_matches_definitional_scans():
+    # every subset of every space on at most four points
+    assert set(SECOND_FAMILY) == set(WITNESS_FUNCTIONS)
+    for t in (t for n in range(5) for t in enumerate_topologies(n)):
+        table = class_table(t)
+        for a in t.subsets():
+            for cls, scan in WITNESS_FUNCTIONS.items():
+                assert table.witness(a, cls) == scan(t, a), (t, a, cls)
 
 
 def test_class_table_interior_closure_and_scl_tables():

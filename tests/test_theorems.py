@@ -9,6 +9,7 @@ import pytest
 
 from fintopo import (
     ContinuityClass,
+    DocumentError,
     EnumerationBudget,
     SetClass,
     SpaceMap,
@@ -169,6 +170,47 @@ def test_replay_rejects_unknown_id():
         "space": {"points": ["a"], "opens": [[], ["a"]]},
         "subset": ["a"],
     }
+    with pytest.raises(KeyError):
+        replay_witness(doc)
+
+
+_SPACE_WITNESS = {
+    "proposition": "nonrev-ab-b",
+    "polarity": "example-for-existential",
+    "space": {"points": ["a", "b"], "opens": [[], ["a"], ["a", "b"]]},
+    "subset": ["b"],
+}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({k: v for k, v in _SPACE_WITNESS.items() if k != "polarity"},
+     "polarity must be"),
+    ({**_SPACE_WITNESS, "polarity": "bogus"}, "got 'bogus'"),
+    ({**_SPACE_WITNESS, "proposition": "s41-i"}, "'s41-i' needs a map"),
+    (["nonrev-ab-b"], "must be an object"),
+    ({k: v for k, v in _SPACE_WITNESS.items() if k != "space"},
+     "needs 'map' or 'space'"),
+    ({**_SPACE_WITNESS, "subset": 1}, "subset must be a list"),
+], ids=["no-polarity", "bogus-polarity", "map-id-space-witness",
+        "not-an-object", "no-space", "subset-not-a-list"])
+def test_replay_rejects_malformed_document(doc, message):
+    assert replay_witness(_SPACE_WITNESS) is True
+    with pytest.raises(DocumentError, match=message):
+        replay_witness(doc)
+
+
+def test_replay_ad_hoc_witness_needs_a_subset():
+    w = find_counterexample(SetClass.OPEN, SetClass.CLOSED)
+    doc = w.to_document()
+    del doc["subset"]
+    with pytest.raises(ValueError, match="needs a subset"):
+        replay_witness(doc)
+
+
+def test_replay_tracked_gap_only_under_its_registered_id():
+    doc = find_counterexample(SetClass.B_SET, SetClass.AB_SET).to_document()
+    assert replay_witness(doc) is True
+    doc["proposition"] = "counterexample-B-set-to-AB-set"
     with pytest.raises(KeyError):
         replay_witness(doc)
 
