@@ -125,6 +125,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.n < 0:
+        return _fail(f"--n must be non-negative, got {args.n}")
     if args.n > MAX_ENUMERATION_N:
         return _fail(
             f"enumeration is capped at n={MAX_ENUMERATION_N}"

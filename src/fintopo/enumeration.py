@@ -8,13 +8,31 @@ no topology at all: count_topologies counts the validated rows.  Two
 independent routes exist for cross-checks: a naive filter over all
 candidate open-set families (small n ground truth) and a vectorized
 transitive-relation counter.
+
+enumerate_isomorphism_classes gives one topology per homeomorphism
+class instead, with the number of labeled topologies in its class.  It
+grows the classes one point at a time and removes isomorphic copies by a
+brute-force canonical form: the simple generate-then-dedup form of
+McKay, "Isomorph-free exhaustive generation" (J. Algorithms 26, 1998).
+The class counts are those of Brinkmann & McKay, "Counting unlabelled
+topologies and transitive relations" (J. Integer Seq. 8, 2005).
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby, islice, permutations, product
+from math import factorial
 
 from .errors import BudgetExceeded
-from .space import Preorder, Topology, build_topology, full_mask, up_sets
+from .space import (
+    Preorder,
+    Topology,
+    _sorted_opens,
+    build_topology,
+    full_mask,
+    iter_points,
+    topology_from_preorder,
+    up_sets,
+)
 
 # Largest ground set enumerated when no budget is given.  The CLI's
 # enumerate command is capped by the same constant.
@@ -151,6 +169,142 @@ def _canonical_stream(n: int, budget: EnumerationBudget):
     for _, opens, rows in keys:
         # rows double as the minimal neighbourhoods
         yield Topology(n, opens, rows)
+
+
+def _relabel(mask: int, pos) -> int:
+    """The image of mask when point x is renamed pos[x]."""
+    out = 0
+    for x in iter_points(mask):
+        out |= 1 << pos[x]
+    return out
+
+
+def _canonical(rows):
+    """The least relabeling of a preorder's rows, and how many give it.
+
+    Every isomorphism keeps each point's (row size, column size), so the
+    points are ordered by that pair and only the permutations inside
+    blocks of equal pairs are tried.  Those that reach the least row
+    tuple form one coset of the automorphism group, so their number is
+    its order.
+    """
+    n = len(rows)
+    cols = [0] * n
+    for row in rows:
+        for y in iter_points(row):
+            cols[y] += 1
+    invariant = [(row.bit_count(), cols[x]) for x, row in enumerate(rows)]
+    order = sorted(range(n), key=invariant.__getitem__)
+    blocks = [list(b) for _, b in groupby(order, key=invariant.__getitem__)]
+    best, automorphisms = None, 0
+    for choice in product(*map(permutations, blocks)):
+        # position k gets the old point seq[k]
+        seq = [x for block in choice for x in block]
+        pos = [0] * n
+        for k, x in enumerate(seq):
+            pos[x] = k
+        form = tuple(_relabel(rows[x], pos) for x in seq)
+        if best is None or form < best:
+            best, automorphisms = form, 1
+        elif form == best:
+            automorphisms += 1
+    return best, automorphisms
+
+
+def _extensions(rows):
+    """Every preorder on len(rows) + 1 points that restricts to rows.
+
+    The new point sits above a down-set D and below an up-set U of the
+    old preorder, with every point of D below every point of U.
+    """
+    m = len(rows)
+    new = 1 << m
+    ups = up_sets(rows)
+    for up in ups:
+        down = full_mask(m) ^ up  # a down-set is the complement of an up-set
+        cap = full_mask(m)
+        for x in iter_points(down):
+            cap &= rows[x]
+        for u in ups:
+            if u & ~cap == 0:
+                yield tuple(
+                    row | new if down >> x & 1 else row
+                    for x, row in enumerate(rows)
+                ) + (new | u,)
+
+
+def _class_levels(budget: EnumerationBudget):
+    """Per size n = 0..budget.max_n, one (topology, orbit size) per class.
+
+    Size n is built from the classes of size n - 1.  It raises
+    BudgetExceeded once the orbit sizes at one size sum past max_spaces,
+    so a size is refused iff it has more than max_spaces labeled
+    topologies, and no later size is built.
+    """
+    level = {(): 1}  # rows of each class -> its orbit size
+    for n in range(budget.max_n + 1):
+        if n:
+            level = _next_level(level, n, budget)
+        yield [
+            (topology_from_preorder(Preorder(rows)), orbit)
+            for rows, orbit in level.items()
+        ]
+
+
+def _next_level(level, n: int, budget: EnumerationBudget):
+    found = {}
+    labeled = 0
+    for rows in level:
+        for extended in _extensions(rows):
+            form, automorphisms = _canonical(extended)
+            if form in found:
+                continue
+            found[form] = orbit = factorial(n) // automorphisms
+            labeled += orbit
+            if labeled > budget.max_spaces:
+                raise BudgetExceeded(
+                    f"more than {budget.max_spaces} topologies at n={n}"
+                )
+    return found
+
+
+def enumerate_isomorphism_classes(n: int,
+                                  budget: EnumerationBudget | None = None):
+    """One topology per homeomorphism class on n points, with its orbit.
+
+    Returns a list of (topology, orbit size) pairs, where the orbit size
+    n!/|Aut| counts the labeled topologies in the class; they sum to
+    count_topologies(n).  The representatives are validated preorders,
+    relabeled so that their points are ordered by (row size, column
+    size) and their rows are least among such relabelings.  The budget
+    is checked as in enumerate_topologies, and max_spaces bounds the
+    orbit-size sum.
+    """
+    budget = _checked_budget(n, budget)
+    return next(islice(_class_levels(budget), n, None))
+
+
+def first_in_orbits(topologies) -> Topology:
+    """The labeled topology first in canonical order among every
+    relabeling of the given topologies (all on the same n points).
+
+    The number of opens is kept by relabeling, so only the topologies
+    with the fewest opens are tried, each over all n! permutations.
+    """
+    fewest = min(len(t.opens) for t in topologies)
+    best = None
+    for t in topologies:
+        if len(t.opens) != fewest:
+            continue
+        for pos in permutations(range(t.n)):
+            opens = _sorted_opens(_relabel(u, pos) for u in t.opens)
+            if best is None or opens < best[0]:
+                best = opens, pos, t
+    opens, pos, t = best
+    nbhd = [0] * t.n
+    for x, row in enumerate(t.min_nbhd):
+        nbhd[pos[x]] = _relabel(row, pos)
+    return Topology(t.n, opens, nbhd)
 
 
 def enumerate_topologies_naive(n: int, budget: EnumerationBudget | None = None):

@@ -9,22 +9,30 @@ class MissingEmptyOrFull(TopologyError):
     """The open family lacks the empty set or the full ground set."""
 
 
-class NotClosedUnderUnion(TopologyError):
-    """Two opens whose union is missing.  The pair is kept as a witness."""
+class _OpenPairError(TopologyError):
+    """Two opens that break a closure axiom.  The pair is kept as a witness."""
+
+    _template = ""
 
     def __init__(self, u: int, v: int, message: str = ""):
         self.witness = (u, v)
-        super().__init__(message or f"union of opens {u:#b} and {v:#b} is not open")
+        super().__init__(message or self._template.format(u, v))
+
+    def __reduce__(self):
+        # args holds only the message, so pickling spells out the pair
+        return type(self), (*self.witness, str(self))
 
 
-class NotClosedUnderIntersection(TopologyError):
-    """Two opens whose intersection is missing.  The pair is kept as a witness."""
+class NotClosedUnderUnion(_OpenPairError):
+    """Two opens whose union is missing."""
 
-    def __init__(self, u: int, v: int, message: str = ""):
-        self.witness = (u, v)
-        super().__init__(
-            message or f"intersection of opens {u:#b} and {v:#b} is not open"
-        )
+    _template = "union of opens {:#b} and {:#b} is not open"
+
+
+class NotClosedUnderIntersection(_OpenPairError):
+    """Two opens whose intersection is missing."""
+
+    _template = "intersection of opens {:#b} and {:#b} is not open"
 
 
 class NotAPreorder(TopologyError):

@@ -17,6 +17,12 @@ The instance order fixing "first" is: ground-set size ascending,
 topology canonical order, subset numeric order, map order by
 (domain size, codomain size, domain topology, codomain topology,
 assignment lexicographic).
+
+Set and space sweeps visit one space per isomorphism class and weight
+it by the size of its orbit, the labeled spaces homeomorphic to it.
+Counts and hits are those of the labeled sweep, and the first witness is
+the first labeled one, taken from the least member of the first hitting
+orbits.
 """
 
 import json
@@ -35,7 +41,12 @@ from .documents import (
     mask_to_names,
     names_to_mask,
 )
-from .enumeration import EnumerationBudget, enumerate_topologies
+from .enumeration import (
+    EnumerationBudget,
+    _class_levels,
+    enumerate_topologies,
+    first_in_orbits,
+)
 from .errors import BudgetExceeded, DocumentError
 from .maps import (
     _CLASS_BIT,
@@ -536,28 +547,58 @@ def _polarity(p) -> str:
     return EXAMPLE if p.existential else COUNTEREXAMPLE
 
 
+def _orbit_levels(props, budget):
+    """Sweep one space per isomorphism class, size by size.
+
+    Every set class and space property is topological, so relabeling a
+    space permutes each set formula's hits and keeps every space
+    formula's value: all the labeled spaces of one orbit have the same
+    hit count.  Yields (n, labeled spaces of size n, hits per
+    proposition, the hitting representatives per proposition), each
+    representative weighted by its orbit size.
+    """
+    for n, level in enumerate(_class_levels(budget)):
+        hits = [0] * len(props)
+        hitting = [[] for _ in props]
+        for t, orbit in level:
+            table = class_table(t)
+            profile = cache(partial(space_profile, t))
+            for i, p in enumerate(props):
+                got = p.evaluate(table, profile)
+                if got:
+                    hits[i] += orbit * got.bit_count()
+                    hitting[i].append(t)
+        yield n, sum(orbit for _, orbit in level), hits, hitting
+
+
+def _first_witness(p, hitting):
+    """The canonically first labeled hit among the orbits of hitting.
+
+    Hits are kept by relabeling, so the first labeled space with a hit
+    is the least member of the hitting orbits.  That member's own
+    formula, not its representative's, gives the subset.
+    """
+    t = first_in_orbits(hitting)
+    got = p.evaluate(class_table(t), cache(partial(space_profile, t)))
+    subset = (got & -got).bit_length() - 1 if p.scope == "set" else None
+    return Witness(p.id, _polarity(p), t, subset=subset)
+
+
 def _sweep_spaces(props, budget):
-    """One traversal of the spaces in budget for set/space propositions."""
+    """One orbit traversal of the spaces in budget for set/space
+    propositions; counts are of labeled spaces and subsets."""
     hits = [0] * len(props)
     best = [None] * len(props)
     spaces = sets_ = 0
     exhausted = False
     try:
-        for n in range(budget.max_n + 1):
-            for t in enumerate_topologies(n, budget):
-                table = class_table(t)
-                profile = cache(partial(space_profile, t))
-                spaces += 1
-                sets_ += 1 << n
-                for i, p in enumerate(props):
-                    got = p.evaluate(table, profile)
-                    if not got:
-                        continue
-                    hits[i] += got.bit_count()
-                    if best[i] is None:
-                        low = (got & -got).bit_length() - 1
-                        subset = low if p.scope == "set" else None
-                        best[i] = Witness(p.id, _polarity(p), t, subset=subset)
+        for n, labeled, level_hits, hitting in _orbit_levels(props, budget):
+            spaces += labeled
+            sets_ += labeled << n
+            for i, p in enumerate(props):
+                hits[i] += level_hits[i]
+                if best[i] is None and hitting[i]:
+                    best[i] = _first_witness(p, hitting[i])
     except BudgetExceeded:
         exhausted = True
     return [
@@ -733,18 +774,17 @@ def find_counterexample(class_from: SetClass, class_to: SetClass,
                         budget: EnumerationBudget | None = None):
     """First set in class_from but not class_to, in canonical order.
 
-    Returns None when the inclusion holds everywhere within budget.  The
-    witness reuses the registered proposition id when the gap is one the
+    Returns None when the inclusion holds everywhere within budget, and
+    raises BudgetExceeded when a size is refused before any hit.  The
+    orbit traversal stops after the first size with a hit.  The witness
+    reuses the registered proposition id when the gap is one the
     registry tracks, so replay goes through the same evaluator.
     """
     budget = budget or default_budget("set")
     p = _gap_proposition(class_from, class_to)
-    for n in range(budget.max_n + 1):
-        for t in enumerate_topologies(n, budget):
-            gap = p.evaluate(class_table(t), None)
-            if gap:
-                a = (gap & -gap).bit_length() - 1
-                return Witness(p.id, _polarity(p), t, subset=a)
+    for _, _, _, (hitting,) in _orbit_levels([p], budget):
+        if hitting:
+            return _first_witness(p, hitting)
     return None
 
 

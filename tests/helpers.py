@@ -4,7 +4,19 @@ Points are indexed a=bit0, b=bit1, c=bit2, d=bit3, so subset literals
 below read right to left.
 """
 
-from fintopo import Preorder, build_topology, topology_from_preorder
+from functools import cache, partial
+from itertools import permutations
+
+from fintopo import (
+    BudgetExceeded,
+    Preorder,
+    build_topology,
+    class_table,
+    enumerate_topologies,
+    space_profile,
+    theorems,
+    topology_from_preorder,
+)
 from fintopo.space import iter_points
 
 
@@ -103,3 +115,64 @@ class FakePool:
 
     def imap(self, fn, iterable, chunksize=1):
         return map(fn, iterable)
+
+
+def labeled_sweep_spaces(props, budget):
+    """The labeled set/space traversal, oracle for the orbit sweep.
+
+    Visits every labeled topology in budget in canonical order and keeps
+    the first hit it meets.  Same signature and reports as
+    theorems._sweep_spaces, so it can stand in for it.
+    """
+    hits = [0] * len(props)
+    best = [None] * len(props)
+    spaces = sets_ = 0
+    exhausted = False
+    try:
+        for n in range(budget.max_n + 1):
+            for t in enumerate_topologies(n, budget):
+                table = class_table(t)
+                profile = cache(partial(space_profile, t))
+                spaces += 1
+                sets_ += 1 << n
+                for i, p in enumerate(props):
+                    got = p.evaluate(table, profile)
+                    if not got:
+                        continue
+                    hits[i] += got.bit_count()
+                    if best[i] is None:
+                        low = (got & -got).bit_length() - 1
+                        subset = low if p.scope == "set" else None
+                        best[i] = theorems.Witness(
+                            p.id, theorems._polarity(p), t, subset=subset
+                        )
+    except BudgetExceeded:
+        exhausted = True
+    return [
+        theorems._report(p, budget, spaces, sets_ if p.scope == "set" else 0,
+                         0, hits[i], best[i], exhausted)
+        for i, p in enumerate(props)
+    ]
+
+
+@cache
+def _relabelings(n):
+    """(perm, image of every mask under perm) for all n! permutations."""
+    return [
+        (perm, [sum(1 << perm[y] for y in iter_points(m)) for m in range(1 << n)])
+        for perm in permutations(range(n))
+    ]
+
+
+def canonical_rows_by_brute_force(rows):
+    """The least row tuple over all n! relabelings of a preorder."""
+    n = len(rows)
+    best = None
+    for perm, image in _relabelings(n):
+        relabeled = [0] * n
+        for x, row in enumerate(rows):
+            relabeled[perm[x]] = image[row]
+        form = tuple(relabeled)
+        if best is None or form < best:
+            best = form
+    return best

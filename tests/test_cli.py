@@ -253,6 +253,13 @@ def test_enumerate_cap(capsys):
     assert "capped" in capsys.readouterr().err
 
 
+def test_enumerate_negative_n_names_the_flag(capsys):
+    assert main(["enumerate", "--n", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --n must be non-negative, got -1\n"
+    assert captured.out == ""
+
+
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 2
 

@@ -1,11 +1,13 @@
 """JSON space and map documents: round trips and validation errors."""
 
 import json
+import pickle
 
 import pytest
 
 from fintopo import (
     DocumentError,
+    NotClosedUnderIntersection,
     NotClosedUnderUnion,
     SpaceMap,
     decode_map,
@@ -83,6 +85,26 @@ def test_decode_space_axiom_violation_carries_witness():
     with pytest.raises(NotClosedUnderUnion) as info:
         decode_space(doc)
     assert info.value.witness == (0b001, 0b010)
+
+
+def _decode_error(opens):
+    with pytest.raises((NotClosedUnderUnion, NotClosedUnderIntersection)) as info:
+        decode_space({"points": ["a", "b", "c"], "opens": opens})
+    return info.value
+
+
+@pytest.mark.parametrize("error", [
+    NotClosedUnderUnion(1, 2),
+    NotClosedUnderIntersection(3, 6),
+    # the named forms decode_space raises
+    _decode_error([[], ["a"], ["b"], ["a", "b", "c"]]),
+    _decode_error([[], ["a", "b"], ["b", "c"], ["a", "b", "c"]]),
+], ids=["union", "intersection", "named-union", "named-intersection"])
+def test_axiom_errors_survive_pickling(error):
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert back.witness == error.witness
+    assert str(back) == str(error)
 
 
 def test_map_round_trip():

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import defaultdict
 
 import pytest
 
@@ -17,13 +18,18 @@ from fintopo import (
     build_topology,
     count_reflexive_transitive_relations,
     count_topologies,
+    enumerate_isomorphism_classes,
     enumerate_topologies,
     enumerate_topologies_naive,
     topology_from_preorder,
 )
 from fintopo import enumeration
 
-from helpers import preorders_by_brute_force, up_sets_by_scan
+from helpers import (
+    canonical_rows_by_brute_force,
+    preorders_by_brute_force,
+    up_sets_by_scan,
+)
 
 # labeled topology counts for n = 0..4
 KNOWN_COUNTS = [1, 1, 4, 29, 355]
@@ -245,3 +251,112 @@ def test_n7_count_in_bounded_memory():
     ).stdout.split()
     assert int(out[0]) == 9_535_241  # OEIS A000798
     assert int(out[1]) < 64 * 1024  # ru_maxrss is in KiB on Linux
+
+
+# homeomorphism classes of topologies for n = 0..6, OEIS A001930
+CLASS_COUNTS = [1, 1, 3, 9, 33, 139, 718]
+
+
+def test_class_counts_and_orbit_sums():
+    for n, expected in enumerate(CLASS_COUNTS):
+        budget = EnumerationBudget(max_n=n)
+        classes = enumerate_isomorphism_classes(n, budget)
+        assert len(classes) == expected
+        assert sum(orbit for _, orbit in classes) == count_topologies(n, budget)
+
+
+@pytest.mark.skipif(not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")
+def test_class_counts_and_orbit_sums_n7():
+    budget = EnumerationBudget(max_n=7, max_spaces=10_000_000)
+    classes = enumerate_isomorphism_classes(7, budget)
+    assert len(classes) == 4535  # OEIS A001930
+    assert sum(orbit for _, orbit in classes) == 9_535_241  # OEIS A000798
+
+
+def test_representatives_are_valid_topologies(monkeypatch):
+    validated = []
+
+    class CountedPreorder(Preorder):
+        def validate(self):
+            validated.append(self.rows)
+            super().validate()
+
+    monkeypatch.setattr(enumeration, "Preorder", CountedPreorder)
+    for n in range(7):
+        validated.clear()
+        budget = EnumerationBudget(max_n=n)
+        for t, _ in enumerate_isomorphism_classes(n, budget):
+            assert t.min_nbhd in validated
+            if n < 6:
+                assert t.opens == up_sets_by_scan(t.min_nbhd)
+
+
+def _orbits_by_brute_force(n):
+    """Every labeled topology on n points, grouped by canonical rows."""
+    orbits = defaultdict(list)
+    for t in enumerate_topologies(n, EnumerationBudget(max_n=n)):
+        orbits[canonical_rows_by_brute_force(t.min_nbhd)].append(t)
+    return orbits
+
+
+def test_one_representative_per_orbit():
+    # the representatives meet every orbit of labeled topologies once,
+    # and each one's weight is the size of its orbit
+    for n in range(6):
+        orbits = _orbits_by_brute_force(n)
+        classes = enumerate_isomorphism_classes(n, EnumerationBudget(max_n=n))
+        weights = {
+            canonical_rows_by_brute_force(t.min_nbhd): orbit
+            for t, orbit in classes
+        }
+        assert len(weights) == len(classes)
+        assert weights == {form: len(ts) for form, ts in orbits.items()}
+
+
+def test_first_in_orbits_is_the_least_labeled_member():
+    for n in range(5):
+        orbits = _orbits_by_brute_force(n)
+        classes = enumerate_isomorphism_classes(n, EnumerationBudget(max_n=n))
+        for t, _ in classes:
+            first = enumeration.first_in_orbits([t])
+            orbit = orbits[canonical_rows_by_brute_force(t.min_nbhd)]
+            # enumerate_topologies gives each orbit in canonical order
+            assert first == orbit[0]
+            assert first.min_nbhd == orbit[0].min_nbhd
+        # over several orbits, the least of their least members
+        everyone = [t for t, _ in classes]
+        assert enumeration.first_in_orbits(everyone) == min(
+            (ts[0] for ts in orbits.values()), key=Topology.canonical_key
+        )
+
+
+def test_class_budget_refuses_like_enumeration():
+    # size n is refused iff it has more than max_spaces labeled spaces
+    for n, total in enumerate([1, 1, 4, 29, 355, 6942]):
+        fits = EnumerationBudget(max_n=n, max_spaces=total)
+        assert sum(o for _, o in enumerate_isomorphism_classes(n, fits)) == total
+        if total > 1:
+            short = EnumerationBudget(max_n=n, max_spaces=total - 1)
+            with pytest.raises(BudgetExceeded, match=f"at n={n}$"):
+                enumerate_isomorphism_classes(n, short)
+    with pytest.raises(BudgetExceeded):
+        enumerate_isomorphism_classes(5, EnumerationBudget(max_n=4))
+    with pytest.raises(BudgetExceeded):
+        enumerate_isomorphism_classes(MAX_ENUMERATION_N + 1)
+    with pytest.raises(ValueError):
+        enumerate_isomorphism_classes(-1)
+
+
+def test_class_budget_stops_inside_the_refused_size(monkeypatch):
+    # n = 7 has 9,535,241 labeled spaces: the default max_spaces is
+    # passed part way through, before every six-point class is extended
+    extended = []
+    real = enumeration._extensions
+
+    def counted(rows):
+        extended.append(len(rows))
+        return real(rows)
+    monkeypatch.setattr(enumeration, "_extensions", counted)
+    with pytest.raises(BudgetExceeded, match="at n=7$"):
+        enumerate_isomorphism_classes(7, EnumerationBudget(max_n=7))
+    assert 0 < extended.count(6) < CLASS_COUNTS[6]

@@ -3,11 +3,13 @@
 import hashlib
 import json
 import os
-from functools import partial
+from functools import cache, partial
+from itertools import product
 
 import pytest
 
 from fintopo import (
+    BudgetExceeded,
     ContinuityClass,
     DocumentError,
     EnumerationBudget,
@@ -15,6 +17,8 @@ from fintopo import (
     SpaceMap,
     Witness,
     acceptable,
+    class_table,
+    enumerate_isomorphism_classes,
     enumerate_maps,
     enumerate_topologies,
     find_counterexample,
@@ -30,7 +34,13 @@ from fintopo import (
     theorems,
 )
 
-from helpers import FakePool, four_point_space, sierpinski
+from helpers import (
+    FakePool,
+    canonical_rows_by_brute_force,
+    four_point_space,
+    labeled_sweep_spaces,
+    sierpinski,
+)
 
 # map sweep with four-point domains but codomains capped at two points
 CAPPED = EnumerationBudget(max_n=4, codomain_max_n=2)
@@ -392,9 +402,9 @@ def test_default_report_bytes_one_traversal_per_scope(monkeypatch):
         return real(n, budget)
     monkeypatch.setattr(theorems, "enumerate_topologies", counted)
     assert _sha256(serialize_report(verify_all())) == DEFAULT_REPORT_SHA256
-    # sizes 0..4 once for all set/space propositions, 0..3 once for all
-    # map propositions
-    assert sorted(calls) == sorted([*range(5), *range(4)])
+    # sizes 0..3 once for all map propositions; the set/space sweep
+    # walks isomorphism classes, not the labeled stream
+    assert sorted(calls) == [*range(4)]
 
 
 def test_parallel_default_report_uses_one_pool(monkeypatch):
@@ -461,3 +471,155 @@ def test_fact_words_agree_with_definitions():
                 assert scl_ok == strongly_irresolute_scl(f)
                 maps_ += 1
     assert maps_ == 24907
+
+
+SET_SPACE_IDS = [p.id for p in registry() if p.scope != "map"]
+BIG = os.environ.get("FINTOPO_BIG_SWEEPS") == "1"
+
+
+def _orbit_and_labeled(monkeypatch, ids, budget):
+    """serialize_report of the orbit sweep and of the labeled oracle."""
+    orbit = verify_all(ids, budget)
+    with monkeypatch.context() as m:
+        m.setattr(theorems, "_sweep_spaces", labeled_sweep_spaces)
+        labeled = verify_all(ids, budget)
+    for report in orbit:
+        for w in report.witnesses:
+            assert replay_witness(w) is True
+            assert replay_witness(json.loads(json.dumps(w.to_document())))
+    return serialize_report(orbit), serialize_report(labeled)
+
+
+@pytest.mark.parametrize("max_n", range(6))
+def test_orbit_sweep_matches_labeled_oracle(monkeypatch, max_n):
+    orbit, labeled = _orbit_and_labeled(
+        monkeypatch, SET_SPACE_IDS, EnumerationBudget(max_n=max_n)
+    )
+    assert orbit == labeled
+
+
+# labeled topologies per size, OEIS A000798: a size is refused iff it
+# has more than max_spaces
+_LABELED = [1, 1, 4, 29, 355, 6942]
+_BOUNDARIES = sorted({
+    cap for total in _LABELED[1:] for cap in (total - 1, total, total + 1)
+} - {0})
+
+
+@pytest.mark.parametrize("max_spaces", [
+    # 6943 does the same work as 6942, so it runs only in big sweeps
+    pytest.param(cap, marks=pytest.mark.skipif(
+        cap > _LABELED[-1] and not BIG,
+        reason="set FINTOPO_BIG_SWEEPS=1 to enable"))
+    for cap in _BOUNDARIES
+])
+def test_orbit_sweep_matches_labeled_oracle_at_size_boundaries(
+    monkeypatch, max_spaces,
+):
+    budget = EnumerationBudget(max_n=5, max_spaces=max_spaces)
+    orbit, labeled = _orbit_and_labeled(monkeypatch, SET_SPACE_IDS, budget)
+    assert orbit == labeled
+    exhausted = max_spaces < _LABELED[-1]
+    checked = sum(t for t in _LABELED if t <= max_spaces)
+    for doc in json.loads(orbit):
+        assert doc["spaces_checked"] == checked
+        if not exhausted and doc["verdict"] == "budget-exhausted":
+            assert proposition(doc["proposition"]).existential
+
+
+def test_orbit_sweep_matches_labeled_oracle_with_repeated_ids(monkeypatch):
+    ids = ["t00", "nonrev-ab-b", "t00", "t5", "nonrev-ab-b", "t5"]
+    orbit, labeled = _orbit_and_labeled(
+        monkeypatch, ids, EnumerationBudget(max_n=4)
+    )
+    assert orbit == labeled
+    assert [d["proposition"] for d in json.loads(orbit)] == ids
+
+
+def test_orbit_witness_is_the_least_labeled_member(monkeypatch):
+    # one ad-hoc claim per class on <= 4 points, hit by the nonempty
+    # opens of that class's spaces only.  Many representatives are not
+    # the first labeled member of their class, and the least nonempty
+    # open depends on the labeling, so the witness shows whether the
+    # sweep reports the first labeled hit.
+    form = cache(canonical_rows_by_brute_force)
+
+    def only(target):
+        def ev(table, profile):
+            if form(table.topology.min_nbhd) != target:
+                return 0
+            return table.family_bitmap(SetClass.OPEN) & ~1
+        return ev
+
+    budget = EnumerationBudget(max_n=4)
+    props = [
+        theorems.Proposition(
+            f"class-{k}", "implication-per-set", "set", "no such space",
+            only(form(t.min_nbhd)),
+        )
+        for k, (t, _) in enumerate(
+            c for n in range(5)
+            for c in enumerate_isomorphism_classes(n, budget)
+        )
+    ]
+    orbit = verify_all(props, budget)
+    with monkeypatch.context() as m:
+        m.setattr(theorems, "_sweep_spaces", labeled_sweep_spaces)
+        labeled = verify_all(props, budget)
+    assert serialize_report(orbit) == serialize_report(labeled)
+    assert all(r.witnesses for r in orbit[1:])
+
+
+def test_orbit_sweep_counts_labeled_spaces():
+    report = verify("nonrev-ab-b", EnumerationBudget(max_n=5))
+    assert report.spaces_checked == sum(_LABELED)
+    assert report.sets_checked == sum(t << n for n, t in enumerate(_LABELED))
+    assert report.witnesses[0].topology == sierpinski()
+
+
+def test_orbit_sweep_refuses_seven_points_part_way():
+    # sizes 0..6 hold 216,859 labeled spaces; n = 7 holds 9,535,241,
+    # more than the default max_spaces, so it is refused
+    report = verify("t4", EnumerationBudget(max_n=7))
+    assert report.verdict == "budget-exhausted"
+    assert report.spaces_checked == 216_859
+
+
+def _first_gaps_by_labeled_scan(budget):
+    """{(class_from, class_to): (topology, subset)} of the first labeled
+    set in class_from but not class_to, for every pair with one."""
+    pairs = list(product(SetClass, repeat=2))
+    first = {}
+    for n in range(budget.max_n + 1):
+        for t in enumerate_topologies(n, budget):
+            table = class_table(t)
+            for a, b in pairs:
+                gap = table.family_bitmap(a) & ~table.family_bitmap(b)
+                if gap and (a, b) not in first:
+                    first[a, b] = (t, (gap & -gap).bit_length() - 1)
+    return first
+
+
+def test_find_counterexample_matches_labeled_scan():
+    budget = theorems.default_budget("set")
+    first = _first_gaps_by_labeled_scan(budget)
+    for a, b in product(SetClass, repeat=2):
+        w = find_counterexample(a, b)
+        if (a, b) not in first:
+            assert w is None
+            continue
+        assert (w.topology, w.subset) == first[a, b]
+        assert w.topology.min_nbhd == first[a, b][0].min_nbhd
+        assert w.proposition_id == theorems._gap_proposition(a, b).id
+        assert replay_witness(w) is True
+
+
+def test_find_counterexample_budget_refusal():
+    # every open set is semi-open, so no size has a hit, and the
+    # three-point size (29 spaces) is refused
+    tight = EnumerationBudget(max_n=3, max_spaces=5)
+    with pytest.raises(BudgetExceeded):
+        find_counterexample(SetClass.OPEN, SetClass.SEMI_OPEN, tight)
+    # a hit on two points comes before the refused size
+    w = find_counterexample(SetClass.B_SET, SetClass.AB_SET, tight)
+    assert (w.topology, w.subset) == (sierpinski(), 0b10)
