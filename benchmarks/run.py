@@ -1,6 +1,6 @@
 """Record in-process timings of fintopo in a BENCH_<date>_<sha>.json file.
 
-    python benchmarks/run.py [--repeats N] [--out DIR]
+    python benchmarks/run.py [--out DIR]
 
 fintopo is imported from PYTHONPATH when it is found there, else from
 this checkout's src/, so one runner measures any checkout:
@@ -9,7 +9,7 @@ this checkout's src/, so one runner measures any checkout:
 
 The file names the measured checkout's commit and holds the machine
 (cpu count, Python and numpy versions), the line count of the measured
-src/ tree, and the median and interquartile range of repeated runs:
+src/ tree, and the median and interquartile range of REPEATS runs:
 
 - end to end: the 27 set/space propositions at max_n=5, verify_all() at
   the default budgets sequential and with parallel=True, workers=2, and
@@ -48,6 +48,7 @@ from fintopo import enumeration, setclasses, spaceprops, theorems
 from fintopo.enumeration import EnumerationBudget
 
 SETS_MAX_N = 5
+REPEATS = 5
 GENERATOR_MAX_N = 6
 
 
@@ -60,9 +61,9 @@ def _summary(samples):
     }
 
 
-def _timed(fn, repeats, before=None):
+def _timed(fn, before=None):
     samples = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         if before:
             before()
         start = time.perf_counter()
@@ -105,37 +106,34 @@ def _swept_spaces():
     ]
 
 
-def end_to_end(repeats):
+def end_to_end():
     set_space = [p.id for p in theorems.registry() if p.scope != "map"]
     sets_budget = EnumerationBudget(max_n=SETS_MAX_N)
     clear = setclasses.class_table.cache_clear
     return {
         "sets_n5": _timed(
-            lambda: theorems.verify_all(set_space, sets_budget),
-            repeats, clear),
-        "verify_all_sequential": _timed(theorems.verify_all, repeats, clear),
+            lambda: theorems.verify_all(set_space, sets_budget), clear),
+        "verify_all_sequential": _timed(theorems.verify_all, clear),
         "verify_all_parallel_2": _timed(
-            lambda: theorems.verify_all(parallel=True, workers=2),
-            repeats, clear),
-        "count_topologies_6": _timed(
-            lambda: enumeration.count_topologies(6), repeats),
+            lambda: theorems.verify_all(parallel=True, workers=2), clear),
+        "count_topologies_6": _timed(lambda: enumeration.count_topologies(6)),
     }
 
 
-def layers(repeats):
+def layers():
     visits, spaces = _swept_spaces()
     build = setclasses.class_table.__wrapped__
     out = {
         "swept_spaces": {"visits": visits, "count": len(spaces)},
-        "class_table": _timed(lambda: [build(t) for t in spaces], repeats),
+        "class_table": _timed(lambda: [build(t) for t in spaces]),
         "space_profile": _timed(
-            lambda: [spaceprops.space_profile(t) for t in spaces], repeats),
+            lambda: [spaceprops.space_profile(t) for t in spaces]),
     }
     classes = getattr(enumeration, "enumerate_isomorphism_classes", None)
     if classes is not None:
         out["class_generator"] = {
             str(n): _timed(
-                lambda n=n: classes(n, EnumerationBudget(max_n=n)), repeats)
+                lambda n=n: classes(n, EnumerationBudget(max_n=n)))
             for n in range(GENERATOR_MAX_N + 1)
         }
     return out
@@ -143,13 +141,9 @@ def layers(repeats):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="runs per measurement (at least 2)")
     parser.add_argument("--out", type=Path, default=HERE,
                         help="directory of the BENCH file (default: here)")
     args = parser.parse_args(argv)
-    if args.repeats < 2:
-        parser.error("--repeats must be at least 2")
     source = _source()
     doc = {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(
@@ -161,9 +155,9 @@ def main(argv=None) -> int:
             "platform": platform.platform(),
         },
         "source": source,
-        "repeats": args.repeats,
-        "end_to_end": end_to_end(args.repeats),
-        "layers": layers(args.repeats),
+        "repeats": REPEATS,
+        "end_to_end": end_to_end(),
+        "layers": layers(),
     }
     sha = (source["commit"] or "unknown")[:7]
     if source["dirty"]:

@@ -97,6 +97,11 @@ class Proposition:
     to a bitmap over the subsets, a "space" evaluator maps the same
     arguments to a bool, where profile() returns the space's
     space_profile; a "map" evaluator maps a fact word to a bool.
+    Set and space evaluators must not depend on how the points are
+    labeled: relabeling a space may only permute a set evaluator's hits
+    and must keep a space evaluator's value, since the sweep evaluates
+    one space per isomorphism class (every set class and space property
+    here is topological, so the registered ones qualify).
     exploratory propositions are swept and reported but never gate an
     overall verdict.
     """
@@ -580,6 +585,11 @@ def _first_witness(p, hitting):
     """
     t = first_in_orbits(hitting)
     got = p.evaluate(class_table(t), cache(partial(space_profile, t)))
+    if not got:
+        raise ValueError(
+            f"proposition {p.id}: the evaluator hits a space but not a "
+            "relabeling of it, so it depends on the point labels"
+        )
     subset = (got & -got).bit_length() - 1 if p.scope == "set" else None
     return Witness(p.id, _polarity(p), t, subset=subset)
 
@@ -704,7 +714,9 @@ def verify_all(ids=None, budget: EnumerationBudget | None = None,
     ids holds proposition ids or Proposition objects.  The set- and
     space-scope propositions share one traversal of the spaces, the
     map-scope ones one traversal of the maps; budget None gives each
-    group its default_budget.  With parallel, the map traversal runs on
+    group its default_budget.  Set and space evaluators must be kept by
+    relabeling the points (see Proposition); one found to depend on the
+    labels raises ValueError.  With parallel, the map traversal runs on
     one process pool of workers processes, at most os.cpu_count(); a
     workers value below 1 is a ValueError, raised before any sweep.
     Reports come back in request order.

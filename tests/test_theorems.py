@@ -34,6 +34,8 @@ from fintopo import (
     theorems,
 )
 
+from fintopo.enumeration import first_in_orbits
+
 from helpers import (
     FakePool,
     canonical_rows_by_brute_force,
@@ -490,7 +492,13 @@ def _orbit_and_labeled(monkeypatch, ids, budget):
     return serialize_report(orbit), serialize_report(labeled)
 
 
-@pytest.mark.parametrize("max_n", range(6))
+@pytest.mark.parametrize("max_n", [
+    # the default max_spaces at five points does the same work as the
+    # size-boundary case 6942, so it runs only in big sweeps
+    pytest.param(n, marks=pytest.mark.skipif(
+        n == 5 and not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable"))
+    for n in range(6)
+])
 def test_orbit_sweep_matches_labeled_oracle(monkeypatch, max_n):
     orbit, labeled = _orbit_and_labeled(
         monkeypatch, SET_SPACE_IDS, EnumerationBudget(max_n=max_n)
@@ -569,6 +577,22 @@ def test_orbit_witness_is_the_least_labeled_member(monkeypatch):
         labeled = verify_all(props, budget)
     assert serialize_report(orbit) == serialize_report(labeled)
     assert all(r.witnesses for r in orbit[1:])
+
+
+def test_label_dependent_evaluator_is_refused():
+    # an evaluator that hits one labeling of a class but not its least
+    # labeled member cannot be swept by orbits
+    budget = EnumerationBudget(max_n=3)
+    rep = next(
+        t for n in range(4) for t, _ in enumerate_isomorphism_classes(n, budget)
+        if first_in_orbits([t]) != t
+    )
+    p = theorems.Proposition(
+        "label-dependent", "implication-per-set", "set", "not this labeling",
+        lambda table, profile: 1 if table.topology == rep else 0,
+    )
+    with pytest.raises(ValueError, match="depends on the point labels"):
+        verify_all([p], budget)
 
 
 def test_orbit_sweep_counts_labeled_spaces():
