@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .documents import (
     encode_space,
@@ -34,6 +35,7 @@ from .setclasses import (
 from .spaceprops import space_profile
 from .theorems import (
     acceptable,
+    default_budget,
     proposition,
     registry,
     serialize_report,
@@ -99,11 +101,20 @@ def cmd_verify(args) -> int:
             props = [proposition(pid) for pid in args.propositions]
         except KeyError as exc:
             return _fail(str(exc.args[0]))
-    budget = None
-    if args.max_n is not None:
-        budget = EnumerationBudget(max_n=args.max_n)
-    reports = verify_all(props, budget, parallel=args.parallel,
-                         workers=args.workers)
+    # an unset flag keeps its scope's default
+    overrides = {
+        name: getattr(args, name)
+        for name in ("max_n", "codomain_max_n", "max_spaces", "max_maps")
+        if getattr(args, name) is not None
+    }
+    swept = {}
+    for scope in ("set", "map"):
+        group = [p for p in props if (p.scope == "map") == (scope == "map")]
+        if group:
+            budget = replace(default_budget(scope), **overrides)
+            swept.update(zip(group, verify_all(
+                group, budget, parallel=args.parallel, workers=args.workers)))
+    reports = [swept[p] for p in props]
     all_ok = True
     for p, report in zip(props, reports):
         ok = acceptable(p, report)
@@ -181,8 +192,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None,
                    help="ground-set size cap (default: 4 for set/space "
                         "sweeps, 3 for map sweeps)")
+    p.add_argument("--codomain-max-n", type=int, default=None,
+                   help="codomain size cap of map sweeps (default: "
+                        "--max-n)")
+    p.add_argument("--max-spaces", type=int, default=None,
+                   help="largest number of labeled spaces of one size "
+                        "(default: 1000000)")
+    p.add_argument("--max-maps", type=int, default=None,
+                   help="largest number of maps a map sweep may cover "
+                        "(default: 5000000)")
     p.add_argument("--parallel", action="store_true",
-                   help="distribute map sweeps over worker processes")
+                   help="split the domains of map sweeps over worker "
+                        "processes")
     p.add_argument("--workers", type=int, default=None,
                    help="worker process count for --parallel")
     p.add_argument("--report", default=None,

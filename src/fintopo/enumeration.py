@@ -3,19 +3,20 @@
 Main path: finite topologies correspond exactly to preorders (Stong,
 1966), so the enumerator walks reflexive relation matrices row by row,
 drawing each row only from the masks the decided rows still allow, and
-takes each preorder's up-sets as the unions of its rows.  Counting needs
-no topology at all: count_topologies counts the validated rows.  Two
+takes each preorder's up-sets as the unions of its rows.  Two
 independent routes exist for cross-checks: a naive filter over all
 candidate open-set families (small n ground truth) and a vectorized
 transitive-relation counter.
 
 enumerate_isomorphism_classes gives one topology per homeomorphism
-class instead, with the number of labeled topologies in its class.  It
-grows the classes one point at a time and removes isomorphic copies by a
-brute-force canonical form: the simple generate-then-dedup form of
-McKay, "Isomorph-free exhaustive generation" (J. Algorithms 26, 1998).
-The class counts are those of Brinkmann & McKay, "Counting unlabelled
-topologies and transitive relations" (J. Integer Seq. 8, 2005).
+class instead, with the number of labeled topologies in its class, and
+count_topologies sums those numbers rather than walk the labeled
+preorders.  The generator grows the classes one point at a time and
+removes isomorphic copies by a brute-force canonical form: the simple
+generate-then-dedup form of McKay, "Isomorph-free exhaustive
+generation" (J. Algorithms 26, 1998).  The class counts are those of
+Brinkmann & McKay, "Counting unlabelled topologies and transitive
+relations" (J. Integer Seq. 8, 2005).
 """
 
 from dataclasses import dataclass
@@ -342,13 +343,21 @@ def _closed_under_ops(family) -> bool:
 
 
 def count_topologies(n: int, budget: EnumerationBudget | None = None) -> int:
-    """The number of topologies on n points, without building any.
+    """The number of topologies on n labeled points, without listing them.
 
-    Counts the validated preorders under the same budget checks as
-    enumerate_topologies, raising at the same point.
+    Sums the orbit sizes of the isomorphism classes on n points.  The
+    budget is checked as in enumerate_topologies: size n is refused iff
+    it has more than max_spaces topologies.
     """
     budget = _checked_budget(n, budget)
-    return sum(1 for _ in _preorders(n, budget))
+    try:
+        level = next(islice(_class_levels(budget), n, None))
+    except BudgetExceeded:
+        # a smaller size refused means n, with no fewer topologies, is too
+        raise BudgetExceeded(
+            f"more than {budget.max_spaces} topologies at n={n}"
+        ) from None
+    return sum(orbit for _, orbit in level)
 
 
 # relation matrices per vectorized chunk of the relation filter

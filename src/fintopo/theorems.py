@@ -23,13 +23,28 @@ it by the size of its orbit, the labeled spaces homeomorphic to it.
 Counts and hits are those of the labeled sweep, and the first witness is
 the first labeled one, taken from the least member of the first hitting
 orbits.
+
+Map sweeps build no map between labeled spaces.  A map f: X -> Y with k
+nonempty fibers has the fact word of the surjection from X onto its
+fiber partition's k blocks (numbered by least point), carrying the
+trace of Y's opens on the image: the continuity bits read only unions
+of blocks indexed by that trace, and the semi-closure image bit only the
+partition.  So the histogram of fact words adds, for each domain
+representative X (weighted by orbit size), each partition and each
+topology sigma on its k blocks, the number of maps into the spaces on ny
+points that give (partition, sigma): (ny)_k times the spaces whose
+trace on points 0..k-1 is sigma.  The witness of a map proposition comes
+from the first (domain size, codomain size) with a hit: the least
+labeled domain of the hitting orbits there, then the first codomain and
+assignment that hit, found by building those maps.
 """
 
 import json
 import os
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
-from itertools import islice, product
+from itertools import chain, islice, product
+from math import perm
 from multiprocessing import Pool
 
 from .documents import (
@@ -65,7 +80,7 @@ from .setclasses import (
     is_semi_regular_sandwich,
     semi_closure_closed_form,
 )
-from .space import Topology
+from .space import Topology, _sorted_opens
 from .spaceprops import SpaceProperty, space_profile
 
 HOLDS = "holds-exhaustively"
@@ -618,41 +633,113 @@ def _sweep_spaces(props, budget):
     ]
 
 
-def _fact_chunk(pairs):
-    """Fact-word histogram of every map between the given space pairs.
+def _partitions(n: int):
+    """Every partition of n points, as the block of each point, with
+    blocks numbered by their least point, in lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for head in _partitions(n - 1):
+        for block in range(max(head, default=-1) + 2):
+            yield head + (block,)
 
-    {word: [count, (domain, codomain, assignment) of its first map]},
-    with words in the canonical order of their first maps.
+
+def _trace_table(codomains):
+    """Per k, each topology sigma on k points with N(ny, k, sigma) for
+    every codomain size ny: the maps with a given k-block fiber partition
+    into a space on ny points whose opens trace sigma on the blocks.
+
+    That is (ny)_k, the injections of the blocks, times the spaces whose
+    trace on points 0..k-1 is sigma; relabeling a codomain moves any
+    image there.
     """
-    words = {}
-    for tx, ty in pairs:
+    table = []
+    for k, sigmas in enumerate(codomains):
+        low = (1 << k) - 1
+        counts = {sigma.opens: [0] * len(codomains) for sigma in sigmas}
+        for ny in range(k, len(codomains)):
+            injections = perm(ny, k)
+            for ty in codomains[ny]:
+                trace = _sorted_opens(v & low for v in ty.opens)
+                counts[trace][ny] += injections
+        table.append([(sigma, counts[sigma.opens]) for sigma in sigmas])
+    return table
+
+
+def _fact_histograms(domains, traces):
+    """Per domain topology, per codomain size ny, {fact word: the number
+    of maps from it into a space on ny points with that word}, one word
+    per (fiber partition, trace topology)."""
+    out = []
+    for tx in domains:
         facts = _domain_facts(tx)
+        by_ny = [{} for _ in traces]
+        for blocks in _partitions(tx.n):
+            k = max(blocks, default=-1) + 1
+            if k >= len(traces):
+                continue  # more blocks than any codomain has points
+            for sigma, counts in traces[k]:
+                word = _fact_word(SpaceMap(tx, sigma, blocks), facts)
+                for ny, count in enumerate(counts):
+                    if count:
+                        by_ny[ny][word] = by_ny[ny].get(word, 0) + count
+        out.append(by_ny)
+    return out
+
+
+_CHUNK_DOMAINS = 8
+
+
+def _map_histograms(budget, topos, parallel, workers):
+    """Per (domain size, codomain size) in sweep order, the codomain size
+    and the labeled maps of each fact word: {word: [count, domain
+    representatives with it]}.
+
+    Domains are one per isomorphism class, weighted by orbit size: the
+    fact words are topological, so every labeled domain of an orbit has
+    the same histogram.
+    """
+    levels = list(_class_levels(budget))
+    domains = iter([tx for level in levels for tx, _ in level])
+    chunks = iter(lambda: list(islice(domains, _CHUNK_DOMAINS)), [])
+    work = partial(_fact_histograms,
+                   traces=_trace_table(topos[:budget.codomain_n + 1]))
+    if parallel:
+        # workers None leaves the pool at its default, os.cpu_count()
+        processes = workers and min(workers, os.cpu_count() or 1)
+        with Pool(processes=processes) as pool:
+            done = list(pool.imap(work, chunks))
+    else:
+        done = list(map(work, chunks))
+    done = chain.from_iterable(done)
+    for level in levels:
+        level = [(tx, orbit, next(done)) for tx, orbit in level]
+        for ny in range(budget.codomain_n + 1):
+            words = {}
+            for tx, orbit, by_ny in level:
+                for word, count in by_ny[ny].items():
+                    entry = words.setdefault(word, [0, []])
+                    entry[0] += orbit * count
+                    entry[1].append(tx)
+            yield ny, words
+
+
+def _map_witness(p, hitting, codomains):
+    """The canonically first map with a hit, from a domain in the orbits
+    of hitting into one of codomains: the least labeled domain of those
+    orbits, then the first codomain and assignment that hit."""
+    tx = first_in_orbits(hitting)
+    facts = _domain_facts(tx)
+    for ty in codomains:
         for f in enumerate_maps(tx, ty):
-            word = _fact_word(f, facts)
-            if word in words:
-                words[word][0] += 1
-            else:
-                words[word] = [1, (tx, ty, f.assignment)]
-    return words
-
-
-def _tally(histograms):
-    """Merge chunk histograms, taken in canonical order, into one."""
-    words = {}
-    for chunk in histograms:
-        for word, (count, first) in chunk.items():
-            if word in words:
-                words[word][0] += count
-            else:
-                words[word] = [count, first]
-    return words
-
-
-_CHUNK_PAIRS = 32
+            if p.evaluate(_fact_word(f, facts)):
+                return Witness(p.id, _polarity(p), tx, codomain=ty,
+                               assignment=f.assignment)
 
 
 def _sweep_maps(props, budget, parallel, workers):
-    """One traversal of the maps in budget for map propositions."""
+    """One traversal of the maps in budget for map propositions; counts
+    and witnesses are those of the labeled maps."""
     # domains range over n <= max_n, codomains over n <= codomain_n;
     # spaces_checked counts every topology on either side once
     top = max(budget.max_n, budget.codomain_n)
@@ -665,35 +752,27 @@ def _sweep_maps(props, budget, parallel, workers):
     spaces = sum(map(len, topos))
     sizes = list(product(range(budget.max_n + 1),
                          range(budget.codomain_n + 1)))
-    # ny ** nx maps per pair of spaces; checked before any pair is built
+    # ny ** nx maps per pair of spaces; checked before any map is counted
     total = sum(len(topos[nx]) * len(topos[ny]) * ny ** nx for nx, ny in sizes)
     if total > budget.max_maps:
         return [
             _report(p, budget, spaces, 0, 0, 0, None, True) for p in props
         ]
-    pairs = (
-        (tx, ty) for nx, ny in sizes for tx in topos[nx] for ty in topos[ny]
-    )
-    chunks = iter(lambda: list(islice(pairs, _CHUNK_PAIRS)), [])
-    if parallel:
-        # workers None leaves the pool at its default, os.cpu_count()
-        processes = workers and min(workers, os.cpu_count() or 1)
-        with Pool(processes=processes) as pool:
-            words = _tally(pool.imap(_fact_chunk, chunks))
-    else:
-        words = _tally(map(_fact_chunk, chunks))
-    maps_ = sum(count for count, _ in words.values())
-    reports = []
-    for p in props:
-        hit = [entry for word, entry in words.items() if p.evaluate(word)]
-        best = None
-        if hit:
-            tx, ty, assignment = hit[0][1]
-            best = Witness(p.id, _polarity(p), tx, codomain=ty,
-                           assignment=assignment)
-        hits = sum(count for count, _ in hit)
-        reports.append(_report(p, budget, spaces, 0, maps_, hits, best, False))
-    return reports
+    hits = [0] * len(props)
+    best = [None] * len(props)
+    maps_ = 0
+    for ny, words in _map_histograms(budget, topos, parallel, workers):
+        maps_ += sum(count for count, _ in words.values())
+        for i, p in enumerate(props):
+            hit = [entry for word, entry in words.items() if p.evaluate(word)]
+            hits[i] += sum(count for count, _ in hit)
+            if best[i] is None and hit:
+                hitting = [tx for _, txs in hit for tx in txs]
+                best[i] = _map_witness(p, hitting, topos[ny])
+    return [
+        _report(p, budget, spaces, 0, maps_, hits[i], best[i], False)
+        for i, p in enumerate(props)
+    ]
 
 
 def verify(p, budget: EnumerationBudget | None = None, parallel: bool = False,

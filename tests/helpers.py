@@ -4,19 +4,25 @@ Points are indexed a=bit0, b=bit1, c=bit2, d=bit3, so subset literals
 below read right to left.
 """
 
+import os
+from dataclasses import replace
 from functools import cache, partial
-from itertools import permutations
+from itertools import islice, permutations, product
+from multiprocessing import Pool
 
 from fintopo import (
     BudgetExceeded,
     Preorder,
     build_topology,
     class_table,
+    enumeration,
+    enumerate_maps,
     enumerate_topologies,
     space_profile,
     theorems,
     topology_from_preorder,
 )
+from fintopo.maps import _domain_facts, _fact_word
 from fintopo.space import iter_points
 
 
@@ -176,3 +182,102 @@ def canonical_rows_by_brute_force(rows):
         if best is None or form < best:
             best = form
     return best
+
+
+def labeled_preorder_count(n, budget):
+    """The labeled count, oracle for enumeration.count_topologies.
+
+    Walks and validates every preorder on n points under the same budget
+    checks as enumerate_topologies, raising at the same point.
+    """
+    budget = enumeration._checked_budget(n, budget)
+    return sum(1 for _ in enumeration._preorders(n, budget))
+
+
+def _fact_chunk(pairs):
+    """Fact-word histogram of every map between the given space pairs.
+
+    {word: [count, (domain, codomain, assignment) of its first map]},
+    with words in the canonical order of their first maps.
+    """
+    words = {}
+    for tx, ty in pairs:
+        facts = _domain_facts(tx)
+        for f in enumerate_maps(tx, ty):
+            word = _fact_word(f, facts)
+            if word in words:
+                words[word][0] += 1
+            else:
+                words[word] = [1, (tx, ty, f.assignment)]
+    return words
+
+
+def _tally(histograms):
+    """Merge chunk histograms, taken in canonical order, into one."""
+    words = {}
+    for chunk in histograms:
+        for word, (count, first) in chunk.items():
+            if word in words:
+                words[word][0] += count
+            else:
+                words[word] = [count, first]
+    return words
+
+
+_CHUNK_PAIRS = 32
+
+
+def labeled_map_histogram(budget, parallel=False, workers=None):
+    """The labeled topologies per size, and the fact-word histogram of
+    every labeled map in budget, pair by pair in canonical order, as
+    _fact_chunk gives it (None when max_maps refuses the sweep).
+    parallel runs the pairs on a Pool."""
+    top = max(budget.max_n, budget.codomain_n)
+    both_sides = replace(budget, max_n=top)
+    topos = [list(enumerate_topologies(n, both_sides))
+             for n in range(top + 1)]
+    sizes = list(product(range(budget.max_n + 1),
+                         range(budget.codomain_n + 1)))
+    total = sum(len(topos[nx]) * len(topos[ny]) * ny ** nx for nx, ny in sizes)
+    if total > budget.max_maps:
+        return topos, None
+    pairs = (
+        (tx, ty) for nx, ny in sizes for tx in topos[nx] for ty in topos[ny]
+    )
+    chunks = iter(lambda: list(islice(pairs, _CHUNK_PAIRS)), [])
+    if parallel:
+        processes = workers and min(workers, os.cpu_count() or 1)
+        with Pool(processes=processes) as pool:
+            return topos, _tally(pool.imap(_fact_chunk, chunks))
+    return topos, _tally(map(_fact_chunk, chunks))
+
+
+def labeled_sweep_maps(props, budget, parallel, workers):
+    """The labeled map traversal, oracle for the factored map sweep.
+
+    Builds and fact-words every map between every pair of labeled spaces
+    in budget.  Same signature and reports as theorems._sweep_maps, so
+    it can stand in for it.
+    """
+    try:
+        topos, words = labeled_map_histogram(budget, parallel, workers)
+    except BudgetExceeded:
+        return [theorems._report(p, budget, 0, 0, 0, 0, None, True)
+                for p in props]
+    spaces = sum(map(len, topos))
+    if words is None:
+        return [theorems._report(p, budget, spaces, 0, 0, 0, None, True)
+                for p in props]
+    maps_ = sum(count for count, _ in words.values())
+    reports = []
+    for p in props:
+        hit = [entry for word, entry in words.items() if p.evaluate(word)]
+        best = None
+        if hit:
+            tx, ty, assignment = hit[0][1]
+            best = theorems.Witness(p.id, theorems._polarity(p), tx,
+                                    codomain=ty, assignment=assignment)
+        hits = sum(count for count, _ in hit)
+        reports.append(theorems._report(p, budget, spaces, 0, maps_, hits,
+                                        best, False))
+    return reports

@@ -12,6 +12,7 @@ import pytest
 
 from fintopo import (
     ContinuityClass,
+    EnumerationBudget,
     SetClass,
     SpaceMap,
     build_topology,
@@ -22,7 +23,9 @@ from fintopo import (
     is_continuous_in,
     is_in_class,
     replay_witness,
+    serialize_report,
     theorems,
+    verify,
 )
 from fintopo.cli import main
 from fintopo.setclasses import WITNESS_FUNCTIONS
@@ -163,6 +166,44 @@ def test_verify_negative_max_n_names_the_field(capsys):
     assert capsys.readouterr().err == (
         "error: max_n must be non-negative, got -1\n"
     )
+
+
+def test_verify_budget_flags_reach_the_acceptance_witness(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    argv = ["verify", "nonrev-s41-i", "--max-n", "4", "--codomain-max-n",
+            "2", "--report", str(path)]
+    assert main(argv) == 0
+    assert "nonrev-s41-i: witness-found" in capsys.readouterr().out
+    capped = EnumerationBudget(max_n=4, codomain_max_n=2)
+    assert path.read_text() == serialize_report(
+        [verify("nonrev-s41-i", capped)])
+
+
+def test_verify_unset_budget_flags_keep_scope_defaults(tmp_path):
+    # one map fewer than the 24,907 of the default map budget refuses the
+    # map sweep, while t4 keeps its four-point default
+    path = tmp_path / "report.json"
+    argv = ["verify", "s41-i", "t4", "--max-maps", "24906", "--max-spaces",
+            "355", "--report", str(path)]
+    assert main(argv) == 1
+    s41, t4 = json.loads(path.read_text())
+    assert s41["budget"] == {"max_n": 3, "max_spaces": 355, "max_maps": 24906}
+    assert s41["verdict"] == "budget-exhausted"
+    assert t4["budget"] == {"max_n": 4, "max_spaces": 355, "max_maps": 24906}
+    assert t4["verdict"] == "holds-exhaustively"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-maps", "0", "max_maps must be positive, got 0"),
+    ("--max-spaces", "0", "max_spaces must be positive, got 0"),
+    ("--max-spaces", "-2", "max_spaces must be positive, got -2"),
+    ("--codomain-max-n", "-1", "codomain_max_n must be non-negative, got -1"),
+])
+def test_verify_bad_budget_flag_is_usage_error(capsys, flag, value, message):
+    assert main(["verify", "all", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_verify_witness_line_replays(capsys):

@@ -27,6 +27,7 @@ from fintopo import enumeration
 
 from helpers import (
     canonical_rows_by_brute_force,
+    labeled_preorder_count,
     preorders_by_brute_force,
     up_sets_by_scan,
 )
@@ -169,18 +170,21 @@ def test_validate_runs_on_every_preorder_and_budget_counts_match(
             super().validate()
 
     monkeypatch.setattr(enumeration, "Preorder", CountedPreorder)
-    assert count_topologies(4) == 355
+    assert labeled_preorder_count(4, None) == 355
     assert len(validated) == 355
     validated.clear()
     assert len(list(enumerate_topologies(4))) == 355
     assert len(validated) == 355
-    # both paths raise at the (max_spaces + 1)-th space
+    # both labeled paths raise at the (max_spaces + 1)-th space, and
+    # count_topologies refuses the same budgets
     for cap in (1, 100, 354):
         budget = EnumerationBudget(max_n=4, max_spaces=cap)
         validated.clear()
         with pytest.raises(BudgetExceeded):
-            count_topologies(4, budget)
+            labeled_preorder_count(4, budget)
         assert len(validated) == cap + 1
+        with pytest.raises(BudgetExceeded, match="at n=4$"):
+            count_topologies(4, budget)
         validated.clear()
         with pytest.raises(BudgetExceeded):
             list(enumerate_topologies(4, budget))
@@ -262,7 +266,8 @@ def test_class_counts_and_orbit_sums():
         budget = EnumerationBudget(max_n=n)
         classes = enumerate_isomorphism_classes(n, budget)
         assert len(classes) == expected
-        assert sum(orbit for _, orbit in classes) == count_topologies(n, budget)
+        assert sum(orbit for _, orbit in classes) == labeled_preorder_count(
+            n, budget)
 
 
 @pytest.mark.skipif(not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")
@@ -345,6 +350,22 @@ def test_class_budget_refuses_like_enumeration():
         enumerate_isomorphism_classes(MAX_ENUMERATION_N + 1)
     with pytest.raises(ValueError):
         enumerate_isomorphism_classes(-1)
+
+
+def test_count_refuses_like_the_labeled_oracle():
+    # size n is refused iff it has more than max_spaces labeled spaces,
+    # with the labeled walk's message
+    for n, total in enumerate([1, 1, 4, 29, 355, 6942]):
+        for cap in {total - 1, total} - {0}:
+            budget = EnumerationBudget(max_n=n, max_spaces=cap)
+            try:
+                expected = labeled_preorder_count(n, budget)
+            except BudgetExceeded as exc:
+                with pytest.raises(BudgetExceeded) as got:
+                    count_topologies(n, budget)
+                assert str(got.value) == str(exc)
+            else:
+                assert count_topologies(n, budget) == expected == total
 
 
 def test_class_budget_stops_inside_the_refused_size(monkeypatch):

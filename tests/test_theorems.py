@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+from dataclasses import replace
 from functools import cache, partial
 from itertools import product
 
@@ -40,6 +41,8 @@ from helpers import (
     FakePool,
     canonical_rows_by_brute_force,
     four_point_space,
+    labeled_map_histogram,
+    labeled_sweep_maps,
     labeled_sweep_spaces,
     sierpinski,
 )
@@ -648,3 +651,112 @@ def test_find_counterexample_budget_refusal():
     # a hit on two points comes before the refused size
     w = find_counterexample(SetClass.B_SET, SetClass.AB_SET, tight)
     assert (w.topology, w.subset) == (sierpinski(), 0b10)
+
+
+MAP_IDS = [p.id for p in registry() if p.scope == "map"]
+
+
+def _factored_and_labeled(monkeypatch, budget, parallel=False, workers=None):
+    """serialize_report of the map sweep and of the labeled oracle."""
+    factored = verify_all(MAP_IDS, budget, parallel=parallel, workers=workers)
+    with monkeypatch.context() as m:
+        m.setattr(theorems, "_sweep_maps", labeled_sweep_maps)
+        labeled = verify_all(MAP_IDS, budget)
+    for report in factored:
+        for w in report.witnesses:
+            assert replay_witness(w) is True
+            assert replay_witness(json.loads(json.dumps(w.to_document())))
+    return serialize_report(factored), serialize_report(labeled)
+
+
+def _factored_histogram(budget, topos, parallel=False, workers=None):
+    """{word: labeled maps} of the factored sweep, over every size."""
+    words = {}
+    for _, level in theorems._map_histograms(budget, topos, parallel,
+                                                workers):
+        for word, (count, _) in level.items():
+            words[word] = words.get(word, 0) + count
+    return words
+
+
+@pytest.mark.parametrize("max_n, codomain_max_n",
+                         list(product(range(4), repeat=2)))
+def test_map_sweep_matches_labeled_oracle(monkeypatch, max_n, codomain_max_n):
+    budget = EnumerationBudget(max_n=max_n, codomain_max_n=codomain_max_n)
+    topos, labeled = labeled_map_histogram(budget)
+    assert _factored_histogram(budget, topos) == {
+        word: count for word, (count, _) in labeled.items()
+    }
+    factored, labeled = _factored_and_labeled(monkeypatch, budget)
+    assert factored == labeled
+
+
+def _labeled_maps(budget):
+    top = max(budget.max_n, budget.codomain_n)
+    sizes = [len(list(enumerate_topologies(n))) for n in range(top + 1)]
+    return sum(
+        sizes[nx] * sizes[ny] * ny ** nx
+        for nx, ny in product(range(budget.max_n + 1),
+                              range(budget.codomain_n + 1))
+    )
+
+
+@pytest.mark.parametrize("budget", [EnumerationBudget(max_n=3), CAPPED],
+                         ids=["default", "capped"])
+def test_map_sweep_matches_labeled_oracle_at_map_budget(monkeypatch, budget):
+    total = _labeled_maps(budget)
+    for cap, refused in ((total - 1, True), (total, False)):
+        factored, labeled = _factored_and_labeled(
+            monkeypatch, replace(budget, max_maps=cap))
+        assert factored == labeled
+        for doc in json.loads(factored):
+            assert doc["maps_checked"] == (0 if refused else total)
+            assert (doc["verdict"] == "budget-exhausted") == (
+                refused or doc["proposition"] == "nonrev-s41-i"
+                and budget.max_n < 4)
+
+
+@pytest.mark.parametrize("max_spaces", sorted({
+    cap for total in _LABELED[1:4] for cap in (total - 1, total)} - {0}))
+def test_map_sweep_matches_labeled_oracle_at_space_budget(monkeypatch,
+                                                          max_spaces):
+    budget = EnumerationBudget(max_n=3, max_spaces=max_spaces)
+    factored, labeled = _factored_and_labeled(monkeypatch, budget)
+    assert factored == labeled
+    refused = max_spaces < _LABELED[3]
+    for doc in json.loads(factored):
+        assert doc["spaces_checked"] == (0 if refused else sum(_LABELED[:4]))
+
+
+def test_map_sweep_matches_labeled_oracle_on_the_acceptance_witness(
+    monkeypatch,
+):
+    factored, labeled = _factored_and_labeled(monkeypatch, CAPPED)
+    assert factored == labeled
+    (doc,) = [d for d in json.loads(factored)
+              if d["proposition"] == "nonrev-s41-i"]
+    assert doc["maps_checked"] == 24115
+    assert doc["verdict"] == "witness-found"
+
+
+def test_parallel_map_sweep_matches_labeled_oracle(monkeypatch):
+    made = []
+    with monkeypatch.context() as m:
+        m.setattr(theorems, "Pool", partial(FakePool, made))
+        faked, labeled = _factored_and_labeled(
+            monkeypatch, CAPPED, parallel=True, workers=2)
+    assert made == [min(2, os.cpu_count())]
+    assert faked == labeled
+    real, _ = _factored_and_labeled(monkeypatch, CAPPED, parallel=True,
+                                    workers=2)
+    assert real == labeled
+
+
+@pytest.mark.skipif(not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")
+def test_four_point_map_histogram_matches_labeled_oracle():
+    # 33,827,652 labeled maps, built one by one on a pool of two workers
+    budget = EnumerationBudget(max_n=4, max_maps=33_827_652)
+    topos, labeled = labeled_map_histogram(budget, parallel=True, workers=2)
+    factored = _factored_histogram(budget, topos, parallel=True, workers=2)
+    assert factored == {word: count for word, (count, _) in labeled.items()}
+    assert sum(factored.values()) == 33_827_652
