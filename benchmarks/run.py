@@ -13,9 +13,12 @@ src/ tree, and the median and interquartile range of REPEATS runs:
 
 - end to end: the 27 set/space propositions at max_n=5, verify_all() at
   the default budgets sequential and with parallel=True, workers=2,
-  count_topologies(6), and the 12 map propositions at the default map
-  budget (max_n=3, 24,907 maps) and at max_n=4 (33,827,652 maps, every
-  one counted; a checkout that builds each map takes minutes per run);
+  count_topologies(6), list(enumerate_topologies(6)) (the labeled
+  stream), and the 12 map propositions at the default map budget
+  (max_n=3, 24,907 maps), at max_n=4 (33,827,652 maps, every one
+  counted; a checkout that builds each map takes minutes per run) and
+  at max_n=6, which max_maps refuses (a checkout that lists every
+  labeled space first takes seconds per run);
 - layers: class_table and space_profile over the spaces the set/space
   sweep visits at max_n=5 (every labeled space, or one per isomorphism
   class where the checkout has enumerate_isomorphism_classes), and that
@@ -53,6 +56,8 @@ SETS_MAX_N = 5
 REPEATS = 5
 # every map between spaces on <= 4 points, and no more
 MAP_REGISTRY_N4 = EnumerationBudget(max_n=4, max_maps=33_827_652)
+# 216,859 spaces fit max_spaces, but their maps exceed max_maps
+MAP_REFUSED_N6 = EnumerationBudget(max_n=6)
 GENERATOR_MAX_N = 6
 
 
@@ -122,9 +127,13 @@ def end_to_end():
         "verify_all_parallel_2": _timed(
             lambda: theorems.verify_all(parallel=True, workers=2), clear),
         "count_topologies_6": _timed(lambda: enumeration.count_topologies(6)),
+        "enumerate_topologies_6": _timed(
+            lambda: list(enumeration.enumerate_topologies(6))),
         "maps_default": _timed(lambda: theorems.verify_all(maps), clear),
         "maps_n4": _timed(
             lambda: theorems.verify_all(maps, MAP_REGISTRY_N4), clear),
+        "maps_refused_n6": _timed(
+            lambda: theorems.verify_all(maps, MAP_REFUSED_N6), clear),
     }
 
 

@@ -15,6 +15,7 @@ from .errors import (
     NotClosedUnderUnion,
 )
 from .maps import SpaceMap
+from .setclasses import check_subset_budget
 from .space import SubsetMask, Topology, build_topology, iter_points
 
 
@@ -64,11 +65,13 @@ def encode_space(t: Topology, points=None) -> dict:
     }
 
 
-def decode_space(doc) -> tuple:
+def decode_space(doc, per_subset: bool = False) -> tuple:
     """Validate a space document and build its topology.
 
     Returns (topology, points).  Structural problems raise DocumentError;
     axiom violations raise the topology error naming the witness pair.
+    per_subset refuses a space too large for a per-subset scan (see
+    check_subset_budget) before its opens are read.
     """
     if not isinstance(doc, dict):
         raise DocumentError("space document must be an object")
@@ -79,6 +82,8 @@ def decode_space(doc) -> tuple:
         raise DocumentError("space document needs 'points' and 'opens'")
     points = doc["points"]
     index = _point_index(points)
+    if per_subset:
+        check_subset_budget(len(points))
     opens_field = doc["opens"]
     if not isinstance(opens_field, list) or not all(
         isinstance(u, list) for u in opens_field
@@ -132,22 +137,26 @@ def read_json(path, what: str):
         raise DocumentError(f"{what} file is not valid JSON: {exc}")
 
 
-def _resolve_space_field(field, what):
+def _resolve_space_field(field, what, per_subset):
     """A map document's domain/codomain: inline document or file path."""
     if isinstance(field, str):
         field = read_json(field, what)
-    return decode_space(field)
+    return decode_space(field, per_subset)
 
 
-def decode_map(doc) -> tuple:
-    """Validate a map document.  Returns (map, domain_points, codomain_points)."""
+def decode_map(doc, per_subset: bool = False) -> tuple:
+    """Validate a map document.  Returns (map, domain_points, codomain_points).
+
+    per_subset applies to both spaces as in decode_space.
+    """
     if not isinstance(doc, dict):
         raise DocumentError("map document must be an object")
     for key in ("domain", "codomain", "assignment"):
         if key not in doc:
             raise DocumentError(f"map document needs {key!r}")
-    dom, dom_points = _resolve_space_field(doc["domain"], "domain")
-    cod, cod_points = _resolve_space_field(doc["codomain"], "codomain")
+    dom, dom_points = _resolve_space_field(doc["domain"], "domain", per_subset)
+    cod, cod_points = _resolve_space_field(doc["codomain"], "codomain",
+                                           per_subset)
     raw = doc["assignment"]
     if isinstance(raw, list):
         if not all(
@@ -178,9 +187,9 @@ def decode_map(doc) -> tuple:
     return SpaceMap(dom, cod, assignment), dom_points, cod_points
 
 
-def load_space(path):
-    return decode_space(read_json(path, "space"))
+def load_space(path, per_subset: bool = False):
+    return decode_space(read_json(path, "space"), per_subset)
 
 
-def load_map(path):
-    return decode_map(read_json(path, "map"))
+def load_map(path, per_subset: bool = False):
+    return decode_map(read_json(path, "map"), per_subset)

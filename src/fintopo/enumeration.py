@@ -1,26 +1,29 @@
 """Exhaustive enumeration of all topologies on n labeled points.
 
 Main path: finite topologies correspond exactly to preorders (Stong,
-1966), so the enumerator walks reflexive relation matrices row by row,
-drawing each row only from the masks the decided rows still allow, and
-takes each preorder's up-sets as the unions of its rows.  Two
-independent routes exist for cross-checks: a naive filter over all
-candidate open-set families (small n ground truth) and a vectorized
-transitive-relation counter.
+1966), and their opens are the preorder's up-sets.  Both generators
+grow preorders one point at a time by one step, _extensions: the new
+point goes above a down-set and below an up-set of a preorder on the
+points before it.  Every preorder restricts to exactly one on its
+first n - 1 points, so extending every labeled preorder of size n - 1
+gives each labeled one of size n once.  Two independent routes exist
+for cross-checks: a naive filter over all candidate open-set families
+(small n ground truth) and a vectorized transitive-relation counter.
 
 enumerate_isomorphism_classes gives one topology per homeomorphism
 class instead, with the number of labeled topologies in its class, and
 count_topologies sums those numbers rather than walk the labeled
-preorders.  The generator grows the classes one point at a time and
-removes isomorphic copies by a brute-force canonical form: the simple
-generate-then-dedup form of McKay, "Isomorph-free exhaustive
+preorders.  The class generator extends one representative per class
+and removes isomorphic copies by a brute-force canonical form: the
+simple generate-then-dedup form of McKay, "Isomorph-free exhaustive
 generation" (J. Algorithms 26, 1998).  The class counts are those of
 Brinkmann & McKay, "Counting unlabelled topologies and transitive
 relations" (J. Integer Seq. 8, 2005).
 """
 
 from dataclasses import dataclass
-from itertools import combinations, groupby, islice, permutations, product
+from itertools import (chain, combinations, groupby, islice, permutations,
+                       product)
 from math import factorial
 
 from .errors import BudgetExceeded
@@ -75,51 +78,6 @@ class EnumerationBudget:
         return self.codomain_max_n
 
 
-def _preorder_rows(n: int):
-    """Yield every reflexive transitive row assignment on n points.
-
-    rows[i] is the up-set mask of point i, decided in index order.  Row i
-    must lie inside every decided row that contains i, so its candidates
-    are i plus the submasks of the AND of those rows, taken in increasing
-    order.  Each candidate is then checked only for the down condition:
-    a decided j in row i needs rows[j] inside row i.  Once every decided
-    pair (a, b) with b in rows[a] satisfies rows[a] >= rows[b], chains
-    through decided points compose automatically.
-    """
-    if n == 0:
-        yield ()
-        return
-    full = full_mask(n)
-
-    def extend(prefix):
-        i = len(prefix)
-        base = 1 << i
-        upper = full
-        for row in prefix:
-            if row & base:
-                upper &= row
-        free = upper & ~base
-        decided = [(1 << j, row) for j, row in enumerate(prefix)]
-        last = i == n - 1
-        sub = 0
-        while True:
-            candidate = base | sub
-            for bit, row in decided:
-                if candidate & bit and row & ~candidate:
-                    break
-            else:
-                if last:
-                    yield prefix + (candidate,)
-                else:
-                    yield from extend(prefix + (candidate,))
-            if sub == free:
-                break
-            # the next larger submask of free
-            sub = (sub - free) & free
-
-    yield from extend(())
-
-
 def _checked_budget(n: int, budget: EnumerationBudget | None):
     """The budget to enumerate n points under, refused before any work."""
     if n < 0:
@@ -130,18 +88,20 @@ def _checked_budget(n: int, budget: EnumerationBudget | None):
     return budget
 
 
-def _preorders(n: int, budget: EnumerationBudget):
-    """Validated row tuples of every preorder on n points, in row order.
+def _refusal(n: int, budget: EnumerationBudget) -> BudgetExceeded:
+    return BudgetExceeded(f"more than {budget.max_spaces} topologies at n={n}")
 
-    Raises BudgetExceeded at the (max_spaces + 1)-th preorder.
+
+def _level(levels, n: int, budget: EnumerationBudget):
+    """Size n of levels, which yields the sizes 0, 1, ... in turn.
+
+    No size has more topologies than the next, so a smaller size refused
+    on the way is reported as a refusal of n.
     """
-    for count, rows in enumerate(_preorder_rows(n), 1):
-        Preorder(rows).validate()
-        if count > budget.max_spaces:
-            raise BudgetExceeded(
-                f"more than {budget.max_spaces} topologies at n={n}"
-            )
-        yield rows
+    try:
+        return next(islice(levels, n, None))
+    except BudgetExceeded:
+        raise _refusal(n, budget) from None
 
 
 def enumerate_topologies(n: int, budget: EnumerationBudget | None = None):
@@ -153,8 +113,8 @@ def enumerate_topologies(n: int, budget: EnumerationBudget | None = None):
     budget is checked on the call, before any work.  The stream is not
     lazy: every preorder is generated and its canonical key sorted before
     the first topology is yielded, so memory grows with the count.  Only
-    the keys (opens and rows as int tuples) are held; each Topology is
-    built when it is yielded.
+    the keys (opens and rows as int tuples) and the rows of size n - 1
+    are held; each Topology is built when it is yielded.
     """
     budget = _checked_budget(n, budget)
     return _canonical_stream(n, budget)
@@ -162,7 +122,8 @@ def enumerate_topologies(n: int, budget: EnumerationBudget | None = None):
 
 def _canonical_stream(n: int, budget: EnumerationBudget):
     keys = []
-    for rows in _preorders(n, budget):
+    for rows in _level(_labeled_levels(budget), n, budget):
+        Preorder(rows).validate()
         opens = up_sets(rows)
         keys.append((len(opens), opens, rows))
     # (count, opens) is the canonical key and unique, so rows never decide
@@ -219,19 +180,45 @@ def _extensions(rows):
     old preorder, with every point of D below every point of U.
     """
     m = len(rows)
-    new = 1 << m
+    new, full = 1 << m, full_mask(m)
     ups = up_sets(rows)
     for up in ups:
-        down = full_mask(m) ^ up  # a down-set is the complement of an up-set
-        cap = full_mask(m)
+        down = full ^ up  # a down-set is the complement of an up-set
+        cap = full
         for x in iter_points(down):
             cap &= rows[x]
+        # the points of D gain the new point in their rows
+        lowered = tuple(row | new if down >> x & 1 else row
+                        for x, row in enumerate(rows))
         for u in ups:
             if u & ~cap == 0:
-                yield tuple(
-                    row | new if down >> x & 1 else row
-                    for x, row in enumerate(rows)
-                ) + (new | u,)
+                yield lowered + (new | u,)
+
+
+def _labeled_levels(budget: EnumerationBudget):
+    """Per size n = 0..budget.max_n, the rows of every preorder on n points.
+
+    Every preorder on n points restricts to exactly one preorder on its
+    first n - 1 points, so extending each preorder of size n - 1 gives
+    every one of size n once, with no deduplication.  A size is streamed
+    as it is extended, and held as a list only once the next size is
+    asked for.  It raises BudgetExceeded at its (max_spaces + 1)-th
+    preorder.
+    """
+    level = [()]
+    for n in range(budget.max_n + 1):
+        if n:
+            level = _capped(chain.from_iterable(map(_extensions, level)),
+                            n, budget)
+        yield level
+        level = list(level)
+
+
+def _capped(stream, n: int, budget: EnumerationBudget):
+    for count, rows in enumerate(stream, 1):
+        if count > budget.max_spaces:
+            raise _refusal(n, budget)
+        yield rows
 
 
 def _class_levels(budget: EnumerationBudget):
@@ -263,9 +250,7 @@ def _next_level(level, n: int, budget: EnumerationBudget):
             found[form] = orbit = factorial(n) // automorphisms
             labeled += orbit
             if labeled > budget.max_spaces:
-                raise BudgetExceeded(
-                    f"more than {budget.max_spaces} topologies at n={n}"
-                )
+                raise _refusal(n, budget)
     return found
 
 
@@ -282,7 +267,7 @@ def enumerate_isomorphism_classes(n: int,
     orbit-size sum.
     """
     budget = _checked_budget(n, budget)
-    return next(islice(_class_levels(budget), n, None))
+    return _level(_class_levels(budget), n, budget)
 
 
 def first_in_orbits(topologies) -> Topology:
@@ -350,13 +335,7 @@ def count_topologies(n: int, budget: EnumerationBudget | None = None) -> int:
     it has more than max_spaces topologies.
     """
     budget = _checked_budget(n, budget)
-    try:
-        level = next(islice(_class_levels(budget), n, None))
-    except BudgetExceeded:
-        # a smaller size refused means n, with no fewer topologies, is too
-        raise BudgetExceeded(
-            f"more than {budget.max_spaces} topologies at n={n}"
-        ) from None
+    level = _level(_class_levels(budget), n, budget)
     return sum(orbit for _, orbit in level)
 
 

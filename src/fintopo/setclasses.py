@@ -316,12 +316,11 @@ def _family_bitmap(masks) -> int:
     return bm
 
 
-def check_subset_budget(t: Topology) -> None:
-    """Refuse a space whose 2^n subsets a per-subset scan cannot afford."""
-    if 1 << t.n > DEFAULT_SUBSET_BUDGET:
+def check_subset_budget(n: int) -> None:
+    """Refuse n points, whose 2^n subsets a per-subset scan cannot afford."""
+    if 1 << n > DEFAULT_SUBSET_BUDGET:
         raise GroundSetTooLarge(
-            f"2^{t.n} subsets exceed the sweep budget of "
-            f"{DEFAULT_SUBSET_BUDGET}"
+            f"2^{n} subsets exceed the sweep budget of {DEFAULT_SUBSET_BUDGET}"
         )
 
 
@@ -333,7 +332,7 @@ def class_table(t: Topology) -> ClassTable:
     The n = 0 space degenerates cleanly: its unique subset is empty and
     full at once and lands in every class.
     """
-    check_subset_budget(t)
+    check_subset_budget(t.n)
     size = 1 << t.n
     full = t.full
     int_t = [interior(t, a) for a in range(size)]

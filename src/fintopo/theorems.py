@@ -690,20 +690,19 @@ def _fact_histograms(domains, traces):
 _CHUNK_DOMAINS = 8
 
 
-def _map_histograms(budget, topos, parallel, workers):
+def _map_histograms(levels, codomains, parallel, workers):
     """Per (domain size, codomain size) in sweep order, the codomain size
     and the labeled maps of each fact word: {word: [count, domain
     representatives with it]}.
 
-    Domains are one per isomorphism class, weighted by orbit size: the
-    fact words are topological, so every labeled domain of an orbit has
-    the same histogram.
+    levels holds the domain classes of each size, one representative per
+    isomorphism class with its orbit size: the fact words are
+    topological, so every labeled domain of an orbit has the same
+    histogram.  codomains holds the labeled topologies of each size.
     """
-    levels = list(_class_levels(budget))
     domains = iter([tx for level in levels for tx, _ in level])
     chunks = iter(lambda: list(islice(domains, _CHUNK_DOMAINS)), [])
-    work = partial(_fact_histograms,
-                   traces=_trace_table(topos[:budget.codomain_n + 1]))
+    work = partial(_fact_histograms, traces=_trace_table(codomains))
     if parallel:
         # workers None leaves the pool at its default, os.cpu_count()
         processes = workers and min(workers, os.cpu_count() or 1)
@@ -714,7 +713,7 @@ def _map_histograms(budget, topos, parallel, workers):
     done = chain.from_iterable(done)
     for level in levels:
         level = [(tx, orbit, next(done)) for tx, orbit in level]
-        for ny in range(budget.codomain_n + 1):
+        for ny in range(len(codomains)):
             words = {}
             for tx, orbit, by_ny in level:
                 for word, count in by_ny[ny].items():
@@ -741,34 +740,38 @@ def _sweep_maps(props, budget, parallel, workers):
     """One traversal of the maps in budget for map propositions; counts
     and witnesses are those of the labeled maps."""
     # domains range over n <= max_n, codomains over n <= codomain_n;
-    # spaces_checked counts every topology on either side once
+    # spaces_checked counts every topology on either side once.  The
+    # budget reads orbit sums; no labeled space is built before it admits
+    # the sweep.
     top = max(budget.max_n, budget.codomain_n)
     both_sides = replace(budget, max_n=top)
     try:
-        topos = [list(enumerate_topologies(n, both_sides))
-                 for n in range(top + 1)]
+        levels = list(_class_levels(both_sides))
     except BudgetExceeded:
         return [_report(p, budget, 0, 0, 0, 0, None, True) for p in props]
-    spaces = sum(map(len, topos))
-    sizes = list(product(range(budget.max_n + 1),
-                         range(budget.codomain_n + 1)))
+    counts = [sum(orbit for _, orbit in level) for level in levels]
+    spaces = sum(counts)
+    sizes = product(range(budget.max_n + 1), range(budget.codomain_n + 1))
     # ny ** nx maps per pair of spaces; checked before any map is counted
-    total = sum(len(topos[nx]) * len(topos[ny]) * ny ** nx for nx, ny in sizes)
+    total = sum(counts[nx] * counts[ny] * ny ** nx for nx, ny in sizes)
     if total > budget.max_maps:
         return [
             _report(p, budget, spaces, 0, 0, 0, None, True) for p in props
         ]
+    codomains = [list(enumerate_topologies(n, both_sides))
+                 for n in range(budget.codomain_n + 1)]
     hits = [0] * len(props)
     best = [None] * len(props)
     maps_ = 0
-    for ny, words in _map_histograms(budget, topos, parallel, workers):
+    for ny, words in _map_histograms(levels[:budget.max_n + 1], codomains,
+                                     parallel, workers):
         maps_ += sum(count for count, _ in words.values())
         for i, p in enumerate(props):
             hit = [entry for word, entry in words.items() if p.evaluate(word)]
             hits[i] += sum(count for count, _ in hit)
             if best[i] is None and hit:
                 hitting = [tx for _, txs in hit for tx in txs]
-                best[i] = _map_witness(p, hitting, topos[ny])
+                best[i] = _map_witness(p, hitting, codomains[ny])
     return [
         _report(p, budget, spaces, 0, maps_, hits[i], best[i], False)
         for i, p in enumerate(props)

@@ -15,7 +15,6 @@ from fintopo import (
     Preorder,
     build_topology,
     class_table,
-    enumeration,
     enumerate_maps,
     enumerate_topologies,
     space_profile,
@@ -187,11 +186,10 @@ def canonical_rows_by_brute_force(rows):
 def labeled_preorder_count(n, budget):
     """The labeled count, oracle for enumeration.count_topologies.
 
-    Walks and validates every preorder on n points under the same budget
-    checks as enumerate_topologies, raising at the same point.
+    Counts the labeled stream of enumerate_topologies, which extends and
+    validates every preorder on n points, under the same budget.
     """
-    budget = enumeration._checked_budget(n, budget)
-    return sum(1 for _ in enumeration._preorders(n, budget))
+    return sum(1 for _ in enumerate_topologies(n, budget))
 
 
 def _fact_chunk(pairs):

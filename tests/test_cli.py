@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import fintopo
 from fintopo import (
     ContinuityClass,
     EnumerationBudget,
@@ -193,6 +194,18 @@ def test_verify_unset_budget_flags_keep_scope_defaults(tmp_path):
     assert t4["verdict"] == "holds-exhaustively"
 
 
+def test_verify_refused_map_budget_builds_no_labeled_space(monkeypatch,
+                                                          capsys):
+    # seven points hold more than the default 1,000,000 spaces; the
+    # refusal reads orbit sums and enumerates no labeled topology
+    def refuse(*args, **kwargs):
+        raise AssertionError("labeled topologies built for a refused sweep")
+
+    monkeypatch.setattr(theorems, "enumerate_topologies", refuse)
+    assert main(["verify", "s41-i", "--max-n", "7"]) == 1
+    assert capsys.readouterr().out == "s41-i: budget-exhausted  FAILED\n"
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--max-maps", "0", "max_maps must be positive, got 0"),
     ("--max-spaces", "0", "max_spaces must be positive, got 0"),
@@ -344,6 +357,36 @@ def test_classify_space_refuses_more_than_12_points(tmp_path, capsys):
     captured = capsys.readouterr()
     _assert_one_error_line(captured)
     assert "2^13 subsets" in captured.err
+
+
+def test_classify_refuses_13_points_before_validating_opens(
+        tmp_path, monkeypatch, capsys):
+    # the 13-point discrete space has 8,192 opens, whose pairwise closure
+    # check alone takes seconds; the point count refuses it first
+    points = [f"p{i}" for i in range(13)]
+    discrete = {"points": points, "opens": [
+        [p for i, p in enumerate(points) if mask >> i & 1]
+        for mask in range(1 << 13)
+    ]}
+    space_path = tmp_path / "discrete13.json"
+    space_path.write_text(json.dumps(discrete))
+    map_path = tmp_path / "map13.json"
+    map_path.write_text(json.dumps({
+        "domain": str(space_path), "codomain": str(space_path),
+        "assignment": {p: p for p in points},
+    }))
+
+    def no_validation(*args):
+        raise AssertionError("opens validated for a refused space")
+
+    monkeypatch.setattr(fintopo.documents, "build_topology", no_validation)
+    for argv in (["classify-set", str(space_path), "p0"],
+                 ["classify-space", str(space_path)],
+                 ["classify-map", str(map_path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured)
+        assert "2^13 subsets exceed" in captured.err
 
 
 def test_classify_space_accepts_12_points(tmp_path, capsys):

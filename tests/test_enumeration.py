@@ -129,27 +129,24 @@ def test_n5_count_cross_checked():
 
 def test_up_sets_match_definitional_scan():
     for n in range(6):
-        for rows in enumeration._preorder_rows(n):
-            t = topology_from_preorder(Preorder(rows))
-            assert t.opens == up_sets_by_scan(rows)
-            assert t.min_nbhd == rows
+        for t in enumerate_topologies(n, EnumerationBudget(max_n=n)):
+            assert t.opens == up_sets_by_scan(t.min_nbhd)
+            assert topology_from_preorder(Preorder(t.min_nbhd)) == t
 
 
 def test_rows_are_exactly_the_preorders():
     for n in range(5):
-        rows = list(enumeration._preorder_rows(n))
+        rows = [t.min_nbhd for t in enumerate_topologies(n)]
         assert sorted(rows) == preorders_by_brute_force(n)
-        for r in rows:
-            Preorder(r).validate()
 
 
 def test_enumeration_equals_sorted_oracle_list():
-    for n in range(6):
+    for n in range(5):
         budget = EnumerationBudget(max_n=n)
         oracle = sorted(
             (
                 build_topology(n, up_sets_by_scan(rows))
-                for rows in enumeration._preorder_rows(n)
+                for rows in preorders_by_brute_force(n)
             ),
             key=Topology.canonical_key,
         )
@@ -157,6 +154,26 @@ def test_enumeration_equals_sorted_oracle_list():
         assert got == oracle
         assert [t.min_nbhd for t in got] == [t.min_nbhd for t in oracle]
         assert count_topologies(n, budget) == len(oracle)
+
+
+def _stream_sha256(n):
+    """sha256 of the canonical stream, one line of opens and minimal
+    neighbourhoods per topology."""
+    digest = hashlib.sha256()
+    for t in enumerate_topologies(n):
+        line = ",".join(map(str, t.opens)) + ";" + ",".join(map(str, t.min_nbhd))
+        digest.update((line + "\n").encode())
+    return digest.hexdigest()
+
+
+# recorded from the row-by-row submask walk this stream replaced
+N5_STREAM_SHA256 = (
+    "3931c82d47900030a6f5b6ab88f8aa3f0f1d8f4a5c686f21c8bb8a764af17c99"
+)
+
+
+def test_n5_canonical_stream_pinned():
+    assert _stream_sha256(5) == N5_STREAM_SHA256
 
 
 def test_validate_runs_on_every_preorder_and_budget_counts_match(
@@ -170,40 +187,47 @@ def test_validate_runs_on_every_preorder_and_budget_counts_match(
             super().validate()
 
     monkeypatch.setattr(enumeration, "Preorder", CountedPreorder)
-    assert labeled_preorder_count(4, None) == 355
-    assert len(validated) == 355
-    validated.clear()
     assert len(list(enumerate_topologies(4))) == 355
     assert len(validated) == 355
-    # both labeled paths raise at the (max_spaces + 1)-th space, and
-    # count_topologies refuses the same budgets
-    for cap in (1, 100, 354):
+    # only the preorders of the requested size are validated, and a size
+    # raises at its (max_spaces + 1)-th preorder, before validating it:
+    # at cap 1 the two-point size is refused before any four-point
+    # preorder exists
+    for cap, checked in ((1, 0), (100, 100), (354, 354)):
         budget = EnumerationBudget(max_n=4, max_spaces=cap)
         validated.clear()
-        with pytest.raises(BudgetExceeded):
-            labeled_preorder_count(4, budget)
-        assert len(validated) == cap + 1
+        with pytest.raises(BudgetExceeded, match="at n=4$"):
+            list(enumerate_topologies(4, budget))
+        assert len(validated) == checked
         with pytest.raises(BudgetExceeded, match="at n=4$"):
             count_topologies(4, budget)
-        validated.clear()
-        with pytest.raises(BudgetExceeded):
-            list(enumerate_topologies(4, budget))
-        assert len(validated) == cap + 1
     budget = EnumerationBudget(max_n=4, max_spaces=355)
     assert count_topologies(4, budget) == 355
     assert len(list(enumerate_topologies(4, budget))) == 355
 
 
-def test_default_cap_refuses_before_any_work(monkeypatch):
-    def no_rows(n):
-        raise AssertionError("rows generated past the cap")
+def test_refusal_names_the_requested_size():
+    # four points already hold more than 100 topologies
+    budget = EnumerationBudget(max_n=5, max_spaces=100)
+    for run in (count_topologies, enumerate_isomorphism_classes,
+                lambda n, b: list(enumerate_topologies(n, b))):
+        with pytest.raises(BudgetExceeded,
+                           match="^more than 100 topologies at n=5$"):
+            run(5, budget)
 
-    monkeypatch.setattr(enumeration, "_preorder_rows", no_rows)
+
+def test_default_cap_refuses_before_any_work(monkeypatch):
+    def no_rows(rows):
+        raise AssertionError("preorders extended past the cap")
+
+    monkeypatch.setattr(enumeration, "_extensions", no_rows)
     assert MAX_ENUMERATION_N == 6
     with pytest.raises(BudgetExceeded):
         enumerate_topologies(MAX_ENUMERATION_N + 1)
     with pytest.raises(BudgetExceeded):
         count_topologies(MAX_ENUMERATION_N + 1)
+    with pytest.raises(BudgetExceeded):
+        enumerate_isomorphism_classes(MAX_ENUMERATION_N + 1)
     with pytest.raises(BudgetExceeded):
         enumerate_topologies(5, EnumerationBudget(max_n=4))
     with pytest.raises(ValueError):

@@ -35,7 +35,7 @@ from fintopo import (
     theorems,
 )
 
-from fintopo.enumeration import first_in_orbits
+from fintopo.enumeration import _class_levels, first_in_orbits
 
 from helpers import (
     FakePool,
@@ -434,6 +434,31 @@ def test_map_budget_is_checked_before_pairs_exist():
     assert report.spaces_checked == 7332
 
 
+# sha256 of serialize_report of the 12 map propositions refused at
+# max_n=6 (by max_maps) and max_n=7 (by max_spaces), recorded from the
+# sweep that enumerated every labeled space on both sides first
+MAP_REFUSAL_SHA256 = {
+    6: "ec2f8766bd5422b918410d3fba769a339e578dcbb91e3f42250f8a8150f30db8",
+    7: "fca09fd67c0f0fb937c38b100d154b3cc3701a38fccabb1e86c06c67d3ebe7c6",
+}
+
+
+def _no_labeled_spaces(*args, **kwargs):
+    raise AssertionError("labeled topologies built for a refused sweep")
+
+
+@pytest.mark.parametrize("max_n, spaces", [(6, 216_859), (7, 0)])
+def test_map_refusal_builds_no_labeled_space(monkeypatch, max_n, spaces):
+    # sizes 0..6 fit max_spaces, but their maps exceed max_maps; seven
+    # points hold 9,535,241 spaces, more than max_spaces
+    monkeypatch.setattr(theorems, "enumerate_topologies", _no_labeled_spaces)
+    reports = verify_all(MAP_IDS, EnumerationBudget(max_n=max_n))
+    for report in reports:
+        assert report.verdict == "budget-exhausted"
+        assert (report.spaces_checked, report.maps_checked) == (spaces, 0)
+    assert _sha256(serialize_report(reports)) == MAP_REFUSAL_SHA256[max_n]
+
+
 def test_workers_below_one_rejected_before_any_sweep(monkeypatch):
     made = []
     monkeypatch.setattr(theorems, "Pool", partial(FakePool, made))
@@ -672,7 +697,9 @@ def _factored_and_labeled(monkeypatch, budget, parallel=False, workers=None):
 def _factored_histogram(budget, topos, parallel=False, workers=None):
     """{word: labeled maps} of the factored sweep, over every size."""
     words = {}
-    for _, level in theorems._map_histograms(budget, topos, parallel,
+    domains = list(_class_levels(budget))
+    codomains = topos[:budget.codomain_n + 1]
+    for _, level in theorems._map_histograms(domains, codomains, parallel,
                                                 workers):
         for word, (count, _) in level.items():
             words[word] = words.get(word, 0) + count
