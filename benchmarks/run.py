@@ -16,8 +16,9 @@ src/ tree, and the median and interquartile range of REPEATS runs:
   count_topologies(6), list(enumerate_topologies(6)) (the labeled
   stream), and the 12 map propositions at the default map budget
   (max_n=3, 24,907 maps), at max_n=4 (33,827,652 maps, every one
-  counted; a checkout that builds each map takes minutes per run) and
-  at max_n=6, which max_maps refuses (a checkout that lists every
+  counted; a checkout that builds each map takes minutes per run), at
+  max_n=5 with max_maps raised to 154,771,368,636 (every map counted)
+  and at max_n=6, which max_maps refuses (a checkout that lists every
   labeled space first takes seconds per run);
 - layers: class_table and space_profile over the spaces the set/space
   sweep visits at max_n=5 (every labeled space, or one per isomorphism
@@ -56,6 +57,8 @@ SETS_MAX_N = 5
 REPEATS = 5
 # every map between spaces on <= 4 points, and no more
 MAP_REGISTRY_N4 = EnumerationBudget(max_n=4, max_maps=33_827_652)
+# every map between spaces on <= 5 points
+MAP_REGISTRY_N5 = EnumerationBudget(max_n=5, max_maps=154_771_368_636)
 # 216,859 spaces fit max_spaces, but their maps exceed max_maps
 MAP_REFUSED_N6 = EnumerationBudget(max_n=6)
 GENERATOR_MAX_N = 6
@@ -132,6 +135,8 @@ def end_to_end():
         "maps_default": _timed(lambda: theorems.verify_all(maps), clear),
         "maps_n4": _timed(
             lambda: theorems.verify_all(maps, MAP_REGISTRY_N4), clear),
+        "maps_n5": _timed(
+            lambda: theorems.verify_all(maps, MAP_REGISTRY_N5), clear),
         "maps_refused_n6": _timed(
             lambda: theorems.verify_all(maps, MAP_REFUSED_N6), clear),
     }

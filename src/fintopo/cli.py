@@ -197,9 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 5000000)")
     p.add_argument("--parallel", action="store_true",
                    help="split the domains of map sweeps over worker "
-                        "processes; slower at the default budgets "
-                        "(0.078 s against 0.056 s on 2 cores), it pays "
-                        "from --max-n 4")
+                        "processes; slower up to --max-n 4 (0.125 s "
+                        "against 0.093 s on 2 cores), it pays at "
+                        "--max-n 5 (3.7 s against 5.7 s)")
     p.add_argument("--workers", type=int, default=None,
                    help="worker process count for --parallel")
     p.add_argument("--report", default=None,

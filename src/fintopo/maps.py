@@ -4,7 +4,8 @@ Every continuity notion except strong irresoluteness is an instance of
 one scheme: f is c-continuous when the preimage of every open set of the
 codomain lies in set class c of the domain.  The binding table below is
 the only per-class data.  The map's fact word (_fact_word) decides every
-class at once and is the one evaluator; is_continuous_in stays as the
+class at once and is the one evaluator: _partition_facts reads the
+fibers, _open_bits the codomain's opens.  is_continuous_in stays as the
 definitional oracle it is tested against.
 """
 
@@ -137,7 +138,7 @@ _SCL_OK = 1 << len(ContinuityClass)
 
 
 def _domain_facts(t: Topology):
-    """What _fact_word needs of a map's domain t.
+    """What _partition_facts and _open_bits need of a map's domain t.
 
     (bit, family bitmap) of each class in CONTINUITY_BINDING, the
     semi-regular family, and the pairs (A, sCl A) with A != sCl A.
@@ -151,37 +152,49 @@ def _domain_facts(t: Topology):
     return bound, table.family_bitmap(SetClass.SEMI_REGULAR), scl
 
 
-def _fact_word(f: SpaceMap, facts) -> int:
-    """The _CLASS_BIT of every continuity class f has, and _SCL_OK.
+def _partition_facts(assignment, k: int, facts):
+    """(pre, word) of a map onto k targets, from its fibers alone.
 
-    The preimages of all codomain subsets are built up one fiber at a
-    time, the images of all domain subsets one point at a time, both in
-    numeric subset order.  of_opens, the family of preimages of the
-    opens, is a bitmap over domain subsets, and f is c-continuous iff
-    of_opens lies in c's family.
+    pre lists the preimage of every target subset, in numeric order;
+    word holds the strongly-irresolute bit and _SCL_OK.
     """
-    bound, sr, scl = facts
+    _, sr, scl = facts
+    fibers = [0] * k
+    for x, y in enumerate(assignment):
+        fibers[y] |= 1 << x
     pre = [0]
-    for fiber in f.fibers:
+    for fiber in fibers:
         pre += [q | fiber for q in pre]
-    of_opens = of_all = 0
-    for v in f.codomain.opens:
-        of_opens |= 1 << pre[v]
-    for q in pre:
-        of_all |= 1 << q
     word = 0
-    for bit, family in bound:
-        if of_opens & ~family == 0:
-            word |= bit
-    if of_all & ~sr == 0:
+    if all(sr >> q & 1 for q in pre):
         word |= _CLASS_BIT[ContinuityClass.STRONGLY_IRRESOLUTE]
     img = [0]
-    for y in f.assignment:
+    for y in assignment:
         img += [i | 1 << y for i in img]
     # f(sCl A) lies in f(A) for every domain subset A
     if all(img[s] & ~img[a] == 0 for a, s in scl):
         word |= _SCL_OK
+    return pre, word
+
+
+def _open_bits(pre, opens, facts) -> int:
+    """The bits of the classes in CONTINUITY_BINDING: c holds iff the
+    preimages of the opens, as a bitmap over domain subsets, lie in c's
+    family."""
+    of_opens = 0
+    for v in opens:
+        of_opens |= 1 << pre[v]
+    word = 0
+    for bit, family in facts[0]:
+        if of_opens & ~family == 0:
+            word |= bit
     return word
+
+
+def _fact_word(f: SpaceMap, facts) -> int:
+    """The _CLASS_BIT of every continuity class f has, and _SCL_OK."""
+    pre, word = _partition_facts(f.assignment, f.codomain.n, facts)
+    return word | _open_bits(pre, f.codomain.opens, facts)
 
 
 def continuity_profile(f: SpaceMap):

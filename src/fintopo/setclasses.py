@@ -143,11 +143,6 @@ def is_ic_set_subspace(t: Topology, a: SubsetMask) -> bool:
 # semi-closure
 
 
-def semi_closed_family(t: Topology):
-    """All semi-closed subsets, numerically ascending."""
-    return [a for a in t.subsets() if is_semi_closed(t, a)]
-
-
 def semi_closure(t: Topology, a: SubsetMask) -> SubsetMask:
     """Intersection of all semi-closed supersets of a (the definition)."""
     acc = t.full
@@ -183,20 +178,9 @@ def _intersection_witness(t: Topology, a: SubsetMask, second_family):
     return None
 
 
-def regular_closed_family(t: Topology):
-    return [v for v in t.subsets() if is_regular_closed(t, v)]
-
-
-def semi_regular_family(t: Topology):
-    return [v for v in t.subsets() if is_semi_regular(t, v)]
-
-
-def closed_family(t: Topology):
-    return sorted(complement(u, t.n) for u in t.opens)
-
-
 def locally_closed_witness(t: Topology, a: SubsetMask):
-    return _intersection_witness(t, a, closed_family(t))
+    closed = sorted(complement(u, t.n) for u in t.opens)
+    return _intersection_witness(t, a, closed)
 
 
 def is_locally_closed(t: Topology, a: SubsetMask) -> bool:
@@ -204,7 +188,8 @@ def is_locally_closed(t: Topology, a: SubsetMask) -> bool:
 
 
 def a_set_witness(t: Topology, a: SubsetMask):
-    return _intersection_witness(t, a, regular_closed_family(t))
+    regular_closed = [v for v in t.subsets() if is_regular_closed(t, v)]
+    return _intersection_witness(t, a, regular_closed)
 
 
 def is_a_set(t: Topology, a: SubsetMask) -> bool:
@@ -212,7 +197,8 @@ def is_a_set(t: Topology, a: SubsetMask) -> bool:
 
 
 def b_set_witness(t: Topology, a: SubsetMask):
-    return _intersection_witness(t, a, semi_closed_family(t))
+    semi_closed = [v for v in t.subsets() if is_semi_closed(t, v)]
+    return _intersection_witness(t, a, semi_closed)
 
 
 def is_b_set(t: Topology, a: SubsetMask) -> bool:
@@ -220,7 +206,8 @@ def is_b_set(t: Topology, a: SubsetMask) -> bool:
 
 
 def ab_set_witness(t: Topology, a: SubsetMask):
-    return _intersection_witness(t, a, semi_regular_family(t))
+    semi_regular = [v for v in t.subsets() if is_semi_regular(t, v)]
+    return _intersection_witness(t, a, semi_regular)
 
 
 def is_ab_set(t: Topology, a: SubsetMask) -> bool:

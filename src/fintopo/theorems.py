@@ -24,27 +24,26 @@ Counts and hits are those of the labeled sweep, and the first witness is
 the first labeled one, taken from the least member of the first hitting
 orbits.
 
-Map sweeps build no map between labeled spaces.  A map f: X -> Y with k
-nonempty fibers has the fact word of the surjection from X onto its
-fiber partition's k blocks (numbered by least point), carrying the
-trace of Y's opens on the image: the continuity bits read only unions
-of blocks indexed by that trace, and the semi-closure image bit only the
-partition.  So the histogram of fact words adds, for each domain
-representative X (weighted by orbit size), each partition and each
-topology sigma on its k blocks, the number of maps into the spaces on ny
-points that give (partition, sigma): (ny)_k times the spaces whose
-trace on points 0..k-1 is sigma.  The witness of a map proposition comes
-from the first (domain size, codomain size) with a hit: the least
-labeled domain of the hitting orbits there, then the first codomain and
-assignment that hit, found by building those maps.
+Map sweeps build no map and no labeled space outside the witness
+search.  A map f: X -> Y with k nonempty fibers has the fact word of the
+surjection from X onto its fiber partition's k blocks (numbered by least
+point), carrying the trace sigma of Y's opens on the image: the
+continuity bits read only unions of blocks indexed by sigma, the other
+bits only the partition.  So each domain representative X (weighted by
+orbit size) takes its partition facts once per partition and its open
+bits once per sigma, and counts the maps into the spaces on ny points
+that give (partition, sigma): per codomain representative, its orbit
+size times its injections of the blocks that pull its opens back to
+sigma.  A witness comes from the first (domain size, codomain size) with
+a hit: the least labeled domain of the hitting orbits, then the first
+labeled codomain and assignment that hit.
 """
 
 import json
 import os
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
-from itertools import chain, islice, product
-from math import perm
+from itertools import permutations, product
 from multiprocessing import Pool
 
 from .documents import (
@@ -70,6 +69,8 @@ from .maps import (
     SpaceMap,
     _domain_facts,
     _fact_word,
+    _open_bits,
+    _partition_facts,
     enumerate_maps,
 )
 from .setclasses import (
@@ -80,7 +81,7 @@ from .setclasses import (
     is_semi_regular_sandwich,
     semi_closure_closed_form,
 )
-from .space import Topology, _sorted_opens
+from .space import Topology
 from .spaceprops import SpaceProperty, space_profile
 
 HOLDS = "holds-exhaustively"
@@ -645,73 +646,72 @@ def _partitions(n: int):
 
 
 def _trace_table(codomains):
-    """Per k, each topology sigma on k points with N(ny, k, sigma) for
-    every codomain size ny: the maps with a given k-block fiber partition
-    into a space on ny points whose opens trace sigma on the blocks.
+    """Per k, each trace topology sigma on k points (as its opens) with
+    N(ny, k, sigma) for every codomain size ny: the maps with a given
+    k-block fiber partition into a space on ny points whose opens pull
+    back to sigma on the blocks.
 
-    That is (ny)_k, the injections of the blocks, times the spaces whose
-    trace on points 0..k-1 is sigma; relabeling a codomain moves any
-    image there.
+    codomains holds the classes of each size with their orbit sizes.
+    Relabeling a codomain carries its injections of the blocks along, so
+    N sums orbit(Y) times Y's injections that give sigma.
     """
     table = []
-    for k, sigmas in enumerate(codomains):
-        low = (1 << k) - 1
-        counts = {sigma.opens: [0] * len(codomains) for sigma in sigmas}
+    for k in range(len(codomains)):
+        counts = {}
         for ny in range(k, len(codomains)):
-            injections = perm(ny, k)
-            for ty in codomains[ny]:
-                trace = _sorted_opens(v & low for v in ty.opens)
-                counts[trace][ny] += injections
-        table.append([(sigma, counts[sigma.opens]) for sigma in sigmas])
+            for ty, orbit in codomains[ny]:
+                for image in permutations(range(ny), k):
+                    sigma = frozenset(
+                        sum(1 << j for j, y in enumerate(image) if v >> y & 1)
+                        for v in ty.opens
+                    )
+                    counts.setdefault(sigma, [0] * len(codomains))[ny] += orbit
+        table.append(list(counts.items()))
     return table
 
 
-def _fact_histograms(domains, traces):
-    """Per domain topology, per codomain size ny, {fact word: the number
-    of maps from it into a space on ny points with that word}, one word
-    per (fiber partition, trace topology)."""
-    out = []
-    for tx in domains:
-        facts = _domain_facts(tx)
-        by_ny = [{} for _ in traces]
-        for blocks in _partitions(tx.n):
-            k = max(blocks, default=-1) + 1
-            if k >= len(traces):
-                continue  # more blocks than any codomain has points
-            for sigma, counts in traces[k]:
-                word = _fact_word(SpaceMap(tx, sigma, blocks), facts)
-                for ny, count in enumerate(counts):
-                    if count:
-                        by_ny[ny][word] = by_ny[ny].get(word, 0) + count
-        out.append(by_ny)
-    return out
+def _fact_histograms(tx, traces):
+    """Per codomain size ny, {fact word: the number of maps from tx into
+    a space on ny points with that word}, one word per (fiber partition,
+    trace topology)."""
+    facts = _domain_facts(tx)
+    by_ny = [{} for _ in traces]
+    for blocks in _partitions(tx.n):
+        k = max(blocks, default=-1) + 1
+        if k >= len(traces):
+            continue  # more blocks than any codomain has points
+        pre, partition_word = _partition_facts(blocks, k, facts)
+        for sigma, counts in traces[k]:
+            word = partition_word | _open_bits(pre, sigma, facts)
+            for ny, count in enumerate(counts):
+                if count:
+                    by_ny[ny][word] = by_ny[ny].get(word, 0) + count
+    return by_ny
 
 
 _CHUNK_DOMAINS = 8
 
 
-def _map_histograms(levels, codomains, parallel, workers):
+def _map_histograms(domains, codomains, parallel, workers):
     """Per (domain size, codomain size) in sweep order, the codomain size
     and the labeled maps of each fact word: {word: [count, domain
     representatives with it]}.
 
-    levels holds the domain classes of each size, one representative per
-    isomorphism class with its orbit size: the fact words are
-    topological, so every labeled domain of an orbit has the same
-    histogram.  codomains holds the labeled topologies of each size.
+    domains and codomains hold the classes of each size, one
+    representative per isomorphism class with its orbit size: the fact
+    words are topological, so every labeled domain of an orbit has the
+    same histogram.
     """
-    domains = iter([tx for level in levels for tx, _ in level])
-    chunks = iter(lambda: list(islice(domains, _CHUNK_DOMAINS)), [])
     work = partial(_fact_histograms, traces=_trace_table(codomains))
+    reps = [tx for level in domains for tx, _ in level]
     if parallel:
         # workers None leaves the pool at its default, os.cpu_count()
         processes = workers and min(workers, os.cpu_count() or 1)
         with Pool(processes=processes) as pool:
-            done = list(pool.imap(work, chunks))
+            done = iter(list(pool.imap(work, reps, _CHUNK_DOMAINS)))
     else:
-        done = list(map(work, chunks))
-    done = chain.from_iterable(done)
-    for level in levels:
+        done = map(work, reps)
+    for level in domains:
         level = [(tx, orbit, next(done)) for tx, orbit in level]
         for ny in range(len(codomains)):
             words = {}
@@ -723,13 +723,14 @@ def _map_histograms(levels, codomains, parallel, workers):
             yield ny, words
 
 
-def _map_witness(p, hitting, codomains):
+def _map_witness(p, hitting, ny, budget):
     """The canonically first map with a hit, from a domain in the orbits
-    of hitting into one of codomains: the least labeled domain of those
-    orbits, then the first codomain and assignment that hit."""
+    of hitting into a labeled space on ny points: the least labeled
+    domain of those orbits, then the first codomain and assignment that
+    hit."""
     tx = first_in_orbits(hitting)
     facts = _domain_facts(tx)
-    for ty in codomains:
+    for ty in enumerate_topologies(ny, budget):
         for f in enumerate_maps(tx, ty):
             if p.evaluate(_fact_word(f, facts)):
                 return Witness(p.id, _polarity(p), tx, codomain=ty,
@@ -740,9 +741,7 @@ def _sweep_maps(props, budget, parallel, workers):
     """One traversal of the maps in budget for map propositions; counts
     and witnesses are those of the labeled maps."""
     # domains range over n <= max_n, codomains over n <= codomain_n;
-    # spaces_checked counts every topology on either side once.  The
-    # budget reads orbit sums; no labeled space is built before it admits
-    # the sweep.
+    # spaces_checked and the budget read the orbit sums of both sides
     top = max(budget.max_n, budget.codomain_n)
     both_sides = replace(budget, max_n=top)
     try:
@@ -758,12 +757,11 @@ def _sweep_maps(props, budget, parallel, workers):
         return [
             _report(p, budget, spaces, 0, 0, 0, None, True) for p in props
         ]
-    codomains = [list(enumerate_topologies(n, both_sides))
-                 for n in range(budget.codomain_n + 1)]
     hits = [0] * len(props)
     best = [None] * len(props)
     maps_ = 0
-    for ny, words in _map_histograms(levels[:budget.max_n + 1], codomains,
+    for ny, words in _map_histograms(levels[:budget.max_n + 1],
+                                     levels[:budget.codomain_n + 1],
                                      parallel, workers):
         maps_ += sum(count for count, _ in words.values())
         for i, p in enumerate(props):
@@ -771,7 +769,7 @@ def _sweep_maps(props, budget, parallel, workers):
             hits[i] += sum(count for count, _ in hit)
             if best[i] is None and hit:
                 hitting = [tx for _, txs in hit for tx in txs]
-                best[i] = _map_witness(p, hitting, codomains[ny])
+                best[i] = _map_witness(p, hitting, ny, both_sides)
     return [
         _report(p, budget, spaces, 0, maps_, hits[i], best[i], False)
         for i, p in enumerate(props)

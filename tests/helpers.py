@@ -4,6 +4,7 @@ Points are indexed a=bit0, b=bit1, c=bit2, d=bit3, so subset literals
 below read right to left.
 """
 
+import math
 import os
 from dataclasses import replace
 from functools import cache, partial
@@ -190,6 +191,27 @@ def labeled_preorder_count(n, budget):
     validates every preorder on n points, under the same budget.
     """
     return sum(1 for _ in enumerate_topologies(n, budget))
+
+
+def labeled_trace_table(codomain_n):
+    """The labeled count, oracle for theorems._trace_table.
+
+    Per k <= codomain_n, {trace opens: N(ny, k, sigma) for every ny <=
+    codomain_n}: (ny)_k injections of the k blocks times the labeled
+    spaces on ny points whose opens trace sigma on points 0..k-1, since
+    relabeling a codomain moves any image there.
+    """
+    table = []
+    for k in range(codomain_n + 1):
+        low = (1 << k) - 1
+        counts = {}
+        for ny in range(k, codomain_n + 1):
+            for ty in enumerate_topologies(ny):
+                trace = frozenset(v & low for v in ty.opens)
+                counts.setdefault(trace, [0] * (codomain_n + 1))
+                counts[trace][ny] += math.perm(ny, k)
+        table.append(counts)
+    return table
 
 
 def _fact_chunk(pairs):

@@ -44,6 +44,7 @@ from helpers import (
     labeled_map_histogram,
     labeled_sweep_maps,
     labeled_sweep_spaces,
+    labeled_trace_table,
     sierpinski,
 )
 
@@ -407,9 +408,9 @@ def test_default_report_bytes_one_traversal_per_scope(monkeypatch):
         return real(n, budget)
     monkeypatch.setattr(theorems, "enumerate_topologies", counted)
     assert _sha256(serialize_report(verify_all())) == DEFAULT_REPORT_SHA256
-    # sizes 0..3 once for all map propositions; the set/space sweep
-    # walks isomorphism classes, not the labeled stream
-    assert sorted(calls) == [*range(4)]
+    # one codomain size per map witness, all three on two points; the
+    # sweeps themselves walk isomorphism classes, not the labeled stream
+    assert calls == [2, 2, 2]
 
 
 def test_parallel_default_report_uses_one_pool(monkeypatch):
@@ -694,13 +695,15 @@ def _factored_and_labeled(monkeypatch, budget, parallel=False, workers=None):
     return serialize_report(factored), serialize_report(labeled)
 
 
-def _factored_histogram(budget, topos, parallel=False, workers=None):
+def _factored_histogram(budget, parallel=False, workers=None):
     """{word: labeled maps} of the factored sweep, over every size."""
     words = {}
-    domains = list(_class_levels(budget))
-    codomains = topos[:budget.codomain_n + 1]
-    for _, level in theorems._map_histograms(domains, codomains, parallel,
-                                                workers):
+    top = max(budget.max_n, budget.codomain_n)
+    levels = list(_class_levels(replace(budget, max_n=top)))
+    for _, level in theorems._map_histograms(
+        levels[:budget.max_n + 1], levels[:budget.codomain_n + 1],
+        parallel, workers,
+    ):
         for word, (count, _) in level.items():
             words[word] = words.get(word, 0) + count
     return words
@@ -710,8 +713,8 @@ def _factored_histogram(budget, topos, parallel=False, workers=None):
                          list(product(range(4), repeat=2)))
 def test_map_sweep_matches_labeled_oracle(monkeypatch, max_n, codomain_max_n):
     budget = EnumerationBudget(max_n=max_n, codomain_max_n=codomain_max_n)
-    topos, labeled = labeled_map_histogram(budget)
-    assert _factored_histogram(budget, topos) == {
+    _, labeled = labeled_map_histogram(budget)
+    assert _factored_histogram(budget) == {
         word: count for word, (count, _) in labeled.items()
     }
     factored, labeled = _factored_and_labeled(monkeypatch, budget)
@@ -782,7 +785,67 @@ def test_parallel_map_sweep_matches_labeled_oracle(monkeypatch):
 def test_four_point_map_histogram_matches_labeled_oracle():
     # 33,827,652 labeled maps, built one by one on a pool of two workers
     budget = EnumerationBudget(max_n=4, max_maps=33_827_652)
-    topos, labeled = labeled_map_histogram(budget, parallel=True, workers=2)
-    factored = _factored_histogram(budget, topos, parallel=True, workers=2)
+    _, labeled = labeled_map_histogram(budget, parallel=True, workers=2)
+    factored = _factored_histogram(budget, parallel=True, workers=2)
     assert factored == {word: count for word, (count, _) in labeled.items()}
     assert sum(factored.values()) == 33_827_652
+
+
+def test_trace_table_matches_labeled_oracle():
+    # N(ny, k, sigma) for every ny <= 5 and k <= ny, from the codomain
+    # classes against the labeled codomains
+    levels = list(_class_levels(EnumerationBudget(max_n=5)))
+    table = theorems._trace_table(levels)
+    assert [dict(row) for row in table] == labeled_trace_table(5)
+
+
+@pytest.mark.parametrize("budget", [EnumerationBudget(max_n=3), CAPPED],
+                         ids=["default", "capped"])
+def test_map_sweep_builds_maps_and_spaces_for_witnesses_only(monkeypatch,
+                                                             budget):
+    sizes, built, searched = [], [], []
+    real_topologies, real_maps = theorems.enumerate_topologies, enumerate_maps
+
+    def topologies(n, cap=None):
+        sizes.append(n)
+        return real_topologies(n, cap)
+
+    def searched_maps(tx, ty):
+        for f in real_maps(tx, ty):
+            searched.append(f)
+            yield f
+
+    class CountedMap(SpaceMap):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(theorems, "enumerate_topologies", topologies)
+    monkeypatch.setattr(theorems, "enumerate_maps", searched_maps)
+    monkeypatch.setattr(maps, "SpaceMap", CountedMap)
+    monkeypatch.setattr(theorems, "SpaceMap", CountedMap)
+    reports = verify_all(MAP_IDS, budget)
+    witnesses = [w for report in reports for w in report.witnesses]
+    assert witnesses
+    assert sorted(sizes) == sorted(w.codomain.n for w in witnesses)
+    # every map built is one the witness search visits
+    assert len(built) == len(searched) > 0
+
+
+# sha256 of serialize_report of the 12 map propositions over every map
+# between spaces on <= 4 and on <= 5 points, recorded from the sweep
+# that built one SpaceMap per (domain, partition, trace topology)
+@pytest.mark.parametrize("max_n, max_maps, digest", [
+    (4, 33_827_652,
+     "d9d12e3a0aa0e0d24f3320708a7439337f407610efaa88ab4afabde5d57f29ac"),
+    pytest.param(
+        5, 154_771_368_636,
+        "9134d85bd435bc1b9e000a37dbcdb3fcca607664b8c557c3cb528dec9e501b82",
+        marks=pytest.mark.skipif(
+            not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")),
+])
+def test_full_map_sweep_report_bytes(max_n, max_maps, digest):
+    budget = EnumerationBudget(max_n=max_n, max_maps=max_maps)
+    report = verify_all(MAP_IDS, budget)
+    assert _sha256(serialize_report(report)) == digest
+    assert all(r.maps_checked == max_maps for r in report)
