@@ -22,8 +22,11 @@ src/ tree, and the median and interquartile range of REPEATS runs:
   labeled space first takes seconds per run);
 - layers: class_table and space_profile over the spaces the set/space
   sweep visits at max_n=5 (every labeled space, or one per isomorphism
-  class where the checkout has enumerate_isomorphism_classes), and that
-  class generator per n.
+  class where the checkout has enumerate_isomorphism_classes), that
+  class generator per n, and class_table_classify: what classify-set
+  asks of one space, a fresh class_table plus one witness per
+  existential class, over fixed seeded random spaces on 8, 11 and 12
+  points (per size, the median is for all of its spaces together).
 
 Every end-to-end run starts with an empty class_table cache.  Nothing
 under perfbench/ is read or written.
@@ -34,10 +37,12 @@ import datetime
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -52,6 +57,7 @@ import numpy
 
 from fintopo import enumeration, setclasses, spaceprops, theorems
 from fintopo.enumeration import EnumerationBudget
+from fintopo.space import Preorder, iter_points, topology_from_preorder
 
 SETS_MAX_N = 5
 REPEATS = 5
@@ -62,6 +68,10 @@ MAP_REGISTRY_N5 = EnumerationBudget(max_n=5, max_maps=154_771_368_636)
 # 216,859 spaces fit max_spaces, but their maps exceed max_maps
 MAP_REFUSED_N6 = EnumerationBudget(max_n=6)
 GENERATOR_MAX_N = 6
+# classify-set's spaces: CLASSIFY_SPACES seeded random spaces per size
+CLASSIFY_SIZES = (8, 11, 12)
+CLASSIFY_SPACES = 4
+CLASSIFY_SEED = 12
 
 
 def _summary(samples):
@@ -118,6 +128,48 @@ def _swept_spaces():
     ]
 
 
+def _random_space(rng, n):
+    """A random space on n points with 3n to 4n opens, like classify-set's.
+
+    Its preorder closes sparse random rows; spaces outside the band of
+    opens are drawn again, so that the cost per space stays narrow.
+    """
+    while True:
+        rows = [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+                | 1 << x for x in range(n)]
+        changed = True
+        while changed:
+            changed = False
+            for x in range(n):
+                merged = rows[x]
+                for y in iter_points(rows[x]):
+                    merged |= rows[y]
+                changed |= merged != rows[x]
+                rows[x] = merged
+        t = topology_from_preorder(Preorder(tuple(rows)))
+        if 3 * n <= len(t.opens) <= 4 * n:
+            return t
+
+
+def _classify_queries(n, rng):
+    """(space, [(existential class, member)]) for CLASSIFY_SPACES spaces."""
+    queries = []
+    for _ in range(CLASSIFY_SPACES):
+        t = _random_space(rng, n)
+        table = setclasses.class_table.__wrapped__(t)
+        members = [(cls, rng.choice(table.family(cls)))
+                   for cls in setclasses.SECOND_FAMILY]
+        queries.append((t, members))
+    return queries
+
+
+def _classify(queries):
+    for t, members in queries:
+        table = setclasses.class_table.__wrapped__(t)
+        for cls, a in members:
+            table.witness(a, cls)
+
+
 def end_to_end():
     set_space = [p.id for p in theorems.registry() if p.scope != "map"]
     maps = [p.id for p in theorems.registry() if p.scope == "map"]
@@ -158,6 +210,11 @@ def layers():
                 lambda n=n: classes(n, EnumerationBudget(max_n=n)))
             for n in range(GENERATOR_MAX_N + 1)
         }
+    rng = random.Random(CLASSIFY_SEED)
+    out["class_table_classify"] = {
+        str(n): _timed(partial(_classify, _classify_queries(n, rng)))
+        for n in CLASSIFY_SIZES
+    }
     return out
 
 

@@ -9,10 +9,12 @@ exhaustive agreement is a test target.
 """
 
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import and_, or_
 
 from .errors import GroundSetTooLarge
-from .space import SubsetMask, Topology, closure, complement, interior
+from .space import (SubsetMask, Topology, closure, complement, interior,
+                    iter_points)
 
 # class_table, and the CLI's classify commands, refuse ground sets with
 # more than this many subsets (more than 12 points).
@@ -253,27 +255,20 @@ def is_semi_regular_sandwich(t: Topology, a: SubsetMask) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# full sweep over all subsets of one space
+# full sweep over all subsets of one space: bitmap formulas over point planes
 
 
 class ClassTable:
     """Membership of every subset of a space in every set class.
 
-    Membership is stored per class as one int bitmap over the 2^n subset
-    masks: bit a of bitmap(c) says whether subset a belongs to class c.
-    Interior, closure and semi-closure tables are kept because sweep
-    clients need them alongside the flags.
+    Per class, one int bitmap over the 2^n subset masks: bit a of
+    bitmap(c) says whether subset a is in class c.  The per-subset
+    interior, closure and semi-closure tables are built on first read.
     """
 
-    __slots__ = ("topology", "interior_table", "closure_table",
-                 "semi_closure_table", "_bitmaps")
-
-    def __init__(self, topology, interior_table, closure_table,
-                 semi_closure_table, bitmaps):
+    def __init__(self, topology, planes, bitmaps):
         self.topology = topology
-        self.interior_table = interior_table
-        self.closure_table = closure_table
-        self.semi_closure_table = semi_closure_table
+        self._planes = planes
         self._bitmaps = bitmaps
 
     def contains(self, a: SubsetMask, cls: SetClass) -> bool:
@@ -284,23 +279,46 @@ class ClassTable:
 
     def family(self, cls: SetClass):
         """Masks in the class, numerically ascending."""
-        bitmap = self._bitmaps[cls]
-        return [a for a in self.topology.subsets() if bitmap >> a & 1]
+        bits = bin(self._bitmaps[cls])[:1:-1]
+        return [a for a, bit in enumerate(bits) if bit == "1"]
 
     def family_bitmap(self, cls: SetClass) -> int:
         return self._bitmaps[cls]
 
     def witness(self, a: SubsetMask, cls: SetClass):
-        """The *_witness pair of a in existential class cls, or None."""
-        second = self.family(SECOND_FAMILY[cls])
-        return _intersection_witness(self.topology, a, second)
+        """The *_witness pair of a in existential class cls, or None.
 
+        u & v = a iff a lies in u and v and v misses u - a, so any pair's u
+        shrinks to the smallest open over a, the first u in numeric order.
+        """
+        t, e = self.topology, self._planes
+        u = reduce(or_, [t.min_nbhd[x] for x in iter_points(a)], 0)
+        v = reduce(and_, [e[y] for y in iter_points(a)]
+                   + [~e[y] for y in iter_points(u ^ a)],
+                   self._bitmaps[SECOND_FAMILY[cls]])
+        return (u, (v & -v).bit_length() - 1) if v else None
 
-def _family_bitmap(masks) -> int:
-    bm = 0
-    for m in masks:
-        bm |= 1 << m
-    return bm
+    @cached_property
+    def interior_table(self):
+        t = self.topology
+        return tuple(interior(t, a) for a in t.subsets())
+
+    @cached_property
+    def closure_table(self):
+        t = self.topology
+        return tuple(closure(t, a) for a in t.subsets())
+
+    @cached_property
+    def semi_closure_table(self):
+        """sCl a, the AND of the semi-closed supersets of a, in O(n 2^n)."""
+        t = self.topology
+        scl = [t.full] * (1 << t.n)
+        for s in self.family(SetClass.SEMI_CLOSED):
+            scl[s] = s
+        for bit in (1 << x for x in range(t.n)):
+            for a in range(len(scl)):
+                scl[a] &= scl[a | bit]
+        return tuple(scl)
 
 
 def check_subset_budget(n: int) -> None:
@@ -314,81 +332,63 @@ def check_subset_budget(n: int) -> None:
 # sweeps read each space's table for a run of consecutive instances only
 @lru_cache(maxsize=8)
 def class_table(t: Topology) -> ClassTable:
-    """Classify all 2^n subsets of t in one sweep with memoized operators.
+    """Classify all 2^n subsets of t with whole-bitmap int operations.
 
-    The n = 0 space degenerates cleanly: its unique subset is empty and
-    full at once and lands in every class.
+    x is in int a iff N(x) = min_nbhd[x] lies in a, and in cl a iff N(x)
+    meets a: so the plane of "x in int a" is the AND of the point planes
+    E_y over N(x), that of "x in cl a" their OR.  A pointwise class is an
+    AND over x of one condition on such planes.  The n = 0 space's one
+    subset is empty and full at once, and in every class.
     """
     check_subset_budget(t.n)
-    size = 1 << t.n
-    full = t.full
-    int_t = [interior(t, a) for a in range(size)]
-    cl_t = [full ^ int_t[full ^ a] for a in range(size)]
+    ones, points = (1 << (1 << t.n)) - 1, range(t.n)
+    # bit a of E_y says whether y is in a: runs of 2^y clear, 2^y set bits
+    e = [ones // ((1 << h) + 1) << h for h in (1 << y for y in points)]
+    nbhd = [list(iter_points(m)) for m in t.min_nbhd]
 
-    open_bm = _family_bitmap(t.opens)
-    closed = [full ^ u for u in t.opens]
-    closed_bm = _family_bitmap(closed)
+    def fold(op, planes):
+        return [reduce(op, [planes[y] for y in ys]) for ys in nbhd]
 
-    semi_closed = [a for a in range(size) if int_t[cl_t[a]] & ~a == 0]
-    semi_open = [a for a in range(size) if a & ~cl_t[int_t[a]] == 0]
-    semi_open_bm = _family_bitmap(semi_open)
-    semi_regular = [a for a in semi_closed if semi_open_bm >> a & 1]
-    regular_closed = [a for a in range(size) if a == cl_t[int_t[a]]]
+    # x in int a, cl a, int cl a, cl int a, cl int cl a, int cl int a
+    i, c = fold(and_, e), fold(or_, e)
+    ic, ci = fold(and_, c), fold(or_, i)
+    cic, ici = fold(or_, ic), fold(and_, ci)
 
-    # sCl a, the AND of the semi-closed supersets of a, folded point by point
-    scl_t = [full] * size
-    for s in semi_closed:
-        scl_t[s] = s
-    for x in range(t.n):
-        bit = 1 << x
-        for a in range(size):
-            if not a & bit:
-                scl_t[a] &= scl_t[a | bit]
+    def every(cond):
+        return reduce(and_, map(cond, points), ones)
 
     bitmaps = {
-        SetClass.OPEN: open_bm,
-        SetClass.CLOSED: closed_bm,
-        SetClass.CLOPEN: open_bm & closed_bm,
-        SetClass.DENSE: _family_bitmap(
-            a for a in range(size) if cl_t[a] == full
-        ),
-        SetClass.REGULAR_OPEN: _family_bitmap(
-            a for a in range(size) if a == int_t[cl_t[a]]
-        ),
-        SetClass.REGULAR_CLOSED: _family_bitmap(regular_closed),
-        SetClass.SEMI_OPEN: semi_open_bm,
-        SetClass.SEMI_CLOSED: _family_bitmap(semi_closed),
-        SetClass.SEMI_REGULAR: _family_bitmap(semi_regular),
-        SetClass.PREOPEN: _family_bitmap(
-            a for a in range(size) if a & ~int_t[cl_t[a]] == 0
-        ),
-        SetClass.PRECLOSED: _family_bitmap(
-            a for a in range(size) if cl_t[int_t[a]] & ~a == 0
-        ),
-        SetClass.BETA_OPEN: _family_bitmap(
-            a for a in range(size) if a & ~cl_t[int_t[cl_t[a]]] == 0
-        ),
-        SetClass.BETA_CLOSED: _family_bitmap(
-            a for a in range(size) if int_t[cl_t[int_t[a]]] & ~a == 0
-        ),
-        SetClass.IC_SET: _family_bitmap(
-            a for a in range(size) if a & cl_t[int_t[a]] & ~int_t[a] == 0
-        ),
-        SetClass.T_SET: _family_bitmap(
-            a for a in range(size) if int_t[a] == int_t[cl_t[a]]
-        ),
+        SetClass.OPEN: every(lambda x: ~e[x] | i[x]),
+        SetClass.CLOSED: every(lambda x: ~c[x] | e[x]),
+        SetClass.CLOPEN: every(lambda x: (~e[x] | i[x]) & (~c[x] | e[x])),
+        SetClass.DENSE: every(lambda x: c[x]),
+        SetClass.REGULAR_OPEN: every(lambda x: ~(e[x] ^ ic[x])),
+        SetClass.REGULAR_CLOSED: every(lambda x: ~(e[x] ^ ci[x])),
+        SetClass.SEMI_OPEN: every(lambda x: ~e[x] | ci[x]),
+        SetClass.SEMI_CLOSED: every(lambda x: ~ic[x] | e[x]),
+        SetClass.SEMI_REGULAR: every(
+            lambda x: (~e[x] | ci[x]) & (~ic[x] | e[x])),
+        SetClass.PREOPEN: every(lambda x: ~e[x] | ic[x]),
+        SetClass.PRECLOSED: every(lambda x: ~ci[x] | e[x]),
+        SetClass.BETA_OPEN: every(lambda x: ~e[x] | cic[x]),
+        SetClass.BETA_CLOSED: every(lambda x: ~ici[x] | e[x]),
+        SetClass.IC_SET: every(lambda x: ~(e[x] & ci[x] & ~i[x])),
+        SetClass.T_SET: every(lambda x: ~(i[x] ^ ic[x])),
     }
-    # the members of each second family, for the existential classes
-    members = {
-        SetClass.CLOSED: closed,
-        SetClass.REGULAR_CLOSED: regular_closed,
-        SetClass.SEMI_CLOSED: semi_closed,
-        SetClass.SEMI_REGULAR: semi_regular,
-    }
+    # An existential class ORs its second family projected onto each open
+    # u: off[s] drops the points y of s = full - u, moving the members
+    # holding y down by 2^y, from off[s less its highest point].
+    closed = [t.full ^ u for u in t.opens]
+    steps = sorted({s & ((2 << y) - 1)
+                    for s in closed for y in points if s >> y & 1})
     for cls, second in SECOND_FAMILY.items():
-        family = members[second]
-        bitmaps[cls] = _family_bitmap({u & v for u in t.opens for v in family})
-    return ClassTable(t, tuple(int_t), tuple(cl_t), tuple(scl_t), bitmaps)
+        off = {0: bitmaps[second]}
+        for s in steps:
+            y = s.bit_length() - 1
+            g = off[s ^ 1 << y]
+            off[s] = (g & ~e[y]) | ((g & e[y]) >> (1 << y))
+        bitmaps[cls] = reduce(or_, [off[s] for s in closed])
+    return ClassTable(t, e, bitmaps)
 
 
 # single-subset dispatch: the oracles class_table is checked against

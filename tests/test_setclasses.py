@@ -8,10 +8,13 @@ from fintopo import (
     GroundSetTooLarge,
     SetClass,
     class_table,
+    closure,
     enumerate_topologies,
+    interior,
     is_in_class,
     semi_closure,
     semi_closure_closed_form,
+    setclasses,
 )
 from fintopo.setclasses import (
     PREDICATES,
@@ -180,13 +183,71 @@ def test_dual_routes_agree_exhaustively():
 
 
 def test_class_table_matches_predicates_exhaustively():
-    for t in all_small_topologies(3):
+    for t in all_small_topologies(4):
         table = class_table(t)
         for a in t.subsets():
             for cls in SetClass:
                 assert table.contains(a, cls) == PREDICATES[cls](t, a), (
                     t, a, cls,
                 )
+
+
+def _random_spaces():
+    # one seeded space per size from 8 to 12 points; sparse seed rows keep
+    # the closed preorder away from indiscrete
+    rng = random.Random(2718)
+    return [
+        random_preorder_topology([
+            rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+            for _ in range(n)
+        ])
+        for n in range(8, 13)
+    ]
+
+
+def _existential_sample(rng, t):
+    """A random subset and three sets built to lie in existential classes."""
+    u = rng.choice(t.opens)
+    return [
+        rng.getrandbits(t.n),
+        u & (t.full ^ rng.choice(t.opens)),
+        u & closure(t, interior(t, rng.getrandbits(t.n))),
+        u & (rng.getrandbits(t.n) | interior(t, closure(t, u))),
+    ]
+
+
+def test_class_table_matches_predicates_on_random_spaces():
+    # every subset for the pointwise classes; the existential predicates
+    # scan 2^n subsets per call, so they get a seeded sample
+    rng = random.Random(99)
+    members = 0
+    for t in _random_spaces():
+        table = class_table(t)
+        for a in t.subsets():
+            for cls in SetClass:
+                if cls not in SECOND_FAMILY:
+                    assert table.contains(a, cls) == PREDICATES[cls](t, a), (
+                        t, a, cls,
+                    )
+        for a in _existential_sample(rng, t):
+            for cls in SECOND_FAMILY:
+                got = table.contains(a, cls)
+                assert got == PREDICATES[cls](t, a), (t, a, cls)
+                members += got
+    assert members > 20
+
+
+def test_class_table_witness_matches_scans_on_random_spaces():
+    rng = random.Random(99)
+    pairs = 0
+    for t in _random_spaces():
+        table = class_table(t)
+        for a in _existential_sample(rng, t):
+            for cls, scan in WITNESS_FUNCTIONS.items():
+                pair = scan(t, a)
+                assert table.witness(a, cls) == pair, (t, a, cls)
+                pairs += pair is not None
+    assert pairs > 20
 
 
 def test_class_table_witness_matches_definitional_scans():
@@ -200,8 +261,6 @@ def test_class_table_witness_matches_definitional_scans():
 
 
 def test_class_table_interior_closure_and_scl_tables():
-    from fintopo import closure, interior
-
     t = four_point_space()
     table = class_table(t)
     for a in t.subsets():
@@ -247,3 +306,34 @@ def test_semi_closure_table_matches_definition():
             assert scl[a] == semi_closure(t, a), (t, a)
             moved += scl[a] != a
     assert moved > 1000
+
+
+def test_class_table_answers_without_interior(monkeypatch):
+    # The bitmaps and witnesses come from point planes alone.  The
+    # per-subset tables are built on first read, after the patch is gone.
+    rng = random.Random(1212)
+    t = random_preorder_topology(
+        [rng.getrandbits(12) & rng.getrandbits(12) for _ in range(12)]
+    )
+
+    def refuse(*args):
+        raise AssertionError("interior called")
+
+    monkeypatch.setattr(setclasses, "interior", refuse)
+    class_table.cache_clear()
+    table = class_table(t)
+    assert table.family(SetClass.OPEN) == sorted(t.opens)
+    for cls in SetClass:
+        family = table.family(cls)
+        assert family == [a for a in t.subsets() if table.contains(a, cls)]
+        if cls in SECOND_FAMILY:
+            for a in family[::max(1, len(family) // 8)]:
+                u, v = table.witness(a, cls)
+                assert t.is_open(u) and u & v == a
+                assert table.contains(v, SECOND_FAMILY[cls])
+    monkeypatch.undo()
+    assert table.interior_table == tuple(interior(t, a) for a in t.subsets())
+    assert table.closure_table == tuple(closure(t, a) for a in t.subsets())
+    scl = table.semi_closure_table
+    for a in rng.sample(range(1 << t.n), 8):
+        assert scl[a] == semi_closure(t, a), a
