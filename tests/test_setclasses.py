@@ -206,7 +206,8 @@ def _random_spaces():
 
 
 def _existential_sample(rng, t):
-    """A random subset and three sets built to lie in existential classes."""
+    """A random subset, a locally closed set, an A-set and one more meet
+    of an open."""
     u = rng.choice(t.opens)
     return [
         rng.getrandbits(t.n),
@@ -312,9 +313,11 @@ def test_class_table_answers_without_interior(monkeypatch):
     # The bitmaps and witnesses come from point planes alone.  The
     # per-subset tables are built on first read, after the patch is gone.
     rng = random.Random(1212)
-    t = random_preorder_topology(
-        [rng.getrandbits(12) & rng.getrandbits(12) for _ in range(12)]
-    )
+    t = random_preorder_topology([
+        rng.getrandbits(12) & rng.getrandbits(12) & rng.getrandbits(12)
+        for _ in range(12)
+    ])
+    assert len(t.opens) > 40
 
     def refuse(*args):
         raise AssertionError("interior called")
