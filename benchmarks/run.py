@@ -23,10 +23,11 @@ src/ tree, and the median and interquartile range of REPEATS runs:
 - layers: class_table and space_profile over the spaces the set/space
   sweep visits at max_n=5 (every labeled space, or one per isomorphism
   class where the checkout has enumerate_isomorphism_classes), that
-  class generator per n, and class_table_classify: what classify-set
-  asks of one space, a fresh class_table plus one witness per
-  existential class, over fixed seeded random spaces on 8, 11 and 12
-  points (per size, the median is for all of its spaces together).
+  class generator per n up to 7 (with max_spaces raised to 10,000,000,
+  since the default budget refuses n=7), and class_table_classify: what
+  classify-set asks of one space, a fresh class_table plus one witness
+  per existential class, over fixed seeded random spaces on 8, 11 and
+  12 points (per size, the median is for all of its spaces together).
 
 Every end-to-end run starts with an empty class_table cache.  Nothing
 under perfbench/ is read or written.
@@ -67,7 +68,7 @@ MAP_REGISTRY_N4 = EnumerationBudget(max_n=4, max_maps=33_827_652)
 MAP_REGISTRY_N5 = EnumerationBudget(max_n=5, max_maps=154_771_368_636)
 # 216,859 spaces fit max_spaces, but their maps exceed max_maps
 MAP_REFUSED_N6 = EnumerationBudget(max_n=6)
-GENERATOR_MAX_N = 6
+GENERATOR_MAX_N = 7
 # classify-set's spaces: CLASSIFY_SPACES seeded random spaces per size
 CLASSIFY_SIZES = (8, 11, 12)
 CLASSIFY_SPACES = 4
@@ -206,8 +207,8 @@ def layers():
     classes = getattr(enumeration, "enumerate_isomorphism_classes", None)
     if classes is not None:
         out["class_generator"] = {
-            str(n): _timed(
-                lambda n=n: classes(n, EnumerationBudget(max_n=n)))
+            str(n): _timed(lambda n=n: classes(n, EnumerationBudget(
+                max_n=n, max_spaces=10_000_000)))
             for n in range(GENERATOR_MAX_N + 1)
         }
     rng = random.Random(CLASSIFY_SEED)

@@ -1,24 +1,23 @@
 """Exhaustive enumeration of all topologies on n labeled points.
 
 Main path: finite topologies correspond exactly to preorders (Stong,
-1966), and their opens are the preorder's up-sets.  Both generators
-grow preorders one point at a time by one step, _extensions: the new
-point goes above a down-set and below an up-set of a preorder on the
-points before it.  Every preorder restricts to exactly one on its
-first n - 1 points, so extending every labeled preorder of size n - 1
-gives each labeled one of size n once.  Two independent routes exist
-for cross-checks: a naive filter over all candidate open-set families
-(small n ground truth) and a vectorized transitive-relation counter.
+1966), and their opens are the preorder's up-sets.  One generator,
+_class_levels, grows preorders one point at a time by one step,
+_extensions: the new point goes above a down-set and below an up-set of
+a preorder on the points before it.  It extends one representative per
+homeomorphism class and removes isomorphic copies by a brute-force
+canonical form: the simple generate-then-dedup form of McKay,
+"Isomorph-free exhaustive generation" (J. Algorithms 26, 1998).  The
+class counts are those of Brinkmann & McKay, "Counting unlabelled
+topologies and transitive relations" (J. Integer Seq. 8, 2005).
 
-enumerate_isomorphism_classes gives one topology per homeomorphism
-class instead, with the number of labeled topologies in its class, and
-count_topologies sums those numbers rather than walk the labeled
-preorders.  The class generator extends one representative per class
-and removes isomorphic copies by a brute-force canonical form: the
-simple generate-then-dedup form of McKay, "Isomorph-free exhaustive
-generation" (J. Algorithms 26, 1998).  The class counts are those of
-Brinkmann & McKay, "Counting unlabelled topologies and transitive
-relations" (J. Integer Seq. 8, 2005).
+Every entry point reads those classes.  enumerate_isomorphism_classes
+gives them with the number of labeled topologies in each class, and
+count_topologies sums those numbers.  enumerate_topologies lists the
+labeled members of every class, relabeled through one table per size
+(_relabelings), in canonical order.  Two independent routes exist for
+cross-checks: a naive filter over all candidate open-set families
+(small n ground truth) and a vectorized transitive-relation counter.
 """
 
 from dataclasses import dataclass
@@ -110,22 +109,23 @@ def enumerate_topologies(n: int, budget: EnumerationBudget | None = None):
     Canonical order sorts by the opens list (count first, then the
     numeric tuple), so the stream is reproducible across runs and
     backends.  Without a budget, n is capped at MAX_ENUMERATION_N.  The
-    budget is checked on the call, before any work.  The stream is not
-    lazy: every preorder is generated and its canonical key sorted before
-    the first topology is yielded, so memory grows with the count.  Only
-    the keys (opens and rows as int tuples) and the rows of size n - 1
-    are held; each Topology is built when it is yielded.
+    budget is checked on the call, before any work.  The stream lists the
+    orbit of every isomorphism class on n points (see _orbit).  It is not
+    lazy: every canonical key is built and sorted before the first
+    topology is yielded, so memory grows with the count.  Only the keys
+    (opens and rows as int tuples) are held while yielding; each
+    Topology is built when it is yielded.
     """
     budget = _checked_budget(n, budget)
     return _canonical_stream(n, budget)
 
 
 def _canonical_stream(n: int, budget: EnumerationBudget):
-    keys = []
-    for rows in _level(_labeled_levels(budget), n, budget):
-        Preorder(rows).validate()
-        opens = up_sets(rows)
-        keys.append((len(opens), opens, rows))
+    classes = _level(_class_levels(budget), n, budget)
+    tables = _relabelings(n)
+    keys = [(len(opens), opens, rows) for t, _ in classes
+            for rows, opens in _orbit(t, tables).items()]
+    del tables
     # (count, opens) is the canonical key and unique, so rows never decide
     keys.sort()
     for _, opens, rows in keys:
@@ -133,22 +133,47 @@ def _canonical_stream(n: int, budget: EnumerationBudget):
         yield Topology(n, opens, rows)
 
 
-def _relabel(mask: int, pos) -> int:
-    """The image of mask when point x is renamed pos[x]."""
-    out = 0
-    for x in iter_points(mask):
-        out |= 1 << pos[x]
-    return out
+def _relabelings(n: int):
+    """{seq: image} for each of the n! orders seq of the points 0..n-1.
+
+    Relabeling by seq gives the old point seq[k] the label k, and
+    image[m] is the relabeled mask m, for every m < 2^n.  The table
+    holds n!·2^n ints (645,120 at n = 7), so it is built for one size
+    and dropped with it.
+    """
+    tables = {}
+    for seq in permutations(range(n)):
+        image = [0]
+        for x in range(n):
+            # the masks over points 0..x: without x, then with x
+            bit = 1 << seq.index(x)
+            image += [m | bit for m in image]
+        tables[seq] = image
+    return tables
 
 
-def _canonical(rows):
+def _orbit(t: Topology, tables):
+    """The labeled members of t's class, {rows: opens}.
+
+    tables is _relabelings(t.n).  The orders that differ by an
+    automorphism of t give the same rows, which are kept once.
+    """
+    members = {}
+    for seq, image in tables.items():
+        rows = tuple([image[t.min_nbhd[x]] for x in seq])
+        if rows not in members:
+            members[rows] = _sorted_opens([image[u] for u in t.opens])
+    return members
+
+
+def _canonical(rows, tables):
     """The least relabeling of a preorder's rows, and how many give it.
 
     Every isomorphism keeps each point's (row size, column size), so the
-    points are ordered by that pair and only the permutations inside
-    blocks of equal pairs are tried.  Those that reach the least row
-    tuple form one coset of the automorphism group, so their number is
-    its order.
+    points are ordered by that pair and only the orders that permute
+    points inside blocks of equal pairs are read from tables, the
+    _relabelings of the size.  Those that reach the least row tuple form
+    one coset of the automorphism group, so their number is its order.
     """
     n = len(rows)
     cols = [0] * n
@@ -160,12 +185,9 @@ def _canonical(rows):
     blocks = [list(b) for _, b in groupby(order, key=invariant.__getitem__)]
     best, automorphisms = None, 0
     for choice in product(*map(permutations, blocks)):
-        # position k gets the old point seq[k]
-        seq = [x for block in choice for x in block]
-        pos = [0] * n
-        for k, x in enumerate(seq):
-            pos[x] = k
-        form = tuple(_relabel(rows[x], pos) for x in seq)
+        seq = tuple(chain.from_iterable(choice))
+        image = tables[seq]
+        form = tuple([image[rows[x]] for x in seq])
         if best is None or form < best:
             best, automorphisms = form, 1
         elif form == best:
@@ -195,36 +217,12 @@ def _extensions(rows):
                 yield lowered + (new | u,)
 
 
-def _labeled_levels(budget: EnumerationBudget):
-    """Per size n = 0..budget.max_n, the rows of every preorder on n points.
-
-    Every preorder on n points restricts to exactly one preorder on its
-    first n - 1 points, so extending each preorder of size n - 1 gives
-    every one of size n once, with no deduplication.  A size is streamed
-    as it is extended, and held as a list only once the next size is
-    asked for.  It raises BudgetExceeded at its (max_spaces + 1)-th
-    preorder.
-    """
-    level = [()]
-    for n in range(budget.max_n + 1):
-        if n:
-            level = _capped(chain.from_iterable(map(_extensions, level)),
-                            n, budget)
-        yield level
-        level = list(level)
-
-
-def _capped(stream, n: int, budget: EnumerationBudget):
-    for count, rows in enumerate(stream, 1):
-        if count > budget.max_spaces:
-            raise _refusal(n, budget)
-        yield rows
-
-
 def _class_levels(budget: EnumerationBudget):
     """Per size n = 0..budget.max_n, one (topology, orbit size) per class.
 
-    Size n is built from the classes of size n - 1.  It raises
+    Size n is built from the classes of size n - 1, and every
+    representative passes Preorder.validate(); a relabeling of a valid
+    preorder is valid, so no other preorder is validated.  It raises
     BudgetExceeded once the orbit sizes at one size sum past max_spaces,
     so a size is refused iff it has more than max_spaces labeled
     topologies, and no later size is built.
@@ -240,11 +238,12 @@ def _class_levels(budget: EnumerationBudget):
 
 
 def _next_level(level, n: int, budget: EnumerationBudget):
+    tables = _relabelings(n)
     found = {}
     labeled = 0
     for rows in level:
         for extended in _extensions(rows):
-            form, automorphisms = _canonical(extended)
+            form, automorphisms = _canonical(extended, tables)
             if form in found:
                 continue
             found[form] = orbit = factorial(n) // automorphisms
@@ -274,23 +273,17 @@ def first_in_orbits(topologies) -> Topology:
     """The labeled topology first in canonical order among every
     relabeling of the given topologies (all on the same n points).
 
-    The number of opens is kept by relabeling, so only the topologies
-    with the fewest opens are tried, each over all n! permutations.
+    The number of opens is kept by relabeling, so only the orbits of the
+    topologies with the fewest opens are listed.
     """
     fewest = min(len(t.opens) for t in topologies)
-    best = None
-    for t in topologies:
-        if len(t.opens) != fewest:
-            continue
-        for pos in permutations(range(t.n)):
-            opens = _sorted_opens(_relabel(u, pos) for u in t.opens)
-            if best is None or opens < best[0]:
-                best = opens, pos, t
-    opens, pos, t = best
-    nbhd = [0] * t.n
-    for x, row in enumerate(t.min_nbhd):
-        nbhd[pos[x]] = _relabel(row, pos)
-    return Topology(t.n, opens, nbhd)
+    n = topologies[0].n
+    tables = _relabelings(n)
+    opens, rows = min(
+        (opens, rows) for t in topologies if len(t.opens) == fewest
+        for rows, opens in _orbit(t, tables).items()
+    )
+    return Topology(n, opens, rows)
 
 
 def enumerate_topologies_naive(n: int, budget: EnumerationBudget | None = None):

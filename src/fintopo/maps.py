@@ -13,7 +13,8 @@ from enum import Enum
 from itertools import product
 
 from .errors import BudgetExceeded
-from .setclasses import SetClass, class_table, is_in_class, semi_closure
+from .setclasses import (SetClass, check_subset_budget, class_table,
+                         is_in_class, semi_closure)
 from .space import SubsetMask, Topology
 
 DEFAULT_MAP_BUDGET = 1 << 22
@@ -192,13 +193,21 @@ def _open_bits(pre, opens, facts) -> int:
 
 
 def _fact_word(f: SpaceMap, facts) -> int:
-    """The _CLASS_BIT of every continuity class f has, and _SCL_OK."""
+    """The _CLASS_BIT of every continuity class f has, and _SCL_OK.
+
+    The preimages of all 2^n subsets of the codomain are listed, so a
+    codomain too large for a per-subset scan is refused first.
+    """
+    check_subset_budget(f.codomain.n)
     pre, word = _partition_facts(f.assignment, f.codomain.n, facts)
     return word | _open_bits(pre, f.codomain.opens, facts)
 
 
 def continuity_profile(f: SpaceMap):
-    """Verdict for every continuity class, in declaration order."""
+    """Verdict for every continuity class, in declaration order.
+
+    Either side over 12 points raises GroundSetTooLarge.
+    """
     word = _fact_word(f, _domain_facts(f.domain))
     return {cc: word & bit != 0 for cc, bit in _CLASS_BIT.items()}
 

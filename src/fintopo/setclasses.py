@@ -263,7 +263,7 @@ class ClassTable:
 
     Per class, one int bitmap over the 2^n subset masks: bit a of
     bitmap(c) says whether subset a is in class c.  The per-subset
-    interior, closure and semi-closure tables are built on first read.
+    closure and semi-closure tables are built on first read.
     """
 
     def __init__(self, topology, planes, bitmaps):
@@ -273,9 +273,6 @@ class ClassTable:
 
     def contains(self, a: SubsetMask, cls: SetClass) -> bool:
         return bool(self._bitmaps[cls] >> a & 1)
-
-    def classes_of(self, a: SubsetMask):
-        return [c for c in SetClass if self.contains(a, c)]
 
     def family(self, cls: SetClass):
         """Masks in the class, numerically ascending."""
@@ -297,11 +294,6 @@ class ClassTable:
                    + [~e[y] for y in iter_points(u ^ a)],
                    self._bitmaps[SECOND_FAMILY[cls]])
         return (u, (v & -v).bit_length() - 1) if v else None
-
-    @cached_property
-    def interior_table(self):
-        t = self.topology
-        return tuple(interior(t, a) for a in t.subsets())
 
     @cached_property
     def closure_table(self):

@@ -887,12 +887,12 @@ def _decode_witness(doc):
         raise DocumentError("witness document needs a 'proposition' string")
     pid, polarity = doc["proposition"], doc.get("polarity")
     if "map" in doc:
-        f, _, _ = decode_map(doc["map"])
+        f, _, _ = decode_map(doc["map"], per_subset=True)
         return Witness(pid, polarity, f.domain, codomain=f.codomain,
                        assignment=f.assignment)
     if "space" not in doc:
         raise DocumentError("witness document needs 'map' or 'space'")
-    t, points = decode_space(doc["space"])
+    t, points = decode_space(doc["space"], per_subset=True)
     subset = None
     if "subset" in doc:
         if not isinstance(doc["subset"], list):
@@ -933,6 +933,8 @@ def replay_witness(doc) -> bool:
     an existential example, False for a counterexample.  A malformed
     document, or a witness of the wrong shape or polarity for its
     proposition, raises DocumentError; an unknown id raises KeyError.
+    A space, domain or codomain over 12 points raises GroundSetTooLarge
+    (a document before its opens are read): replay scans every subset.
     """
     w = doc if isinstance(doc, Witness) else _decode_witness(doc)
     if w.polarity not in (EXAMPLE, COUNTEREXAMPLE):

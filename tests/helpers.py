@@ -1,5 +1,9 @@
 """Shared fixture spaces, definitional oracles and a stand-in process pool.
 
+labeled_topologies is the labeled preorder walk, the independent oracle
+for the class generator that enumerate_topologies and every sweep read;
+the labeled_* traversals below are built on it.
+
 Points are indexed a=bit0, b=bit1, c=bit2, d=bit3, so subset literals
 below read right to left.
 """
@@ -8,22 +12,24 @@ import math
 import os
 from dataclasses import replace
 from functools import cache, partial
-from itertools import islice, permutations, product
+from itertools import chain, islice, permutations, product
 from multiprocessing import Pool
 
 from fintopo import (
     BudgetExceeded,
+    EnumerationBudget,
     Preorder,
+    Topology,
     build_topology,
     class_table,
     enumerate_maps,
-    enumerate_topologies,
     space_profile,
     theorems,
     topology_from_preorder,
 )
+from fintopo.enumeration import _extensions
 from fintopo.maps import _domain_facts, _fact_word
-from fintopo.space import iter_points
+from fintopo.space import iter_points, up_sets
 
 
 def four_point_space():
@@ -102,6 +108,35 @@ def preorders_by_brute_force(n):
     return sorted(found)
 
 
+def labeled_topologies(n, budget=EnumerationBudget()):
+    """Every labeled topology on n points, in canonical order, by the
+    labeled preorder walk: oracle for enumerate_topologies.
+
+    Every preorder on m points restricts to exactly one on its first
+    m - 1 points, so extending every labeled preorder of size m - 1 by
+    enumeration._extensions gives each one of size m once, with no
+    deduplication.  Each preorder on n points is validated.  Like
+    enumerate_topologies, n is refused (at the first next()) when some
+    size up to n has more than max_spaces preorders; the walk stops at
+    the (max_spaces + 1)-th.
+    """
+    level = [()]
+    for _ in range(n):
+        grown = chain.from_iterable(map(_extensions, level))
+        level = list(islice(grown, budget.max_spaces + 1))
+        if len(level) > budget.max_spaces:
+            raise BudgetExceeded(
+                f"more than {budget.max_spaces} topologies at n={n}")
+    keys = []
+    for rows in level:
+        Preorder(rows).validate()
+        opens = up_sets(rows)
+        keys.append((len(opens), opens, rows))
+    keys.sort()
+    for _, opens, rows in keys:
+        yield Topology(n, opens, rows)
+
+
 class FakePool:
     """Stands in for multiprocessing.Pool and starts no process.
 
@@ -136,7 +171,7 @@ def labeled_sweep_spaces(props, budget):
     exhausted = False
     try:
         for n in range(budget.max_n + 1):
-            for t in enumerate_topologies(n, budget):
+            for t in labeled_topologies(n, budget):
                 table = class_table(t)
                 profile = cache(partial(space_profile, t))
                 spaces += 1
@@ -187,10 +222,9 @@ def canonical_rows_by_brute_force(rows):
 def labeled_preorder_count(n, budget):
     """The labeled count, oracle for enumeration.count_topologies.
 
-    Counts the labeled stream of enumerate_topologies, which extends and
-    validates every preorder on n points, under the same budget.
+    Counts the labeled preorder walk under the same budget.
     """
-    return sum(1 for _ in enumerate_topologies(n, budget))
+    return sum(1 for _ in labeled_topologies(n, budget))
 
 
 def labeled_trace_table(codomain_n):
@@ -206,7 +240,7 @@ def labeled_trace_table(codomain_n):
         low = (1 << k) - 1
         counts = {}
         for ny in range(k, codomain_n + 1):
-            for ty in enumerate_topologies(ny):
+            for ty in labeled_topologies(ny):
                 trace = frozenset(v & low for v in ty.opens)
                 counts.setdefault(trace, [0] * (codomain_n + 1))
                 counts[trace][ny] += math.perm(ny, k)
@@ -254,7 +288,7 @@ def labeled_map_histogram(budget, parallel=False, workers=None):
     parallel runs the pairs on a Pool."""
     top = max(budget.max_n, budget.codomain_n)
     both_sides = replace(budget, max_n=top)
-    topos = [list(enumerate_topologies(n, both_sides))
+    topos = [list(labeled_topologies(n, both_sides))
              for n in range(top + 1)]
     sizes = list(product(range(budget.max_n + 1),
                          range(budget.codomain_n + 1)))

@@ -25,9 +25,11 @@ from fintopo import (
 )
 from fintopo import enumeration
 
+import helpers
 from helpers import (
     canonical_rows_by_brute_force,
     labeled_preorder_count,
+    labeled_topologies,
     preorders_by_brute_force,
     up_sets_by_scan,
 )
@@ -176,34 +178,60 @@ def test_n5_canonical_stream_pinned():
     assert _stream_sha256(5) == N5_STREAM_SHA256
 
 
-def test_validate_runs_on_every_preorder_and_budget_counts_match(
-    monkeypatch,
-):
-    validated = []
-
+def _counted_preorder(validated):
     class CountedPreorder(Preorder):
         def validate(self):
             validated.append(self.rows)
             super().validate()
+    return CountedPreorder
 
-    monkeypatch.setattr(enumeration, "Preorder", CountedPreorder)
+
+def test_validate_runs_on_every_representative_and_budget_counts_match(
+    monkeypatch,
+):
+    # the labeled walk validates every four-point preorder; the class
+    # generator validates only its representatives on up to four points,
+    # since a relabeling of a valid preorder is valid
+    walked, generated = [], []
+    monkeypatch.setattr(helpers, "Preorder", _counted_preorder(walked))
+    monkeypatch.setattr(enumeration, "Preorder", _counted_preorder(generated))
+    assert len(list(labeled_topologies(4))) == 355
+    assert len(walked) == 355
     assert len(list(enumerate_topologies(4))) == 355
-    assert len(validated) == 355
-    # only the preorders of the requested size are validated, and a size
-    # raises at its (max_spaces + 1)-th preorder, before validating it:
-    # at cap 1 the two-point size is refused before any four-point
-    # preorder exists
-    for cap, checked in ((1, 0), (100, 100), (354, 354)):
+    assert len(generated) == sum(CLASS_COUNTS[:5]) == 47
+    # a size is refused at its (max_spaces + 1)-th labeled topology,
+    # before any of its preorders is validated: at cap 1 the two-point
+    # size is refused, at 100 and 354 the four-point one
+    for cap, below in ((1, 2), (100, 14), (354, 14)):
         budget = EnumerationBudget(max_n=4, max_spaces=cap)
-        validated.clear()
+        walked.clear()
+        generated.clear()
+        with pytest.raises(BudgetExceeded, match="at n=4$"):
+            list(labeled_topologies(4, budget))
         with pytest.raises(BudgetExceeded, match="at n=4$"):
             list(enumerate_topologies(4, budget))
-        assert len(validated) == checked
+        assert walked == []
+        assert len(generated) == below
         with pytest.raises(BudgetExceeded, match="at n=4$"):
             count_topologies(4, budget)
     budget = EnumerationBudget(max_n=4, max_spaces=355)
     assert count_topologies(4, budget) == 355
     assert len(list(enumerate_topologies(4, budget))) == 355
+    assert len(list(labeled_topologies(4, budget))) == 355
+
+
+def test_stream_equals_the_labeled_walk_and_orbits_have_their_size():
+    # enumerate_topologies expands the class generator's orbits; the
+    # labeled walk reaches every labeled topology without them
+    for n in range(6):
+        budget = EnumerationBudget(max_n=n)
+        got = list(enumerate_topologies(n, budget))
+        walked = list(labeled_topologies(n, budget))
+        assert got == walked
+        assert [t.min_nbhd for t in got] == [t.min_nbhd for t in walked]
+        tables = enumeration._relabelings(n)
+        for t, orbit in enumerate_isomorphism_classes(n, budget):
+            assert len(enumeration._orbit(t, tables)) == orbit
 
 
 def test_refusal_names_the_requested_size():
@@ -304,13 +332,7 @@ def test_class_counts_and_orbit_sums_n7():
 
 def test_representatives_are_valid_topologies(monkeypatch):
     validated = []
-
-    class CountedPreorder(Preorder):
-        def validate(self):
-            validated.append(self.rows)
-            super().validate()
-
-    monkeypatch.setattr(enumeration, "Preorder", CountedPreorder)
+    monkeypatch.setattr(enumeration, "Preorder", _counted_preorder(validated))
     for n in range(7):
         validated.clear()
         budget = EnumerationBudget(max_n=n)
@@ -323,7 +345,7 @@ def test_representatives_are_valid_topologies(monkeypatch):
 def _orbits_by_brute_force(n):
     """Every labeled topology on n points, grouped by canonical rows."""
     orbits = defaultdict(list)
-    for t in enumerate_topologies(n, EnumerationBudget(max_n=n)):
+    for t in labeled_topologies(n, EnumerationBudget(max_n=n)):
         orbits[canonical_rows_by_brute_force(t.min_nbhd)].append(t)
     return orbits
 
@@ -349,7 +371,7 @@ def test_first_in_orbits_is_the_least_labeled_member():
         for t, _ in classes:
             first = enumeration.first_in_orbits([t])
             orbit = orbits[canonical_rows_by_brute_force(t.min_nbhd)]
-            # enumerate_topologies gives each orbit in canonical order
+            # the labeled walk gives each orbit in canonical order
             assert first == orbit[0]
             assert first.min_nbhd == orbit[0].min_nbhd
         # over several orbits, the least of their least members

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fintopo"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "fintopo"
 
 
 def _parse(path):
@@ -50,3 +51,32 @@ def test_cli_imports_no_private_names():
         if name.rsplit(".", 1)[-1].startswith("_")
     ]
     assert private == []
+
+
+def _references(tree):
+    """Every name the module reads, as a name, an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+    for _, imported in _imports(tree):
+        yield imported.rsplit(".", 1)[-1]
+
+
+def test_no_unreferenced_private_definitions():
+    # a module-level _name function or class that nothing in src/ or
+    # tests/ reads is left over from code that has gone
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    referenced = set()
+    for path in paths:
+        referenced.update(_references(_parse(path)))
+    unreferenced = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in _parse(path).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and node.name.startswith("_") and node.name not in referenced
+    ]
+    assert unreferenced == []

@@ -6,6 +6,7 @@ from fintopo import (
     CONTINUITY_BINDING,
     BudgetExceeded,
     ContinuityClass,
+    GroundSetTooLarge,
     SetClass,
     SpaceMap,
     continuity_profile,
@@ -93,6 +94,15 @@ def test_continuity_profile_lists_every_class():
     profile = continuity_profile(f)
     assert set(profile) == set(ContinuityClass)
     assert profile[ContinuityClass.CONTINUOUS] is True
+
+
+def test_continuity_profile_refuses_a_thirteen_point_codomain():
+    # the fact word lists the preimage of all 2^n codomain subsets
+    f = SpaceMap(sierpinski(), indiscrete(13), (0, 1))
+    with pytest.raises(GroundSetTooLarge, match=r"2\^13 subsets"):
+        continuity_profile(f)
+    f = SpaceMap(sierpinski(), indiscrete(12), (0, 1))
+    assert continuity_profile(f)[ContinuityClass.CONTINUOUS] is True
 
 
 def test_binding_covers_all_but_strongly_irresolute():

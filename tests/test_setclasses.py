@@ -265,7 +265,8 @@ def test_class_table_interior_closure_and_scl_tables():
     t = four_point_space()
     table = class_table(t)
     for a in t.subsets():
-        assert table.interior_table[a] == interior(t, a)
+        # int a is the complement of the closure of the complement
+        assert interior(t, a) == t.full & ~table.closure_table[t.full & ~a]
         assert table.closure_table[a] == closure(t, a)
         assert table.semi_closure_table[a] == semi_closure(t, a)
 
@@ -278,9 +279,12 @@ def test_family_bitmap_consistency():
 
 
 def test_classes_of_listing():
-    table = class_table(indiscrete(2))
-    assert SetClass.AB_SET in table.classes_of(0b11)
-    assert SetClass.AB_SET not in table.classes_of(0b01)
+    t = indiscrete(2)
+    table = class_table(t)
+    for a in t.subsets():
+        assert {c for c in SetClass if table.contains(a, c)} == classes_of(t, a)
+    assert SetClass.AB_SET in classes_of(t, 0b11)
+    assert SetClass.AB_SET not in classes_of(t, 0b01)
 
 
 def test_class_table_budget_guard():
@@ -335,7 +339,6 @@ def test_class_table_answers_without_interior(monkeypatch):
                 assert t.is_open(u) and u & v == a
                 assert table.contains(v, SECOND_FAMILY[cls])
     monkeypatch.undo()
-    assert table.interior_table == tuple(interior(t, a) for a in t.subsets())
     assert table.closure_table == tuple(closure(t, a) for a in t.subsets())
     scl = table.semi_closure_table
     for a in rng.sample(range(1 << t.n), 8):

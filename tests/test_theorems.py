@@ -14,6 +14,7 @@ from fintopo import (
     ContinuityClass,
     DocumentError,
     EnumerationBudget,
+    GroundSetTooLarge,
     SetClass,
     SpaceMap,
     Witness,
@@ -41,9 +42,11 @@ from helpers import (
     FakePool,
     canonical_rows_by_brute_force,
     four_point_space,
+    indiscrete,
     labeled_map_histogram,
     labeled_sweep_maps,
     labeled_sweep_spaces,
+    labeled_topologies,
     labeled_trace_table,
     sierpinski,
 )
@@ -153,6 +156,16 @@ def test_map_witness_document_shape():
     assert set(doc) == {"proposition", "polarity", "map"}
     assert set(doc["map"]) == {"domain", "codomain", "assignment"}
     assert replay_witness(doc) is True
+
+
+def test_replay_refuses_a_thirteen_point_codomain():
+    # replay lists the preimage of every codomain subset; a document is
+    # refused before its opens are read
+    w = Witness("nonrev-s41-ii", "example-for-existential", sierpinski(),
+                codomain=indiscrete(13), assignment=(0, 1))
+    for replayed in (w, w.to_document()):
+        with pytest.raises(GroundSetTooLarge, match=r"2\^13 subsets"):
+            replay_witness(replayed)
 
 
 def test_find_counterexample_registered_gap():
@@ -645,7 +658,7 @@ def _first_gaps_by_labeled_scan(budget):
     pairs = list(product(SetClass, repeat=2))
     first = {}
     for n in range(budget.max_n + 1):
-        for t in enumerate_topologies(n, budget):
+        for t in labeled_topologies(n, budget):
             table = class_table(t)
             for a, b in pairs:
                 gap = table.family_bitmap(a) & ~table.family_bitmap(b)
@@ -723,7 +736,7 @@ def test_map_sweep_matches_labeled_oracle(monkeypatch, max_n, codomain_max_n):
 
 def _labeled_maps(budget):
     top = max(budget.max_n, budget.codomain_n)
-    sizes = [len(list(enumerate_topologies(n))) for n in range(top + 1)]
+    sizes = [len(list(labeled_topologies(n))) for n in range(top + 1)]
     return sum(
         sizes[nx] * sizes[ny] * ny ** nx
         for nx, ny in product(range(budget.max_n + 1),
