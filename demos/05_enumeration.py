@@ -1,9 +1,9 @@
 """Enumerating every topology on n labeled points.
 
-The enumerator walks preorders (finite topologies in disguise) with
-transitivity pruning and yields the spaces in a canonical order; the
-count builds no space at all.  Two independent oracles confirm the
-counts.
+The enumerator grows one preorder (a finite topology in disguise) per
+homeomorphism class, lists the relabelings of each and yields the
+spaces in a canonical order; the count sums orbit sizes and builds no
+labeled space at all.  Two independent oracles confirm the counts.
 """
 
 import time
