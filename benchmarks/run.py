@@ -11,10 +11,10 @@ The file names the measured checkout's commit and holds the machine
 (cpu count, Python and numpy versions), the line count of the measured
 src/ tree, and the median and interquartile range of REPEATS runs:
 
-- end to end: the 27 set/space propositions at max_n=5, verify_all() at
-  the default budgets sequential and with parallel=True, workers=2,
-  count_topologies(6), list(enumerate_topologies(6)) (the labeled
-  stream), and the 12 map propositions at the default map budget
+- end to end: the 27 set/space propositions at max_n=5 and at max_n=6,
+  verify_all() at the default budgets sequential and with parallel=True,
+  workers=2, count_topologies(6), list(enumerate_topologies(6)) (the
+  labeled stream), and the 12 map propositions at the default map budget
   (max_n=3, 24,907 maps), at max_n=4 (33,827,652 maps, every one
   counted; a checkout that builds each map takes minutes per run), at
   max_n=5 with max_maps raised to 154,771,368,636 (every map counted)
@@ -61,6 +61,7 @@ from fintopo.enumeration import EnumerationBudget
 from fintopo.space import Preorder, iter_points, topology_from_preorder
 
 SETS_MAX_N = 5
+SETS_N6 = EnumerationBudget(max_n=6)
 REPEATS = 5
 # every map between spaces on <= 4 points, and no more
 MAP_REGISTRY_N4 = EnumerationBudget(max_n=4, max_maps=33_827_652)
@@ -179,6 +180,8 @@ def end_to_end():
     return {
         "sets_n5": _timed(
             lambda: theorems.verify_all(set_space, sets_budget), clear),
+        "sets_n6": _timed(
+            lambda: theorems.verify_all(set_space, SETS_N6), clear),
         "verify_all_sequential": _timed(theorems.verify_all, clear),
         "verify_all_parallel_2": _timed(
             lambda: theorems.verify_all(parallel=True, workers=2), clear),

@@ -14,7 +14,7 @@ from itertools import product
 
 from .errors import BudgetExceeded
 from .setclasses import (SetClass, check_subset_budget, class_table,
-                         is_in_class, semi_closure)
+                         is_in_class, semi_closures)
 from .space import SubsetMask, Topology
 
 DEFAULT_MAP_BUDGET = 1 << 22
@@ -126,10 +126,8 @@ def is_strongly_irresolute(f: SpaceMap) -> bool:
 
 def strongly_irresolute_scl(f: SpaceMap) -> bool:
     """f(sCl A) is contained in f(A) for every domain subset A."""
-    return all(
-        image(f, semi_closure(f.domain, a)) & ~image(f, a) == 0
-        for a in f.domain.subsets()
-    )
+    scl = semi_closures(f.domain)
+    return all(image(f, s) & ~image(f, a) == 0 for a, s in enumerate(scl))
 
 
 # bit of each continuity class in a fact word; _SCL_OK marks the image

@@ -141,17 +141,36 @@ def is_ic_set_subspace(t: Topology, a: SubsetMask) -> bool:
     return acc == ia
 
 
+def _point_planes(n: int):
+    """E_y per point y, runs of 2^y clear and 2^y set bits: bit a is y in a."""
+    ones = (1 << (1 << n)) - 1
+    return [ones // ((1 << h) + 1) << h for h in (1 << y for y in range(n))]
+
+
 # ---------------------------------------------------------------------------
 # semi-closure
 
 
+def _superset_meets(n: int, family):
+    """Per subset a of n points, the AND of family's members over a."""
+    meet = [(1 << n) - 1] * (1 << n)
+    for s in family:
+        meet[s] = s
+    for bit in (1 << x for x in range(n)):
+        for a in range(len(meet)):
+            meet[a] &= meet[a | bit]
+    return tuple(meet)
+
+
+def semi_closures(t: Topology):
+    """sCl a for every subset a, over the family is_semi_closed finds."""
+    semi_closed = [s for s in t.subsets() if is_semi_closed(t, s)]
+    return _superset_meets(t.n, semi_closed)
+
+
 def semi_closure(t: Topology, a: SubsetMask) -> SubsetMask:
     """Intersection of all semi-closed supersets of a (the definition)."""
-    acc = t.full
-    for s in t.subsets():
-        if s & a == a and is_semi_closed(t, s):
-            acc &= s
-    return acc
+    return semi_closures(t)[a]
 
 
 def semi_closure_closed_form(t: Topology, a: SubsetMask) -> SubsetMask:
@@ -227,11 +246,19 @@ def b_set_via_semi_closure_witness(t: Topology, a: SubsetMask):
     Single-scan reformulation of the B-set class through the semi-closure;
     exhaustive agreement with is_b_set is a test target.
     """
-    scl = semi_closure(t, a)
-    for u in sorted(t.opens):
-        if u & scl == a:
-            return u
-    return None
+    return _b_set_cuts(t)[a]
+
+
+def _b_set_cuts(t: Topology):
+    """Per subset a, the first open u with a = u & sCl(a), or None."""
+    opens = sorted(t.opens)
+    return [next((u for u in opens if u & s == a), None)
+            for a, s in enumerate(semi_closures(t))]
+
+
+def b_set_via_semi_closure_bitmap(t: Topology) -> int:
+    """Bitmap of the subsets a with a = u & sCl(a) for some open u."""
+    return sum(1 << a for a, u in enumerate(_b_set_cuts(t)) if u is not None)
 
 
 def is_b_set_via_semi_closure(t: Topology, a: SubsetMask) -> bool:
@@ -244,10 +271,21 @@ def semi_regular_sandwich_witness(t: Topology, a: SubsetMask):
     Sandwich reformulation of semi-regularity; exhaustive agreement with
     is_semi_regular is a test target.
     """
-    for u in sorted(t.opens):
-        if is_regular_open(t, u) and u & ~a == 0 and a & ~closure(t, u) == 0:
-            return u
-    return None
+    return next((u for u, bits in _sandwiches(t) if bits >> a & 1), None)
+
+
+def _sandwiches(t: Topology):
+    """(u, bitmap of the interval [u, cl u]) per regular open u, ascending."""
+    e, ones = _point_planes(t.n), (1 << (1 << t.n)) - 1
+    return [(u, reduce(and_, [e[y] for y in iter_points(u)]
+                       + [~e[y] for y in iter_points(t.full ^ closure(t, u))],
+                       ones))
+            for u in sorted(t.opens) if is_regular_open(t, u)]
+
+
+def semi_regular_sandwich_bitmap(t: Topology) -> int:
+    """Bitmap of the subsets a with u <= a <= cl(u) for a regular open u."""
+    return reduce(or_, [bits for _, bits in _sandwiches(t)], 0)
 
 
 def is_semi_regular_sandwich(t: Topology, a: SubsetMask) -> bool:
@@ -302,15 +340,9 @@ class ClassTable:
 
     @cached_property
     def semi_closure_table(self):
-        """sCl a, the AND of the semi-closed supersets of a, in O(n 2^n)."""
-        t = self.topology
-        scl = [t.full] * (1 << t.n)
-        for s in self.family(SetClass.SEMI_CLOSED):
-            scl[s] = s
-        for bit in (1 << x for x in range(t.n)):
-            for a in range(len(scl)):
-                scl[a] &= scl[a | bit]
-        return tuple(scl)
+        """sCl a per subset a, folded over the SEMI_CLOSED bitmap."""
+        family = self.family(SetClass.SEMI_CLOSED)
+        return _superset_meets(self.topology.n, family)
 
 
 def check_subset_budget(n: int) -> None:
@@ -333,9 +365,7 @@ def class_table(t: Topology) -> ClassTable:
     subset is empty and full at once, and in every class.
     """
     check_subset_budget(t.n)
-    ones, points = (1 << (1 << t.n)) - 1, range(t.n)
-    # bit a of E_y says whether y is in a: runs of 2^y clear, 2^y set bits
-    e = [ones // ((1 << h) + 1) << h for h in (1 << y for y in points)]
+    ones, points, e = (1 << (1 << t.n)) - 1, range(t.n), _point_planes(t.n)
     nbhd = [list(iter_points(m)) for m in t.min_nbhd]
 
     def fold(op, planes):

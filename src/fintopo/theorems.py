@@ -75,11 +75,11 @@ from .maps import (
 )
 from .setclasses import (
     SetClass,
+    b_set_via_semi_closure_bitmap,
     class_table,
-    is_b_set_via_semi_closure,
     is_ic_set_subspace,
-    is_semi_regular_sandwich,
     semi_closure_closed_form,
+    semi_regular_sandwich_bitmap,
 )
 from .space import Topology
 from .spaceprops import SpaceProperty, space_profile
@@ -198,27 +198,24 @@ def _gap(c_in: SetClass, c_out: SetClass):
     return ev
 
 
-def _differ(table, c: SetClass, other_route):
-    """Where family c and other_route(t, a), decided per subset, differ."""
-    t = table.topology
-    return table.family_bitmap(c) ^ _where(t, partial(other_route, t))
-
-
 def _ev_equiv_tset(table, profile):
     sc, ts = _bitmaps(table, SC.SEMI_CLOSED, SC.T_SET)
     return sc ^ ts
 
 
 def _ev_equiv_sr_sandwich(table, profile):
-    return _differ(table, SC.SEMI_REGULAR, is_semi_regular_sandwich)
+    sr = table.family_bitmap(SC.SEMI_REGULAR)
+    return sr ^ semi_regular_sandwich_bitmap(table.topology)
 
 
 def _ev_equiv_bset_scl(table, profile):
-    return _differ(table, SC.B_SET, is_b_set_via_semi_closure)
+    b = table.family_bitmap(SC.B_SET)
+    return b ^ b_set_via_semi_closure_bitmap(table.topology)
 
 
 def _ev_equiv_ic_subspace(table, profile):
-    return _differ(table, SC.IC_SET, is_ic_set_subspace)
+    t, ic = table.topology, table.family_bitmap(SC.IC_SET)
+    return ic ^ _where(t, partial(is_ic_set_subspace, t))
 
 
 def _ev_equiv_scl_form(table, profile):

@@ -1,6 +1,7 @@
 """Set class membership: frozen verdicts, witnesses, and dual routes."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,13 +23,18 @@ from fintopo.setclasses import (
     WITNESS_FUNCTIONS,
     a_set_witness,
     ab_set_witness,
+    b_set_via_semi_closure_bitmap,
     b_set_via_semi_closure_witness,
     b_set_witness,
     is_ab_set,
+    is_b_set,
     is_b_set_via_semi_closure,
     is_ic_set_subspace,
+    is_semi_regular,
     is_semi_regular_sandwich,
     locally_closed_witness,
+    semi_closures,
+    semi_regular_sandwich_bitmap,
     semi_regular_sandwich_witness,
 )
 
@@ -182,6 +188,63 @@ def test_dual_routes_agree_exhaustively():
             assert semi_closure(t, a) == semi_closure_closed_form(t, a)
 
 
+def _where(t, holds):
+    """Bitmap of the subsets a of t with holds(t, a)."""
+    return sum(1 << a for a in t.subsets() if holds(t, a))
+
+
+def _route_spaces():
+    # every space on at most four points, and one seeded random space on
+    # each of 8, 9 and 10 points; sparse seed rows keep the closed
+    # preorder away from indiscrete
+    rng = random.Random(3141)
+    return list(all_small_topologies(4)) + [
+        random_preorder_topology([
+            rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+            for _ in range(n)
+        ])
+        for n in (8, 9, 10)
+    ]
+
+
+def test_per_space_routes_match_definitions():
+    # each whole-space route against its pointwise or defining-pair
+    # definition, decided one subset at a time
+    tally = Counter()
+    for t in _route_spaces():
+        sandwich = semi_regular_sandwich_bitmap(t)
+        assert sandwich == _where(t, is_semi_regular), t
+        b_sets = b_set_via_semi_closure_bitmap(t)
+        assert b_sets == _where(t, is_b_set), t
+        scl = semi_closures(t)
+        assert scl == tuple(
+            semi_closure_closed_form(t, a) for a in t.subsets()), t
+        for name, bits in (("sandwich", sandwich), ("b-set", b_sets)):
+            tally[name, True] += bits.bit_count()
+            tally[name, False] += (1 << t.n) - bits.bit_count()
+        tally["moved"] += sum(s != a for a, s in enumerate(scl))
+    # each route answers both ways on many subsets
+    assert len(tally) == 5 and min(tally.values()) > 300, tally
+
+
+def test_per_space_routes_read_no_class_table(monkeypatch):
+    rng = random.Random(2024)
+    spaces = [four_point_space(), random_preorder_topology(
+        [rng.getrandbits(8) & rng.getrandbits(8) for _ in range(8)])]
+
+    def refuse(*args):
+        raise AssertionError("class table read")
+
+    monkeypatch.setattr(setclasses, "class_table", refuse)
+    monkeypatch.setattr(setclasses, "ClassTable", refuse)
+    monkeypatch.setattr(setclasses, "SECOND_FAMILY", None)
+    for t in spaces:
+        assert semi_regular_sandwich_bitmap(t) == _where(t, is_semi_regular)
+        assert b_set_via_semi_closure_bitmap(t) == _where(t, is_b_set)
+        assert semi_closures(t) == tuple(
+            semi_closure_closed_form(t, a) for a in t.subsets())
+
+
 def test_class_table_matches_predicates_exhaustively():
     for t in all_small_topologies(4):
         table = class_table(t)
@@ -295,8 +358,9 @@ def test_class_table_budget_guard():
 
 
 def test_semi_closure_table_matches_definition():
-    # the table's fold against the definitional scan, on every space up to
-    # four points and on seeded random spaces of 8 to 11 points
+    # the fold over the table's SEMI_CLOSED bitmap against the fold over
+    # the family is_semi_closed finds, on every space up to four points
+    # and on seeded random spaces of 8 to 11 points
     spaces = [t for n in range(5) for t in enumerate_topologies(n)]
     rng = random.Random(4711)
     for n in (8, 9, 10, 11):
@@ -307,9 +371,8 @@ def test_semi_closure_table_matches_definition():
     moved = 0
     for t in spaces:
         scl = class_table(t).semi_closure_table
-        for a in t.subsets():
-            assert scl[a] == semi_closure(t, a), (t, a)
-            moved += scl[a] != a
+        assert scl == semi_closures(t), t
+        moved += sum(s != a for a, s in enumerate(scl))
     assert moved > 1000
 
 

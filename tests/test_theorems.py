@@ -29,6 +29,7 @@ from fintopo import (
     registry,
     replay_witness,
     serialize_report,
+    setclasses,
     strongly_irresolute_scl,
     verify,
     verify_all,
@@ -585,6 +586,60 @@ def test_orbit_sweep_matches_labeled_oracle_with_repeated_ids(monkeypatch):
     )
     assert orbit == labeled
     assert [d["proposition"] for d in json.loads(orbit)] == ids
+
+
+# sha256 of serialize_report of the 27 set/space propositions at max_n=6,
+# and at max_n=7 with max_spaces raised, recorded from the sweep in which
+# equiv-sr-sandwich and equiv-bset-scl decided each subset on its own
+SET_SPACE_REPORTS = {
+    6: (EnumerationBudget(max_n=6),
+        "c0160ed712721340bfea6a7f4c1826c5e7db317097b6cfc7babe99f37c62c2d7"),
+    7: (EnumerationBudget(max_n=7, max_spaces=10_000_000),
+        "ab81d8acf92301116107db5c69d3f34f5597fd3cd38c5244b76cc635ae2e308a"),
+}
+
+
+@pytest.mark.parametrize("max_n", [
+    6,
+    # 9,752,100 labeled spaces, 4,535 classes on seven points
+    pytest.param(7, marks=pytest.mark.skipif(
+        not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")),
+])
+def test_set_space_reports_pinned(max_n):
+    budget, digest = SET_SPACE_REPORTS[max_n]
+    class_table.cache_clear()
+    report = serialize_report(verify_all(SET_SPACE_IDS, budget))
+    assert _sha256(report) == digest
+
+
+def _flipped(table, cls, a):
+    """A copy of table with subset a's membership in cls flipped."""
+    t = table.topology
+    bitmaps = {c: table.family_bitmap(c) for c in SetClass}
+    bitmaps[cls] ^= 1 << a
+    return setclasses.ClassTable(t, setclasses._point_planes(t.n), bitmaps)
+
+
+@pytest.mark.parametrize("pid, cls", [
+    ("equiv-sr-sandwich", SetClass.SEMI_REGULAR),
+    ("equiv-bset-scl", SetClass.B_SET),
+])
+def test_oracles_catch_a_corrupted_table(monkeypatch, pid, cls):
+    # one flipped bit of the table is a hit at exactly that subset
+    p = proposition(pid)
+    for t in (four_point_space(), sierpinski(), indiscrete(3)):
+        table = class_table(t)
+        assert p.evaluate(table, None) == 0
+        for a in t.subsets():
+            assert p.evaluate(_flipped(table, cls, a), None) == 1 << a
+    # the full set is in both families of every space, so dropping it
+    # from every table makes the sweep hit once per labeled space
+    monkeypatch.setattr(theorems, "class_table",
+                        lambda t: _flipped(class_table(t), cls, t.full))
+    report = verify(pid, EnumerationBudget(max_n=3))
+    assert report.verdict == "witness-found"
+    assert report.hits == report.spaces_checked == 35
+    assert report.witnesses[0].subset == 0
 
 
 def test_orbit_witness_is_the_least_labeled_member(monkeypatch):
