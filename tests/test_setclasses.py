@@ -207,9 +207,16 @@ def _route_spaces():
     ]
 
 
-def test_per_space_routes_match_definitions():
+def test_per_space_routes_match_definitions(monkeypatch):
     # each whole-space route against its pointwise or defining-pair
-    # definition, decided one subset at a time
+    # definition, decided one subset at a time; no route may read the
+    # class table or its second families
+    def refuse(*args):
+        raise AssertionError("class table read")
+
+    monkeypatch.setattr(setclasses, "class_table", refuse)
+    monkeypatch.setattr(setclasses, "ClassTable", refuse)
+    monkeypatch.setattr(setclasses, "SECOND_FAMILY", None)
     tally = Counter()
     for t in _route_spaces():
         sandwich = semi_regular_sandwich_bitmap(t)
@@ -225,24 +232,6 @@ def test_per_space_routes_match_definitions():
         tally["moved"] += sum(s != a for a, s in enumerate(scl))
     # each route answers both ways on many subsets
     assert len(tally) == 5 and min(tally.values()) > 300, tally
-
-
-def test_per_space_routes_read_no_class_table(monkeypatch):
-    rng = random.Random(2024)
-    spaces = [four_point_space(), random_preorder_topology(
-        [rng.getrandbits(8) & rng.getrandbits(8) for _ in range(8)])]
-
-    def refuse(*args):
-        raise AssertionError("class table read")
-
-    monkeypatch.setattr(setclasses, "class_table", refuse)
-    monkeypatch.setattr(setclasses, "ClassTable", refuse)
-    monkeypatch.setattr(setclasses, "SECOND_FAMILY", None)
-    for t in spaces:
-        assert semi_regular_sandwich_bitmap(t) == _where(t, is_semi_regular)
-        assert b_set_via_semi_closure_bitmap(t) == _where(t, is_b_set)
-        assert semi_closures(t) == tuple(
-            semi_closure_closed_form(t, a) for a in t.subsets())
 
 
 def test_class_table_matches_predicates_exhaustively():

@@ -607,7 +607,6 @@ SET_SPACE_REPORTS = {
 ])
 def test_set_space_reports_pinned(max_n):
     budget, digest = SET_SPACE_REPORTS[max_n]
-    class_table.cache_clear()
     report = serialize_report(verify_all(SET_SPACE_IDS, budget))
     assert _sha256(report) == digest
 
