@@ -27,7 +27,9 @@ src/ tree, and the median and interquartile range of REPEATS runs:
   since the default budget refuses n=7), and class_table_classify: what
   classify-set asks of one space, a fresh class_table plus one witness
   per existential class, over fixed seeded random spaces on 8, 11 and
-  12 points (per size, the median is for all of its spaces together).
+  12 points (per size, the median is for all of its spaces together),
+  and interior_closure: interior and closure of every subset of those
+  same spaces.
 
 Every end-to-end run starts with an empty class_table cache.  Nothing
 under perfbench/ is read or written.
@@ -58,7 +60,8 @@ import numpy
 
 from fintopo import enumeration, setclasses, spaceprops, theorems
 from fintopo.enumeration import EnumerationBudget
-from fintopo.space import Preorder, iter_points, topology_from_preorder
+from fintopo.space import (Preorder, closure, interior, iter_points,
+                           topology_from_preorder)
 
 SETS_MAX_N = 5
 SETS_N6 = EnumerationBudget(max_n=6)
@@ -172,6 +175,13 @@ def _classify(queries):
             table.witness(a, cls)
 
 
+def _interior_closure(queries):
+    for t, _ in queries:
+        for a in t.subsets():
+            interior(t, a)
+            closure(t, a)
+
+
 def end_to_end():
     set_space = [p.id for p in theorems.registry() if p.scope != "map"]
     maps = [p.id for p in theorems.registry() if p.scope == "map"]
@@ -215,9 +225,13 @@ def layers():
             for n in range(GENERATOR_MAX_N + 1)
         }
     rng = random.Random(CLASSIFY_SEED)
+    queries = {n: _classify_queries(n, rng) for n in CLASSIFY_SIZES}
     out["class_table_classify"] = {
-        str(n): _timed(partial(_classify, _classify_queries(n, rng)))
-        for n in CLASSIFY_SIZES
+        str(n): _timed(partial(_classify, q)) for n, q in queries.items()
+    }
+    out["interior_closure"] = {
+        str(n): _timed(partial(_interior_closure, q))
+        for n, q in queries.items()
     }
     return out
 

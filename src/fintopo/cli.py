@@ -2,7 +2,8 @@
 
 Exit codes: 0 when everything requested verified or was found as
 expected, 1 when a swept proposition failed, 2 on usage, parse, or
-validation errors, 141 when stdout was closed before the output ended.
+validation errors and on a report that cannot be written, 141 when
+stdout was closed before the output ended.
 """
 
 import argparse
@@ -123,8 +124,12 @@ def cmd_verify(args) -> int:
             print(f"  {w.polarity}: "
                   f"{json.dumps(w.to_document(), sort_keys=True)}")
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(serialize_report(reports))
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(serialize_report(reports))
+        except OSError as exc:
+            return _fail(f"cannot write report {args.report}: "
+                         f"{exc.strerror or exc}")
         print(f"report written to {args.report}")
     return 0 if all_ok else 1
 
@@ -197,9 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: 5000000)")
     p.add_argument("--parallel", action="store_true",
                    help="split the domains of map sweeps over worker "
-                        "processes; slower up to --max-n 4 (0.125 s "
-                        "against 0.093 s on 2 cores), it pays at "
-                        "--max-n 5 (3.7 s against 5.7 s)")
+                        "processes; it pays only from --max-n 5 (see "
+                        "README)")
     p.add_argument("--workers", type=int, default=None,
                    help="worker process count for --parallel")
     p.add_argument("--report", default=None,

@@ -304,10 +304,7 @@ def enumerate_topologies_naive(n: int, budget: EnumerationBudget | None = None):
         for chosen in combinations(proper, r):
             family = {0, full} | set(chosen)
             if _closed_under_ops(family):
-                opens = tuple(
-                    sorted(family, key=lambda m: (m.bit_count(), m))
-                )
-                found.append(build_topology(n, opens))
+                found.append(build_topology(n, family))
     found.sort(key=lambda t: t.canonical_key())
     yield from found
 

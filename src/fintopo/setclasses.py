@@ -13,8 +13,7 @@ from functools import cached_property, lru_cache, reduce
 from operator import and_, or_
 
 from .errors import GroundSetTooLarge
-from .space import (SubsetMask, Topology, closure, complement, interior,
-                    iter_points)
+from .space import SubsetMask, Topology, closure, interior, iter_points
 
 # class_table, and the CLI's classify commands, refuse ground sets with
 # more than this many subsets (more than 12 points).
@@ -200,7 +199,7 @@ def _intersection_witness(t: Topology, a: SubsetMask, second_family):
 
 
 def locally_closed_witness(t: Topology, a: SubsetMask):
-    closed = sorted(complement(u, t.n) for u in t.opens)
+    closed = sorted(t.full ^ u for u in t.opens)
     return _intersection_witness(t, a, closed)
 
 

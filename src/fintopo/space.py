@@ -60,27 +60,25 @@ class Topology:
     `opens` is kept sorted by (popcount, value) and deduplicated, so two
     equal topologies compare equal structurally.  `min_nbhd[x]` is the
     intersection of all opens containing x, which in a finite space is
-    itself the smallest open neighbourhood of x.  Instances are immutable
-    after construction and safe to share across workers.
+    itself the smallest open neighbourhood of x; membership in the opens
+    is read from it.  Instances are immutable after construction and safe
+    to share across workers.
     """
 
-    __slots__ = ("n", "opens", "min_nbhd", "_open_set")
+    __slots__ = ("n", "full", "opens", "min_nbhd")
 
     def __init__(self, n: int, opens, min_nbhd):
         self.n = n
+        self.full = full_mask(n)
         self.opens = tuple(opens)
         self.min_nbhd = tuple(min_nbhd)
-        self._open_set = frozenset(self.opens)
 
     def is_open(self, mask: SubsetMask) -> bool:
-        return mask in self._open_set
+        # open iff equal to its interior, which has no bit outside 0..n-1
+        return interior(self, mask) == mask
 
     def is_closed(self, mask: SubsetMask) -> bool:
-        return complement(mask, self.n) in self._open_set
-
-    @property
-    def full(self) -> SubsetMask:
-        return full_mask(self.n)
+        return self.is_open(complement(mask, self.n))
 
     def subsets(self):
         """All 2^n subset masks in numeric order."""

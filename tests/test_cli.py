@@ -253,6 +253,17 @@ def test_verify_report_file(tmp_path, capsys):
     assert f"report written to {report_path}" in capsys.readouterr().out
 
 
+def test_verify_unwritable_report_is_usage_error(tmp_path, capsys):
+    report_path = tmp_path / "missing" / "report.json"
+    code = main(["verify", "t4", "--max-n", "1", "--report", str(report_path)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "t4: holds-exhaustively\n"
+    assert err.startswith(f"error: cannot write report {report_path}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not report_path.parent.exists()
+
+
 def test_verify_all_small_budget(capsys):
     assert main(["verify", "all", "--max-n", "2"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Core space construction, interior/closure, and preorder round trips."""
 
+import pickle
+
 import pytest
 
 from fintopo import (
@@ -13,6 +15,7 @@ from fintopo import (
     build_topology,
     closure,
     complement,
+    enumerate_topologies_naive,
     full_mask,
     generate_from_subbasis,
     interior,
@@ -81,6 +84,21 @@ def test_topology_equality_and_hash():
     assert t1 == t2
     assert hash(t1) == hash(t2)
     assert t1 != build_topology(2, [0, 2, 3])
+
+
+def test_membership_matches_the_open_family():
+    # the naive filter builds every space through build_topology, not the
+    # labeled stream; masks run past both ends of the ground set
+    for n in range(5):
+        for t in enumerate_topologies_naive(n):
+            assert t.full == full_mask(n)
+            copy = pickle.loads(pickle.dumps(t))
+            assert copy == t and hash(copy) == hash(t)
+            for a in range(-2, 1 << (n + 1)):
+                opened = a in t.opens
+                closed = complement(a, n) in t.opens
+                assert t.is_open(a) == copy.is_open(a) == opened
+                assert t.is_closed(a) == copy.is_closed(a) == closed
 
 
 def test_minimal_neighbourhoods():
