@@ -8,13 +8,15 @@ this checkout's src/, so one runner measures any checkout:
     PYTHONPATH=/path/to/other/checkout/src python benchmarks/run.py
 
 The file names the measured checkout's commit and holds the machine
-(cpu count, Python and numpy versions), the line count of the measured
-src/ tree, and the median and interquartile range of REPEATS runs:
+(cpu count, Python and numpy versions, numpy None where it is not
+installed), the line count of the measured src/ tree, and the median and
+interquartile range of REPEATS runs:
 
 - end to end: the 27 set/space propositions at max_n=5 and at max_n=6,
   verify_all() at the default budgets sequential and with parallel=True,
-  workers=2, count_topologies(6), list(enumerate_topologies(6)) (the
-  labeled stream), and the 12 map propositions at the default map budget
+  workers=2, count_topologies(6), count_reflexive_transitive_relations(5)
+  (the relation filter), list(enumerate_topologies(6)) (the labeled
+  stream), and the 12 map propositions at the default map budget
   (max_n=3, 24,907 maps), at max_n=4 (33,827,652 maps, every one
   counted; a checkout that builds each map takes minutes per run), at
   max_n=5 with max_maps raised to 154,771,368,636 (every map counted)
@@ -37,6 +39,7 @@ under perfbench/ is read or written.
 
 import argparse
 import datetime
+import importlib.metadata
 import json
 import os
 import platform
@@ -55,8 +58,6 @@ try:
 except ImportError:
     sys.path.insert(0, str(HERE.parent / "src"))
     import fintopo
-
-import numpy
 
 from fintopo import enumeration, setclasses, spaceprops, theorems
 from fintopo.enumeration import EnumerationBudget
@@ -104,6 +105,14 @@ def _git(src, *args):
         ["git", "-C", str(src), *args], capture_output=True, text=True,
     )
     return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _numpy_version():
+    """numpy's installed version, or None; fintopo does not import it."""
+    try:
+        return importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        return None
 
 
 def _source():
@@ -196,6 +205,8 @@ def end_to_end():
         "verify_all_parallel_2": _timed(
             lambda: theorems.verify_all(parallel=True, workers=2), clear),
         "count_topologies_6": _timed(lambda: enumeration.count_topologies(6)),
+        "count_relations_5": _timed(
+            lambda: enumeration.count_reflexive_transitive_relations(5)),
         "enumerate_topologies_6": _timed(
             lambda: list(enumeration.enumerate_topologies(6))),
         "maps_default": _timed(lambda: theorems.verify_all(maps), clear),
@@ -248,7 +259,7 @@ def main(argv=None) -> int:
         "machine": {
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
-            "numpy": numpy.__version__,
+            "numpy": _numpy_version(),
             "platform": platform.platform(),
         },
         "source": source,

@@ -17,7 +17,7 @@ count_topologies sums those numbers.  enumerate_topologies lists the
 labeled members of every class, relabeled through one table per size
 (_relabelings), in canonical order.  Two independent routes exist for
 cross-checks: a naive filter over all candidate open-set families
-(small n ground truth) and a vectorized transitive-relation counter.
+(small n ground truth) and a bit-plane transitive-relation counter.
 """
 
 from dataclasses import dataclass
@@ -29,6 +29,7 @@ from .errors import BudgetExceeded
 from .space import (
     Preorder,
     Topology,
+    _point_planes,
     _sorted_opens,
     build_topology,
     full_mask,
@@ -293,6 +294,8 @@ def enumerate_topologies_naive(n: int, budget: EnumerationBudget | None = None):
     full}; keeps families closed under union and intersection.  Cost is
     2^(2^n - 2) candidates, so n <= 4 is enforced.
     """
+    if n < 0:
+        raise ValueError(f"n={n} must be non-negative")
     if n > 4:
         raise BudgetExceeded("naive family filter is capped at n=4")
     if budget is not None and n > budget.max_n:
@@ -329,35 +332,24 @@ def count_topologies(n: int, budget: EnumerationBudget | None = None) -> int:
     return sum(orbit for _, orbit in level)
 
 
-# relation matrices per vectorized chunk of the relation filter
-_RELATION_CHUNK = 1 << 16
-
-
 def count_reflexive_transitive_relations(n: int) -> int:
     """Count preorders on n points by brute transitivity filtering.
 
-    Independent cross-check for enumerate_topologies: materializes every
-    reflexive relation matrix in vectorized chunks and keeps those with
-    R composed with R inside R.  Intended for n <= 5 (2^20 relations).
+    Independent cross-check for enumerate_topologies that tests every
+    reflexive relation at once.  The n(n-1) cells (i, j) off the diagonal
+    are numbered, so relation r is the number whose bits are its cells,
+    and cell (i, j) gets the point plane of its bit: bit r of the plane
+    says r holds (i, j).  A relation fails when it holds (i, j) and
+    (j, k) but not (i, k); with the diagonal all ones, only triples of
+    distinct points can fail.  Sized for n <= 5 (2^20 relations).
     """
-    import numpy as np
-
-    if n == 0:
-        return 1
-    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-    bits = len(cells)
-    if bits > 24:
+    if n < 0:
+        raise ValueError(f"n={n} must be non-negative")
+    if n > 5:
         raise BudgetExceeded("relation filter is sized for n <= 5")
-    total = 0
-    shifts = np.arange(bits, dtype=np.uint32)
-    for start in range(0, 1 << bits, _RELATION_CHUNK):
-        stop = min(start + _RELATION_CHUNK, 1 << bits)
-        idx = np.arange(start, stop, dtype=np.uint32)
-        flags = (idx[:, None] >> shifts) & 1
-        rel = np.zeros((stop - start, n, n), dtype=bool)
-        rel[:, np.arange(n), np.arange(n)] = True
-        for b, (i, j) in enumerate(cells):
-            rel[:, i, j] = flags[:, b]
-        comp = np.einsum("bij,bjk->bik", rel, rel)
-        total += int(np.all(comp <= rel, axis=(1, 2)).sum())
-    return total
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    holds = dict(zip(cells, _point_planes(len(cells))))
+    bad = 0
+    for i, j, k in permutations(range(n), 3):
+        bad |= holds[i, j] & holds[j, k] & ~holds[i, k]
+    return (1 << len(cells)) - bad.bit_count()

@@ -50,7 +50,7 @@ CONTINUITY_BINDING = {
 class SpaceMap:
     """A total function between the ground sets of two finite spaces."""
 
-    __slots__ = ("domain", "codomain", "assignment", "fibers")
+    __slots__ = ("domain", "codomain", "assignment")
 
     def __init__(self, domain: Topology, codomain: Topology, assignment):
         assignment = tuple(assignment)
@@ -64,10 +64,6 @@ class SpaceMap:
         self.domain = domain
         self.codomain = codomain
         self.assignment = assignment
-        fibers = [0] * codomain.n
-        for x, y in enumerate(assignment):
-            fibers[y] |= 1 << x
-        self.fibers = tuple(fibers)
 
     def __repr__(self):
         return f"SpaceMap({self.assignment!r})"
@@ -84,11 +80,7 @@ class SpaceMap:
 
 
 def preimage(f: SpaceMap, b: SubsetMask) -> SubsetMask:
-    acc = 0
-    for y in range(f.codomain.n):
-        if b >> y & 1:
-            acc |= f.fibers[y]
-    return acc
+    return sum(1 << x for x, y in enumerate(f.assignment) if b >> y & 1)
 
 
 def image(f: SpaceMap, a: SubsetMask) -> SubsetMask:

@@ -13,7 +13,8 @@ from functools import cached_property, lru_cache, reduce
 from operator import and_, or_
 
 from .errors import GroundSetTooLarge
-from .space import SubsetMask, Topology, closure, interior, iter_points
+from .space import (SubsetMask, Topology, _point_planes, closure, interior,
+                    iter_points)
 
 # class_table, and the CLI's classify commands, refuse ground sets with
 # more than this many subsets (more than 12 points).
@@ -140,12 +141,6 @@ def is_ic_set_subspace(t: Topology, a: SubsetMask) -> bool:
     return acc == ia
 
 
-def _point_planes(n: int):
-    """E_y per point y, runs of 2^y clear and 2^y set bits: bit a is y in a."""
-    ones = (1 << (1 << n)) - 1
-    return [ones // ((1 << h) + 1) << h for h in (1 << y for y in range(n))]
-
-
 # ---------------------------------------------------------------------------
 # semi-closure
 
@@ -239,56 +234,35 @@ def is_ab_set(t: Topology, a: SubsetMask) -> bool:
     return ab_set_witness(t, a) is not None
 
 
-def b_set_via_semi_closure_witness(t: Topology, a: SubsetMask):
-    """First open u with a = u & sCl(a), or None.
+def b_set_via_semi_closure_bitmap(t: Topology) -> int:
+    """Bitmap of the subsets a with a = u & sCl(a) for some open u.
 
     Single-scan reformulation of the B-set class through the semi-closure;
     exhaustive agreement with is_b_set is a test target.
     """
-    return _b_set_cuts(t)[a]
-
-
-def _b_set_cuts(t: Topology):
-    """Per subset a, the first open u with a = u & sCl(a), or None."""
-    opens = sorted(t.opens)
-    return [next((u for u in opens if u & s == a), None)
-            for a, s in enumerate(semi_closures(t))]
-
-
-def b_set_via_semi_closure_bitmap(t: Topology) -> int:
-    """Bitmap of the subsets a with a = u & sCl(a) for some open u."""
-    return sum(1 << a for a, u in enumerate(_b_set_cuts(t)) if u is not None)
+    return sum(1 << a for a, s in enumerate(semi_closures(t))
+               if any(u & s == a for u in t.opens))
 
 
 def is_b_set_via_semi_closure(t: Topology, a: SubsetMask) -> bool:
-    return b_set_via_semi_closure_witness(t, a) is not None
-
-
-def semi_regular_sandwich_witness(t: Topology, a: SubsetMask):
-    """First regular open u with u <= a <= cl(u), or None.
-
-    Sandwich reformulation of semi-regularity; exhaustive agreement with
-    is_semi_regular is a test target.
-    """
-    return next((u for u, bits in _sandwiches(t) if bits >> a & 1), None)
-
-
-def _sandwiches(t: Topology):
-    """(u, bitmap of the interval [u, cl u]) per regular open u, ascending."""
-    e, ones = _point_planes(t.n), (1 << (1 << t.n)) - 1
-    return [(u, reduce(and_, [e[y] for y in iter_points(u)]
-                       + [~e[y] for y in iter_points(t.full ^ closure(t, u))],
-                       ones))
-            for u in sorted(t.opens) if is_regular_open(t, u)]
+    return bool(b_set_via_semi_closure_bitmap(t) >> a & 1)
 
 
 def semi_regular_sandwich_bitmap(t: Topology) -> int:
-    """Bitmap of the subsets a with u <= a <= cl(u) for a regular open u."""
-    return reduce(or_, [bits for _, bits in _sandwiches(t)], 0)
+    """Bitmap of the subsets a with u <= a <= cl(u) for a regular open u.
+
+    Sandwich reformulation of semi-regularity, an OR of the intervals
+    [u, cl u]; exhaustive agreement with is_semi_regular is a test target.
+    """
+    e, ones = _point_planes(t.n), (1 << (1 << t.n)) - 1
+    return reduce(or_, [
+        reduce(and_, [e[y] for y in iter_points(u)]
+               + [~e[y] for y in iter_points(t.full ^ closure(t, u))], ones)
+        for u in t.opens if is_regular_open(t, u)], 0)
 
 
 def is_semi_regular_sandwich(t: Topology, a: SubsetMask) -> bool:
-    return semi_regular_sandwich_witness(t, a) is not None
+    return bool(semi_regular_sandwich_bitmap(t) >> a & 1)
 
 
 # ---------------------------------------------------------------------------

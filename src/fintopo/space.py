@@ -46,6 +46,18 @@ def subset_key(mask: SubsetMask) -> tuple:
     return (mask.bit_count(), mask)
 
 
+def _point_planes(n: int):
+    """E_y per point y over the 2^n subsets a: bit a of E_y is y in a.
+
+    Built by doubling: over twice the subsets, every plane repeats once
+    and the new point's plane is the upper half.
+    """
+    planes = []
+    for w in (1 << y for y in range(n)):
+        planes = [p | p << w for p in planes] + [((1 << w) - 1) << w]
+    return planes
+
+
 def _check_fits(n: int, masks) -> None:
     if not 0 <= n <= MAX_POINTS:
         raise GroundSetTooLarge(f"ground set size {n} outside 0..{MAX_POINTS}")

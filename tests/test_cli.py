@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, library agreement."""
 
+import hashlib
 import json
 import os
 import random
@@ -311,6 +312,19 @@ def test_enumerate_streams_documents(capsys):
     docs = [json.loads(line) for line in lines]
     assert all(set(d) == {"points", "opens"} for d in docs)
     assert docs[0]["opens"] == [[], ["a", "b"]]
+
+
+# recorded before encode_space may change: the stdout of enumerate --n 5
+ENUMERATE_N5_SHA256 = (
+    "ad1b555c2272e762e58fa1d6caf5c08ee64dacaab67b67cd7a63264ac5dfa443"
+)
+
+
+def test_enumerate_n5_output_pinned(capsys):
+    assert main(["enumerate", "--n", "5"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (out.count(b"\n"), len(out)) == (6942, 1_315_450)
+    assert hashlib.sha256(out).hexdigest() == ENUMERATE_N5_SHA256
 
 
 def test_enumerate_cap(capsys):

@@ -115,6 +115,18 @@ def test_budget_error_names_the_field(field, value, rule):
         EnumerationBudget(**{field: value})
 
 
+@pytest.mark.parametrize("entry", [
+    count_topologies,
+    lambda n: list(enumerate_topologies(n)),
+    enumerate_isomorphism_classes,
+    count_reflexive_transitive_relations,
+    lambda n: list(enumerate_topologies_naive(n)),
+], ids=["count", "stream", "classes", "relations", "naive"])
+def test_negative_n_refused(entry):
+    with pytest.raises(ValueError, match="^n=-1 must be non-negative$"):
+        entry(-1)
+
+
 def test_relation_counter_small():
     assert count_reflexive_transitive_relations(0) == 1
     assert count_reflexive_transitive_relations(1) == 1

@@ -1,6 +1,7 @@
 """Import hygiene of the package, checked by parsing its modules with ast."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,17 @@ def test_no_unreferenced_private_definitions():
         and node.name.startswith("_") and node.name not in referenced
     ]
     assert unreferenced == []
+
+
+def test_src_imports_only_the_standard_library():
+    # fintopo has no runtime dependency: every absolute import, nested
+    # ones included, names fintopo or a standard-library module
+    modules = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules.add(node.module)
+    outside = {m.split(".")[0] for m in modules} - {"fintopo"}
+    assert sorted(outside - sys.stdlib_module_names) == []

@@ -33,7 +33,7 @@ def test_spacemap_validation():
     with pytest.raises(ValueError):
         SpaceMap(t, t, (0, 2))
     f = SpaceMap(t, t, (1, 1))
-    assert f.fibers == (0b00, 0b11)
+    assert [preimage(f, 1 << y) for y in range(t.n)] == [0b00, 0b11]
 
 
 def test_preimage_and_image():

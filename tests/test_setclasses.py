@@ -24,7 +24,6 @@ from fintopo.setclasses import (
     a_set_witness,
     ab_set_witness,
     b_set_via_semi_closure_bitmap,
-    b_set_via_semi_closure_witness,
     b_set_witness,
     is_ab_set,
     is_b_set,
@@ -35,7 +34,6 @@ from fintopo.setclasses import (
     locally_closed_witness,
     semi_closures,
     semi_regular_sandwich_bitmap,
-    semi_regular_sandwich_witness,
 )
 
 from helpers import (
@@ -153,21 +151,6 @@ def test_witness_pairs_reproduce_the_set():
                 u, v = got
                 assert t.is_open(u)
                 assert u & v == a
-
-
-def test_single_open_b_set_witness():
-    t = three_point_space()
-    u = b_set_via_semi_closure_witness(t, 0b100)
-    assert u is not None and u & semi_closure(t, 0b100) == 0b100
-    assert b_set_via_semi_closure_witness(t, 0b011) is None
-
-
-def test_sandwich_witness_bounds_the_set():
-    t = four_point_space()
-    for a in t.subsets():
-        u = semi_regular_sandwich_witness(t, a)
-        if u is not None:
-            assert u & ~a == 0
 
 
 def all_small_topologies(max_n):

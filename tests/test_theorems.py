@@ -30,6 +30,7 @@ from fintopo import (
     replay_witness,
     serialize_report,
     setclasses,
+    space,
     strongly_irresolute_scl,
     verify,
     verify_all,
@@ -616,7 +617,7 @@ def _flipped(table, cls, a):
     t = table.topology
     bitmaps = {c: table.family_bitmap(c) for c in SetClass}
     bitmaps[cls] ^= 1 << a
-    return setclasses.ClassTable(t, setclasses._point_planes(t.n), bitmaps)
+    return setclasses.ClassTable(t, space._point_planes(t.n), bitmaps)
 
 
 @pytest.mark.parametrize("pid, cls", [
