@@ -13,15 +13,17 @@ installed), the line count of the measured src/ tree, and the median and
 interquartile range of REPEATS runs:
 
 - end to end: the 27 set/space propositions at max_n=5 and at max_n=6,
-  verify_all() at the default budgets sequential and with parallel=True,
-  workers=2, count_topologies(6), count_reflexive_transitive_relations(5)
-  (the relation filter), list(enumerate_topologies(6)) (the labeled
-  stream), and the 12 map propositions at the default map budget
-  (max_n=3, 24,907 maps), at max_n=4 (33,827,652 maps, every one
-  counted; a checkout that builds each map takes minutes per run), at
-  max_n=5 with max_maps raised to 154,771,368,636 (every map counted)
-  and at max_n=6, which max_maps refuses (a checkout that lists every
-  labeled space first takes seconds per run);
+  verify_all() at the default budgets, count_topologies(6),
+  count_reflexive_transitive_relations(5) (the relation filter),
+  list(enumerate_topologies(6)) (the labeled stream), and the 12 map
+  propositions at the default map budget (max_n=3, 24,907 maps), at
+  max_n=4 (33,827,652 maps, every one counted; a checkout that builds
+  each map takes minutes per run), at max_n=5 with codomains on at most
+  3 points, at max_n=5 with max_maps raised to 154,771,368,636 (every
+  map counted) and at max_n=6, which max_maps refuses (a checkout that
+  lists every labeled space first takes seconds per run).  A checkout
+  whose map sweep picks its own process pool runs maps_n4 in process
+  and, on more than one CPU, maps_n5_c3 and maps_n5 on the pool;
 - layers: class_table and space_profile over the spaces the set/space
   sweep visits at max_n=5 (every labeled space, or one per isomorphism
   class where the checkout has enumerate_isomorphism_classes), that
@@ -69,6 +71,9 @@ SETS_N6 = EnumerationBudget(max_n=6)
 REPEATS = 5
 # every map between spaces on <= 4 points, and no more
 MAP_REGISTRY_N4 = EnumerationBudget(max_n=4, max_maps=33_827_652)
+# every map from spaces on <= 5 points into spaces on <= 3 points
+MAP_REGISTRY_N5_C3 = EnumerationBudget(max_n=5, codomain_max_n=3,
+                                       max_maps=10**12)
 # every map between spaces on <= 5 points
 MAP_REGISTRY_N5 = EnumerationBudget(max_n=5, max_maps=154_771_368_636)
 # 216,859 spaces fit max_spaces, but their maps exceed max_maps
@@ -202,8 +207,6 @@ def end_to_end():
         "sets_n6": _timed(
             lambda: theorems.verify_all(set_space, SETS_N6), clear),
         "verify_all_sequential": _timed(theorems.verify_all, clear),
-        "verify_all_parallel_2": _timed(
-            lambda: theorems.verify_all(parallel=True, workers=2), clear),
         "count_topologies_6": _timed(lambda: enumeration.count_topologies(6)),
         "count_relations_5": _timed(
             lambda: enumeration.count_reflexive_transitive_relations(5)),
@@ -212,6 +215,8 @@ def end_to_end():
         "maps_default": _timed(lambda: theorems.verify_all(maps), clear),
         "maps_n4": _timed(
             lambda: theorems.verify_all(maps, MAP_REGISTRY_N4), clear),
+        "maps_n5_c3": _timed(
+            lambda: theorems.verify_all(maps, MAP_REGISTRY_N5_C3), clear),
         "maps_n5": _timed(
             lambda: theorems.verify_all(maps, MAP_REGISTRY_N5), clear),
         "maps_refused_n6": _timed(

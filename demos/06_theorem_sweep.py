@@ -14,7 +14,6 @@ from fintopo import (
     find_counterexample,
     registry,
     replay_witness,
-    serialize_report,
     verify,
 )
 
@@ -50,10 +49,7 @@ w = find_counterexample(SetClass.B_SET, SetClass.AB_SET)
 print("\nfirst B-set that is not an AB-set:",
       json.dumps(w.to_document(), sort_keys=True))
 
-# map sweeps distribute over worker processes with identical output
-budget = EnumerationBudget(max_n=2)
-sequential = verify("s42", budget)
-parallel = verify("s42", budget, parallel=True, workers=2)
-assert serialize_report(sequential) == serialize_report(parallel)
-print(f"\ns42 at n<=2: {sequential.verdict} over "
-      f"{sequential.maps_checked} maps; parallel run byte-identical")
+# a map sweep runs on a process pool only when it is long enough to
+# pay for one; the report is the same either way
+report = verify("s42", EnumerationBudget(max_n=2))
+print(f"\ns42 at n<=2: {report.verdict} over {report.maps_checked} maps")

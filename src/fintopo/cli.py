@@ -89,6 +89,8 @@ def cmd_classify_map(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        return _fail(f"workers must be at least 1, got {args.workers}")
     if args.propositions == ["all"]:
         props = registry()
     else:
@@ -107,8 +109,7 @@ def cmd_verify(args) -> int:
         group = [p for p in props if (p.scope == "map") == (scope == "map")]
         if group:
             budget = replace(default_budget(scope), **overrides)
-            swept.update(zip(group, verify_all(
-                group, budget, parallel=args.parallel, workers=args.workers)))
+            swept.update(zip(group, verify_all(group, budget)))
     reports = [swept[p] for p in props]
     all_ok = True
     for p, report in zip(props, reports):
@@ -201,11 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest number of maps a map sweep may cover "
                         "(default: 5000000)")
     p.add_argument("--parallel", action="store_true",
-                   help="split the domains of map sweeps over worker "
-                        "processes; it pays only from --max-n 5 (see "
-                        "README)")
+                   help="accepted and ignored: a map sweep picks its "
+                        "process pool itself (see README)")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker process count for --parallel")
+                   help="accepted and ignored, but at least 1")
     p.add_argument("--report", default=None,
                    help="write the full JSON report to this path")
     p.set_defaults(func=cmd_verify)

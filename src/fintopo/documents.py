@@ -59,6 +59,7 @@ def encode_space(t: Topology, points=None) -> dict:
     points = list(points) if points is not None else default_point_names(t.n)
     if len(points) != t.n:
         raise DocumentError(f"need {t.n} point names, got {len(points)}")
+    _point_index(points)  # refuse what decode_space would refuse
     return {
         "points": points,
         "opens": [mask_to_names(u, points) for u in t.opens],

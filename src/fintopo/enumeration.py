@@ -327,9 +327,7 @@ def count_topologies(n: int, budget: EnumerationBudget | None = None) -> int:
     budget is checked as in enumerate_topologies: size n is refused iff
     it has more than max_spaces topologies.
     """
-    budget = _checked_budget(n, budget)
-    level = _level(_class_levels(budget), n, budget)
-    return sum(orbit for _, orbit in level)
+    return sum(orbit for _, orbit in enumerate_isomorphism_classes(n, budget))
 
 
 def count_reflexive_transitive_relations(n: int) -> int:

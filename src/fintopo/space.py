@@ -160,27 +160,17 @@ def build_topology(n: int, opens) -> Topology:
 def generate_from_subbasis(n: int, sets) -> Topology:
     """Smallest topology containing the given sets.
 
-    Closes under finite intersection, then arbitrary union, then adds the
-    empty and full sets.
+    In a finite space the minimal neighbourhood of x is the intersection
+    of the given sets that hold x (the full set if none does), and the
+    opens are the unions of minimal neighbourhoods.
     """
     sets = list(sets)
     _check_fits(n, sets)
-    full = full_mask(n)
-    base = {full}
-    frontier = set(sets)
-    while frontier:
-        base |= frontier
-        frontier = {
-            u & v for u in base for v in base if u & v not in base
-        }
-    opens = {0}
-    frontier = set(base)
-    while frontier:
-        opens |= frontier
-        frontier = {
-            u | v for u in opens for v in opens if u | v not in opens
-        }
-    return build_topology(n, opens)
+    nbhd = [full_mask(n)] * n
+    for u in sets:
+        for x in iter_points(u):
+            nbhd[x] &= u
+    return build_topology(n, up_sets(nbhd))
 
 
 def interior(t: Topology, a: SubsetMask) -> SubsetMask:

@@ -4,7 +4,7 @@ Every proposition is either universal (checked on every instance in
 budget; a failing instance is reported as a counterexample) or
 existential (the sweep must find a witness).  Sweeps never stop early:
 the full budget is always traversed and the canonically first hit is
-reported, so sequential and parallel runs produce identical reports.
+reported, so in-process and process-pool runs give identical reports.
 
 A proposition is a formula that returns its hits on one instance: the
 counterexamples of a universal claim, the examples of an existential
@@ -688,8 +688,12 @@ def _fact_histograms(tx, traces):
 
 _CHUNK_DOMAINS = 8
 
+# _open_bits calls above which a process pool pays; measured between
+# (max_n, codomain_max_n) (4, 4) at 18,809 calls and (5, 3) at 116,348
+_POOL_MIN_CALLS = 50_000
 
-def _map_histograms(domains, codomains, parallel, workers):
+
+def _map_histograms(domains, codomains):
     """Per (domain size, codomain size) in sweep order, the codomain size
     and the labeled maps of each fact word: {word: [count, domain
     representatives with it]}.
@@ -697,14 +701,20 @@ def _map_histograms(domains, codomains, parallel, workers):
     domains and codomains hold the classes of each size, one
     representative per isomorphism class with its orbit size: the fact
     words are topological, so every labeled domain of an orbit has the
-    same histogram.
+    same histogram.  Past _POOL_MIN_CALLS _open_bits calls, they run on
+    a pool of one worker per CPU this process may use, if more than one.
     """
-    work = partial(_fact_histograms, traces=_trace_table(codomains))
+    traces = _trace_table(codomains)
+    work = partial(_fact_histograms, traces=traces)
     reps = [tx for level in domains for tx, _ in level]
-    if parallel:
-        # workers None leaves the pool at its default, os.cpu_count()
-        processes = workers and min(workers, os.cpu_count() or 1)
-        with Pool(processes=processes) as pool:
+    # one call per (representative, partition into k blocks, sigma on k)
+    calls = sum(len(level) * len(traces[k]) for n, level in enumerate(domains)
+                for blocks in _partitions(n)
+                if (k := max(blocks, default=-1) + 1) < len(traces))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if calls > _POOL_MIN_CALLS and cpus > 1:
+        with Pool(processes=cpus) as pool:
             done = iter(list(pool.imap(work, reps, _CHUNK_DOMAINS)))
     else:
         done = map(work, reps)
@@ -734,7 +744,7 @@ def _map_witness(p, hitting, ny, budget):
                                assignment=f.assignment)
 
 
-def _sweep_maps(props, budget, parallel, workers):
+def _sweep_maps(props, budget):
     """One traversal of the maps in budget for map propositions; counts
     and witnesses are those of the labeled maps."""
     # domains range over n <= max_n, codomains over n <= codomain_n;
@@ -758,8 +768,7 @@ def _sweep_maps(props, budget, parallel, workers):
     best = [None] * len(props)
     maps_ = 0
     for ny, words in _map_histograms(levels[:budget.max_n + 1],
-                                     levels[:budget.codomain_n + 1],
-                                     parallel, workers):
+                                     levels[:budget.codomain_n + 1]):
         maps_ += sum(count for count, _ in words.values())
         for i, p in enumerate(props):
             hit = [entry for word, entry in words.items() if p.evaluate(word)]
@@ -773,19 +782,16 @@ def _sweep_maps(props, budget, parallel, workers):
     ]
 
 
-def verify(p, budget: EnumerationBudget | None = None, parallel: bool = False,
-           workers: int | None = None) -> SweepReport:
+def verify(p, budget: EnumerationBudget | None = None) -> SweepReport:
     """Exhaustively evaluate one proposition within the budget.
 
     Budget overruns surface as a budget-exhausted verdict, never as an
-    exception.  parallel distributes map sweeps over worker processes;
-    the report is byte-identical to the sequential one.
+    exception.
     """
-    return verify_all([p], budget, parallel, workers)[0]
+    return verify_all([p], budget)[0]
 
 
-def verify_all(ids=None, budget: EnumerationBudget | None = None,
-               parallel: bool = False, workers: int | None = None):
+def verify_all(ids=None, budget: EnumerationBudget | None = None):
     """Sweep the requested propositions (default: the whole registry).
 
     ids holds proposition ids or Proposition objects.  The set- and
@@ -793,13 +799,10 @@ def verify_all(ids=None, budget: EnumerationBudget | None = None,
     map-scope ones one traversal of the maps; budget None gives each
     group its default_budget.  Set and space evaluators must be kept by
     relabeling the points (see Proposition); one found to depend on the
-    labels raises ValueError.  With parallel, the map traversal runs on
-    one process pool of workers processes, at most os.cpu_count(); a
-    workers value below 1 is a ValueError, raised before any sweep.
-    Reports come back in request order.
+    labels raises ValueError.  A long map traversal runs on a process
+    pool (see _map_histograms); its report is byte-identical to the
+    one-process one.  Reports come back in request order.
     """
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     if ids is None:
         ids = registry()
     props = [proposition(p) if isinstance(p, str) else p for p in ids]
@@ -811,7 +814,7 @@ def verify_all(ids=None, budget: EnumerationBudget | None = None,
     mapped = [p for p in props if p.scope == "map"]
     if mapped:
         swept.update(zip(mapped, _sweep_maps(
-            mapped, budget or default_budget("map"), parallel, workers)))
+            mapped, budget or default_budget("map"))))
     return [swept[p] for p in props]
 
 

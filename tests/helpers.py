@@ -158,6 +158,38 @@ class FakePool:
         return map(fn, iterable)
 
 
+def subbasis_closure(n, sets):
+    """The topology generated by sets, closed under pairwise
+    intersection and then pairwise union until nothing new appears:
+    oracle for generate_from_subbasis."""
+    full = (1 << n) - 1
+    base = {full}
+    frontier = set(sets)
+    while frontier:
+        base |= frontier
+        frontier = {u & v for u in base for v in base if u & v not in base}
+    opens = {0}
+    frontier = set(base)
+    while frontier:
+        opens |= frontier
+        frontier = {u | v for u in opens for v in opens if u | v not in opens}
+    return build_topology(n, opens)
+
+
+def allow_cpus(monkeypatch, cpus):
+    """Let this process run on cpus CPUs, as far as a map sweep sees."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+def force_pool(monkeypatch):
+    """Make every map sweep take a process pool of two workers, as a long
+    sweep in a process that may run on two CPUs would."""
+    allow_cpus(monkeypatch, 2)
+    monkeypatch.setattr(theorems, "_POOL_MIN_CALLS", 0)
+
+
 def labeled_sweep_spaces(props, budget):
     """The labeled set/space traversal, oracle for the orbit sweep.
 
@@ -306,7 +338,7 @@ def labeled_map_histogram(budget, parallel=False, workers=None):
     return topos, _tally(map(_fact_chunk, chunks))
 
 
-def labeled_sweep_maps(props, budget, parallel, workers):
+def labeled_sweep_maps(props, budget):
     """The labeled map traversal, oracle for the factored map sweep.
 
     Builds and fact-words every map between every pair of labeled spaces
@@ -314,7 +346,7 @@ def labeled_sweep_maps(props, budget, parallel, workers):
     it can stand in for it.
     """
     try:
-        topos, words = labeled_map_histogram(budget, parallel, workers)
+        topos, words = labeled_map_histogram(budget)
     except BudgetExceeded:
         return [theorems._report(p, budget, 0, 0, 0, 0, None, True)
                 for p in props]

@@ -33,7 +33,7 @@ from fintopo import (
 )
 from fintopo.cli import main
 
-from helpers import random_preorder_topology
+from helpers import force_pool, random_preorder_topology
 
 E1A_DOC = {
     "points": ["a", "b", "c", "d"],
@@ -147,7 +147,7 @@ MAP_SWEEP = ["s41-i", "s41-ii", "s41-iii", "s41-iv", "s42", "s42a", "s43"]
 TOTAL_MAPS_N3 = 24907
 
 
-def test_criterion_4_map_sweeps():
+def test_criterion_4_map_sweeps(monkeypatch):
     problems = []
     budget = EnumerationBudget(max_n=3)
     start = time.perf_counter()
@@ -166,13 +166,12 @@ def test_criterion_4_map_sweeps():
             f"expected {TOTAL_MAPS_N3}",
         )
     _expect(problems, elapsed < 60.0, f"took {elapsed:.1f}s, limit 60s")
-    parallel = [
-        verify(pid, budget, parallel=True, workers=2) for pid in MAP_SWEEP
-    ]
+    force_pool(monkeypatch)
+    parallel = [verify(pid, budget) for pid in MAP_SWEEP]
     _expect(
         problems,
         serialize_report(sequential) == serialize_report(parallel),
-        "parallel report differs from the sequential one",
+        "process-pool report differs from the in-process one",
     )
     _verdict(4, "map sweeps exhaustive to three points", problems)
 

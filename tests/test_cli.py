@@ -288,16 +288,15 @@ def test_verify_workers_below_one_is_usage_error(monkeypatch, capsys):
     assert made == []
 
 
-def test_verify_workers_clamped_to_cpu_count(monkeypatch, capsys):
-    made = []
-    monkeypatch.setattr(theorems, "Pool", partial(FakePool, made))
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    argv = ["verify", "s41-i", "s42", "t4", "--max-n", "2", "--parallel"]
-    assert main([*argv, "--workers", "100000"]) == 0
-    assert made == [2]
-    clamped = capsys.readouterr().out
-    assert main(argv[:-1]) == 0
-    assert capsys.readouterr().out == clamped
+def test_verify_parallel_flags_change_nothing(tmp_path, capsys):
+    # the sweep picks its pool itself; the flags are only accepted
+    path = tmp_path / "report.json"
+    runs = set()
+    for flags in ([], ["--parallel", "--workers", "2"],
+                  ["--parallel", "--workers", "100000"]):
+        assert main(["verify", "all", "--report", str(path), *flags]) == 0
+        runs.add((capsys.readouterr().out, path.read_bytes()))
+    assert len(runs) == 1
 
 
 def test_enumerate_count_only(capsys):

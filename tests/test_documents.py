@@ -59,6 +59,23 @@ def test_encode_space_name_count_mismatch():
         encode_space(sierpinski(), ["only"])
 
 
+_IDENTITY = SpaceMap(sierpinski(), sierpinski(), (0, 1))
+
+
+@pytest.mark.parametrize("encode", [
+    lambda points: encode_space(sierpinski(), points),
+    lambda points: encode_map(_IDENTITY, points, None),
+    lambda points: encode_map(_IDENTITY, None, points),
+], ids=["space", "map-domain", "map-codomain"])
+@pytest.mark.parametrize("points", [["a", "a"], ["", "b"], [1, 2]])
+def test_encoders_refuse_names_the_decoder_refuses(encode, points):
+    with pytest.raises(DocumentError) as decoded:
+        decode_space({"points": points, "opens": [[]]})
+    with pytest.raises(DocumentError) as encoded:
+        encode(points)
+    assert str(encoded.value) == str(decoded.value)
+
+
 @pytest.mark.parametrize("doc", [
     "not an object",
     {"points": ["a"]},

@@ -1,6 +1,7 @@
 """Core space construction, interior/closure, and preorder round trips."""
 
 import pickle
+import random
 
 import pytest
 
@@ -24,7 +25,13 @@ from fintopo import (
 )
 from fintopo.space import iter_points, subset_key
 
-from helpers import discrete, four_point_space, indiscrete, three_point_space
+from helpers import (
+    discrete,
+    four_point_space,
+    indiscrete,
+    subbasis_closure,
+    three_point_space,
+)
 
 
 def test_full_mask_and_complement():
@@ -144,6 +151,16 @@ def test_generate_from_subbasis():
     t = generate_from_subbasis(3, [0b011, 0b110])
     assert t.opens == (0b000, 0b010, 0b011, 0b110, 0b111)
     assert generate_from_subbasis(2, []).opens == (0b00, 0b11)
+
+
+def test_generate_from_subbasis_matches_fixpoint_closure():
+    rng = random.Random(7)
+    for _ in range(3600):
+        n = rng.randrange(9)
+        sets = [rng.getrandbits(n) if n else 0 for _ in range(rng.randrange(6))]
+        t = generate_from_subbasis(n, sets)
+        want = subbasis_closure(n, sets)
+        assert (t.opens, t.min_nbhd) == (want.opens, want.min_nbhd)
 
 
 def test_preorder_validate():

@@ -42,7 +42,9 @@ from fintopo.enumeration import _class_levels, first_in_orbits
 
 from helpers import (
     FakePool,
+    allow_cpus,
     canonical_rows_by_brute_force,
+    force_pool,
     four_point_space,
     indiscrete,
     labeled_map_histogram,
@@ -279,10 +281,11 @@ def test_exploratory_never_gates():
     assert acceptable("equiv-strirr-scl", report) is True
 
 
-def test_parallel_report_is_byte_identical():
+def test_parallel_report_is_byte_identical(monkeypatch):
     budget = EnumerationBudget(max_n=2)
     seq = verify("s41-iii", budget)
-    par = verify("s41-iii", budget, parallel=True, workers=2)
+    force_pool(monkeypatch)
+    par = verify("s41-iii", budget)
     assert serialize_report(seq) == serialize_report(par)
     assert seq.maps_checked == par.maps_checked == 83
 
@@ -369,11 +372,12 @@ def test_codomain_cap_above_max_n():
     assert report.spaces_checked == 35
 
 
-def test_codomain_cap_parallel_report_is_byte_identical():
+def test_codomain_cap_parallel_report_is_byte_identical(monkeypatch):
     # domains on <= 3 points into codomains on <= 2 points: 6+9+68+957
     budget = EnumerationBudget(max_n=3, codomain_max_n=2)
     seq = verify("nonrev-s41-ii", budget)
-    par = verify("nonrev-s41-ii", budget, parallel=True, workers=2)
+    force_pool(monkeypatch)
+    par = verify("nonrev-s41-ii", budget)
     assert serialize_report(seq) == serialize_report(par)
     assert seq.verdict == "witness-found"
     assert seq.maps_checked == par.maps_checked == 1040
@@ -428,17 +432,61 @@ def test_default_report_bytes_one_traversal_per_scope(monkeypatch):
     assert calls == [2, 2, 2]
 
 
-def test_parallel_default_report_uses_one_pool(monkeypatch):
-    made = []
-    real = theorems.Pool
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
 
-    def counted(*args, **kwargs):
-        made.append(kwargs.get("processes"))
-        return real(*args, **kwargs)
-    monkeypatch.setattr(theorems, "Pool", counted)
-    report = verify_all(parallel=True, workers=2)
-    assert _sha256(serialize_report(report)) == DEFAULT_REPORT_SHA256
-    assert made == [min(2, os.cpu_count())]
+
+def test_default_report_starts_no_pool(monkeypatch):
+    # 395 _open_bits calls at the default (3, 3), 18,809 at (4, 4): both
+    # below the constant
+    allow_cpus(monkeypatch, 2)
+    monkeypatch.setattr(theorems, "Pool", _no_pool)
+    assert _sha256(serialize_report(verify_all())) == DEFAULT_REPORT_SHA256
+    verify_all(MAP_IDS, EnumerationBudget(max_n=4, codomain_max_n=4,
+                                          max_maps=10**12))
+
+
+def test_long_map_sweep_uses_one_pool(monkeypatch):
+    # 116,348 _open_bits calls at (5, 3), above the constant
+    budget = EnumerationBudget(max_n=5, codomain_max_n=3, max_maps=10**12)
+    allow_cpus(monkeypatch, 1)
+    monkeypatch.setattr(theorems, "Pool", _no_pool)
+    in_process = serialize_report(verify_all(MAP_IDS, budget))
+    made = []
+    allow_cpus(monkeypatch, 2)
+    monkeypatch.setattr(theorems, "Pool", partial(FakePool, made))
+    assert serialize_report(verify_all(MAP_IDS, budget)) == in_process
+    assert made == [2]
+
+
+def test_pool_needs_more_than_one_cpu(monkeypatch):
+    allow_cpus(monkeypatch, 1)
+    monkeypatch.setattr(theorems, "_POOL_MIN_CALLS", 0)
+    monkeypatch.setattr(theorems, "Pool", _no_pool)
+    verify_all(MAP_IDS, EnumerationBudget(max_n=2))
+
+
+@pytest.mark.parametrize("max_n, codomain_max_n, calls", [
+    (5, 1, 186), (3, 3, 395), (4, 2, 1_091), (4, 4, 18_809),
+])
+def test_pool_threshold_reads_the_open_bits_calls(monkeypatch, max_n,
+                                                  codomain_max_n, calls):
+    # the sweep counts its _open_bits calls before making them, and
+    # takes the pool only above the constant
+    budget = EnumerationBudget(max_n=max_n, codomain_max_n=codomain_max_n,
+                               max_maps=10**12)
+    made, counted = [], []
+    real = theorems._open_bits
+    monkeypatch.setattr(theorems, "_open_bits",
+                        lambda *args: counted.append(1) or real(*args))
+    force_pool(monkeypatch)
+    monkeypatch.setattr(theorems, "Pool", partial(FakePool, made))
+    for threshold, pools in ((calls, []), (calls - 1, [2])):
+        monkeypatch.setattr(theorems, "_POOL_MIN_CALLS", threshold)
+        made.clear()
+        counted.clear()
+        verify_all(MAP_IDS, budget)
+        assert (len(counted), made) == (calls, pools)
 
 
 def test_map_budget_is_checked_before_pairs_exist():
@@ -473,30 +521,6 @@ def test_map_refusal_builds_no_labeled_space(monkeypatch, max_n, spaces):
         assert report.verdict == "budget-exhausted"
         assert (report.spaces_checked, report.maps_checked) == (spaces, 0)
     assert _sha256(serialize_report(reports)) == MAP_REFUSAL_SHA256[max_n]
-
-
-def test_workers_below_one_rejected_before_any_sweep(monkeypatch):
-    made = []
-    monkeypatch.setattr(theorems, "Pool", partial(FakePool, made))
-    for workers in (0, -3):
-        with pytest.raises(ValueError):
-            verify_all(["t4", "s41-i"], parallel=True, workers=workers)
-    assert made == []
-
-
-def test_workers_clamped_to_cpu_count(monkeypatch):
-    made = []
-    monkeypatch.setattr(theorems, "Pool", partial(FakePool, made))
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    budget = EnumerationBudget(max_n=2)
-    ids = ["t4", "s41-i", "s42", "nonrev-s41-ii"]
-    par = verify_all(ids, budget, parallel=True, workers=10**6)
-    assert made == [3]
-    verify_all(ids, budget, parallel=True, workers=2)
-    assert made == [3, 2]
-    seq = verify_all(ids, budget)
-    assert made == [3, 2]
-    assert serialize_report(par) == serialize_report(seq)
 
 
 def test_fact_words_agree_with_definitions():
@@ -750,9 +774,9 @@ def test_find_counterexample_budget_refusal():
 MAP_IDS = [p.id for p in registry() if p.scope == "map"]
 
 
-def _factored_and_labeled(monkeypatch, budget, parallel=False, workers=None):
+def _factored_and_labeled(monkeypatch, budget):
     """serialize_report of the map sweep and of the labeled oracle."""
-    factored = verify_all(MAP_IDS, budget, parallel=parallel, workers=workers)
+    factored = verify_all(MAP_IDS, budget)
     with monkeypatch.context() as m:
         m.setattr(theorems, "_sweep_maps", labeled_sweep_maps)
         labeled = verify_all(MAP_IDS, budget)
@@ -763,14 +787,13 @@ def _factored_and_labeled(monkeypatch, budget, parallel=False, workers=None):
     return serialize_report(factored), serialize_report(labeled)
 
 
-def _factored_histogram(budget, parallel=False, workers=None):
+def _factored_histogram(budget):
     """{word: labeled maps} of the factored sweep, over every size."""
     words = {}
     top = max(budget.max_n, budget.codomain_n)
     levels = list(_class_levels(replace(budget, max_n=top)))
     for _, level in theorems._map_histograms(
         levels[:budget.max_n + 1], levels[:budget.codomain_n + 1],
-        parallel, workers,
     ):
         for word, (count, _) in level.items():
             words[word] = words.get(word, 0) + count
@@ -838,23 +861,24 @@ def test_map_sweep_matches_labeled_oracle_on_the_acceptance_witness(
 
 def test_parallel_map_sweep_matches_labeled_oracle(monkeypatch):
     made = []
+    force_pool(monkeypatch)
     with monkeypatch.context() as m:
         m.setattr(theorems, "Pool", partial(FakePool, made))
-        faked, labeled = _factored_and_labeled(
-            monkeypatch, CAPPED, parallel=True, workers=2)
-    assert made == [min(2, os.cpu_count())]
+        faked, labeled = _factored_and_labeled(monkeypatch, CAPPED)
+    assert made == [2]
     assert faked == labeled
-    real, _ = _factored_and_labeled(monkeypatch, CAPPED, parallel=True,
-                                    workers=2)
+    real, _ = _factored_and_labeled(monkeypatch, CAPPED)
     assert real == labeled
 
 
 @pytest.mark.skipif(not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")
-def test_four_point_map_histogram_matches_labeled_oracle():
-    # 33,827,652 labeled maps, built one by one on a pool of two workers
+def test_four_point_map_histogram_matches_labeled_oracle(monkeypatch):
+    # 33,827,652 labeled maps, built one by one on a pool of two workers;
+    # the factored sweep runs on a forced pool of two workers
     budget = EnumerationBudget(max_n=4, max_maps=33_827_652)
     _, labeled = labeled_map_histogram(budget, parallel=True, workers=2)
-    factored = _factored_histogram(budget, parallel=True, workers=2)
+    force_pool(monkeypatch)
+    factored = _factored_histogram(budget)
     assert factored == {word: count for word, (count, _) in labeled.items()}
     assert sum(factored.values()) == 33_827_652
 
