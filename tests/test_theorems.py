@@ -459,11 +459,18 @@ def test_long_map_sweep_uses_one_pool(monkeypatch):
     assert made == [2]
 
 
-def test_pool_needs_more_than_one_cpu(monkeypatch):
-    allow_cpus(monkeypatch, 1)
+@pytest.mark.parametrize("affinity, pools", [(1, []), (3, [3])])
+def test_pool_size_follows_cpu_affinity(monkeypatch, affinity, pools):
+    # os.cpu_count is the machine's; the affinity mask is what taskset
+    # sets, and one CPU gets no pool
+    made = []
     monkeypatch.setattr(theorems, "_POOL_MIN_CALLS", 0)
-    monkeypatch.setattr(theorems, "Pool", _no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(affinity)), raising=False)
+    monkeypatch.setattr(theorems, "Pool", partial(FakePool, made))
     verify_all(MAP_IDS, EnumerationBudget(max_n=2))
+    assert made == pools
 
 
 @pytest.mark.parametrize("max_n, codomain_max_n, calls", [
