@@ -12,8 +12,9 @@ The file names the measured checkout's commit and holds the machine
 installed), the line count of the measured src/ tree, and the median and
 interquartile range of REPEATS runs:
 
-- end to end: the 27 set/space propositions at max_n=5 and at max_n=6,
-  verify_all() at the default budgets, count_topologies(6),
+- end to end: the 27 set/space propositions at max_n=5, at max_n=6 and
+  at max_n=7 (with max_spaces raised to 10,000,000), verify_all() at the
+  default budgets, count_topologies(6),
   count_reflexive_transitive_relations(5) (the relation filter),
   list(enumerate_topologies(6)) (the labeled stream), and the 12 map
   propositions at the default map budget (max_n=3, 24,907 maps), at
@@ -32,11 +33,12 @@ interquartile range of REPEATS runs:
   classify-set asks of one space, a fresh class_table plus one witness
   per existential class, over fixed seeded random spaces on 8, 11 and
   12 points (per size, the median is for all of its spaces together),
-  and interior_closure: interior and closure of every subset of those
-  same spaces.
+  interior_closure: interior and closure of every subset of those same
+  spaces, and interior_table: the same interiors and closures read from
+  one interior table per space, where the checkout has interior_table.
 
-Every end-to-end run starts with an empty class_table cache.  Nothing
-under perfbench/ is read or written.
+Every end-to-end run starts with empty class_table and interior_table
+caches.  Nothing under perfbench/ is read or written.
 """
 
 import argparse
@@ -68,6 +70,7 @@ from fintopo.space import (Preorder, closure, interior, iter_points,
 
 SETS_MAX_N = 5
 SETS_N6 = EnumerationBudget(max_n=6)
+SETS_N7 = EnumerationBudget(max_n=7, max_spaces=10_000_000)
 REPEATS = 5
 # every map between spaces on <= 4 points, and no more
 MAP_REGISTRY_N4 = EnumerationBudget(max_n=4, max_maps=33_827_652)
@@ -196,16 +199,30 @@ def _interior_closure(queries):
             closure(t, a)
 
 
+def _interior_table(build, queries):
+    for t, _ in queries:
+        table = build(t)
+        [t.full ^ table[t.full ^ a] for a in t.subsets()]
+
+
+def _clear_caches():
+    setclasses.class_table.cache_clear()
+    if hasattr(setclasses, "interior_table"):
+        setclasses.interior_table.cache_clear()
+
+
 def end_to_end():
     set_space = [p.id for p in theorems.registry() if p.scope != "map"]
     maps = [p.id for p in theorems.registry() if p.scope == "map"]
     sets_budget = EnumerationBudget(max_n=SETS_MAX_N)
-    clear = setclasses.class_table.cache_clear
+    clear = _clear_caches
     return {
         "sets_n5": _timed(
             lambda: theorems.verify_all(set_space, sets_budget), clear),
         "sets_n6": _timed(
             lambda: theorems.verify_all(set_space, SETS_N6), clear),
+        "sets_n7": _timed(
+            lambda: theorems.verify_all(set_space, SETS_N7), clear),
         "verify_all_sequential": _timed(theorems.verify_all, clear),
         "count_topologies_6": _timed(lambda: enumeration.count_topologies(6)),
         "count_relations_5": _timed(
@@ -249,6 +266,12 @@ def layers():
         str(n): _timed(partial(_interior_closure, q))
         for n, q in queries.items()
     }
+    table = getattr(setclasses, "interior_table", None)
+    if table is not None:
+        out["interior_table"] = {
+            str(n): _timed(partial(_interior_table, table.__wrapped__, q))
+            for n, q in queries.items()
+        }
     return out
 
 

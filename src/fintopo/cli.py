@@ -11,12 +11,14 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import cache
 
 from .documents import (
-    encode_space,
+    default_point_names,
     format_set,
     load_map,
     load_space,
+    mask_to_names,
     names_to_mask,
 )
 from .enumeration import (
@@ -146,11 +148,18 @@ def cmd_enumerate(args) -> int:
     if args.count_only:
         print(count_topologies(args.n, budget))
         return 0
+    # encode_space's document, with each mask's names listed once
+    points = default_point_names(args.n)
+    names = [mask_to_names(m, points) for m in range(1 << args.n)]
     for t in enumerate_topologies(args.n, budget):
-        print(json.dumps(encode_space(t), sort_keys=True))
+        doc = {"points": points, "opens": [names[u] for u in t.opens]}
+        print(json.dumps(doc, sort_keys=True))
     return 0
 
 
+# argparse looks sys.stdout and sys.stderr up as it writes, so one parser
+# serves every main() call of a process
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fintopo",

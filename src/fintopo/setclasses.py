@@ -141,6 +141,20 @@ def is_ic_set_subspace(t: Topology, a: SubsetMask) -> bool:
     return acc == ia
 
 
+def ic_set_subspace_bitmap(t: Topology) -> int:
+    """Bitmap of the subsets a that is_ic_set_subspace accepts.
+
+    The relative closed sets a - u over int a are those whose open u
+    misses int a, and int a is itself open: so per open w the OR miss[w]
+    of the opens missing w is taken once, and the relative closure of
+    int a in a is a - miss[int a].
+    """
+    i = interior_table(t)
+    miss = {w: reduce(or_, [u for u in t.opens if u & w == 0])
+            for w in t.opens}
+    return sum(1 << a for a in t.subsets() if a & ~miss[i[a]] == i[a])
+
+
 # ---------------------------------------------------------------------------
 # semi-closure
 
@@ -156,9 +170,37 @@ def _superset_meets(n: int, family):
     return tuple(meet)
 
 
+# every route of a space reads the same table: about eight per space
+@lru_cache(maxsize=8)
+def interior_table(t: Topology):
+    """int a for every subset a, as a tuple whose entry a is int a.
+
+    x is in int a iff a holds N(x) = min_nbhd[x], so a superset walk
+    gives every superset of N(x) the bit x: at most n * 2^(n-1) steps.
+    The closure is the dual, cl a = full ^ I[full ^ a].  The table reads
+    neither class_table nor its planes, so the routes built on it stay
+    independent of the table they check.
+    """
+    check_subset_budget(t.n)
+    table = [0] * (1 << t.n)
+    for x, nbhd in enumerate(t.min_nbhd):
+        rest, s = t.full ^ nbhd, 0
+        while True:
+            table[nbhd | s] |= 1 << x
+            # the next subset s of rest, in numeric order
+            s = (s - rest) & rest
+            if not s:
+                break
+    return tuple(table)
+
+
 def semi_closures(t: Topology):
-    """sCl a for every subset a, over the family is_semi_closed finds."""
-    semi_closed = [s for s in t.subsets() if is_semi_closed(t, s)]
+    """sCl a for every subset a, over the semi-closed family.
+
+    s is semi-closed iff int cl s stays inside s, read off the table.
+    """
+    i, full = interior_table(t), t.full
+    semi_closed = [s for s in t.subsets() if i[full ^ i[full ^ s]] & ~s == 0]
     return _superset_meets(t.n, semi_closed)
 
 
@@ -238,10 +280,16 @@ def b_set_via_semi_closure_bitmap(t: Topology) -> int:
     """Bitmap of the subsets a with a = u & sCl(a) for some open u.
 
     Single-scan reformulation of the B-set class through the semi-closure;
-    exhaustive agreement with is_b_set is a test target.
+    exhaustive agreement with is_b_set is a test target.  Such a u holds
+    a, so it holds the smallest open U(a) over a too, and U(a) & sCl(a)
+    lies between a and u & sCl(a): U(a) is the one open to try.
     """
+    smallest = [0] * (1 << t.n)
+    for a in range(1, len(smallest)):
+        low = a & -a
+        smallest[a] = smallest[a ^ low] | t.min_nbhd[low.bit_length() - 1]
     return sum(1 << a for a, s in enumerate(semi_closures(t))
-               if any(u & s == a for u in t.opens))
+               if smallest[a] & s == a)
 
 
 def is_b_set_via_semi_closure(t: Topology, a: SubsetMask) -> bool:
@@ -253,12 +301,14 @@ def semi_regular_sandwich_bitmap(t: Topology) -> int:
 
     Sandwich reformulation of semi-regularity, an OR of the intervals
     [u, cl u]; exhaustive agreement with is_semi_regular is a test target.
+    u is regular open iff u = int cl u, and full - cl u is int(full - u).
     """
+    i, full = interior_table(t), t.full
     e, ones = _point_planes(t.n), (1 << (1 << t.n)) - 1
     return reduce(or_, [
         reduce(and_, [e[y] for y in iter_points(u)]
-               + [~e[y] for y in iter_points(t.full ^ closure(t, u))], ones)
-        for u in t.opens if is_regular_open(t, u)], 0)
+               + [~e[y] for y in iter_points(i[full ^ u])], ones)
+        for u in t.opens if i[full ^ i[full ^ u]] == u], 0)
 
 
 def is_semi_regular_sandwich(t: Topology, a: SubsetMask) -> bool:
@@ -308,8 +358,9 @@ class ClassTable:
 
     @cached_property
     def closure_table(self):
-        t = self.topology
-        return tuple(closure(t, a) for a in t.subsets())
+        # cl a = full ^ I[full ^ a], and full ^ a runs down as a runs up
+        full = self.topology.full
+        return tuple(full ^ i for i in reversed(interior_table(self.topology)))
 
     @cached_property
     def semi_closure_table(self):

@@ -8,8 +8,8 @@ here would make those checks circular.
 
 from enum import Enum
 
-from .setclasses import is_semi_open
-from .space import Topology, closure
+from .setclasses import interior_table
+from .space import Topology
 
 
 class SpaceProperty(Enum):
@@ -22,21 +22,27 @@ class SpaceProperty(Enum):
     SEMI_CONNECTED = "semi-connected"
 
 
+# The predicates read i = interior_table(t): a is open iff i[a] = a, and
+# cl a = full ^ i[full ^ a].
+
+
 def is_extremally_disconnected(t: Topology) -> bool:
     """Every open set has open closure."""
-    return all(t.is_open(closure(t, u)) for u in t.opens)
+    i, full = interior_table(t), t.full
+    return all(i[c] == c for c in (full ^ i[full ^ u] for u in t.opens))
 
 
 def is_submaximal(t: Topology) -> bool:
     """Every dense subset is open."""
-    return all(
-        t.is_open(a) for a in t.subsets() if closure(t, a) == t.full
-    )
+    i, full = interior_table(t), t.full
+    # a is dense iff cl a = full iff int(full - a) is empty
+    return all(i[a] == a for a in t.subsets() if i[full ^ a] == 0)
 
 
 def is_partition(t: Topology) -> bool:
     """Every open set is closed."""
-    return all(t.is_closed(u) for u in t.opens)
+    i, full = interior_table(t), t.full
+    return all(i[full ^ u] == full ^ u for u in t.opens)
 
 
 def is_discrete(t: Topology) -> bool:
@@ -50,7 +56,8 @@ def is_indiscrete(t: Topology) -> bool:
 
 def is_hyperconnected(t: Topology) -> bool:
     """Every nonempty open set is dense.  Vacuously true for n <= 1."""
-    return all(closure(t, u) == t.full for u in t.opens if u != 0)
+    i, full = interior_table(t), t.full
+    return all(i[full ^ u] == 0 for u in t.opens if u != 0)
 
 
 def is_semi_connected(t: Topology) -> bool:
@@ -59,11 +66,12 @@ def is_semi_connected(t: Topology) -> bool:
     Vacuously true for n <= 1.  Only complementary pairs need checking:
     a disjoint semi-open cover by two sets is exactly such a pair.
     """
-    full = t.full
-    for a in range(1, full):
-        if is_semi_open(t, a) and is_semi_open(t, full ^ a):
-            return False
-    return True
+    i, full = interior_table(t), t.full
+    # a is semi-open iff a lies in cl int a, that is, a misses the
+    # complement of cl int a, which is int(full - int a)
+    semi_open = [a & i[full ^ i[a]] == 0 for a in t.subsets()]
+    return not any(semi_open[a] and semi_open[full ^ a]
+                   for a in range(1, full))
 
 
 PROPERTY_PREDICATES = {
@@ -82,5 +90,9 @@ def has_property(t: Topology, prop: SpaceProperty) -> bool:
 
 
 def space_profile(t: Topology):
-    """Verdict for every property, in declaration order."""
+    """Verdict for every property, in declaration order.
+
+    Like interior_table, it refuses more than 12 points with
+    GroundSetTooLarge.
+    """
     return {prop: fn(t) for prop, fn in PROPERTY_PREDICATES.items()}

@@ -77,8 +77,8 @@ from .setclasses import (
     SetClass,
     b_set_via_semi_closure_bitmap,
     class_table,
-    is_ic_set_subspace,
-    semi_closure_closed_form,
+    ic_set_subspace_bitmap,
+    interior_table,
     semi_regular_sandwich_bitmap,
 )
 from .space import Topology
@@ -214,13 +214,15 @@ def _ev_equiv_bset_scl(table, profile):
 
 
 def _ev_equiv_ic_subspace(table, profile):
-    t, ic = table.topology, table.family_bitmap(SC.IC_SET)
-    return ic ^ _where(t, partial(is_ic_set_subspace, t))
+    ic = table.family_bitmap(SC.IC_SET)
+    return ic ^ ic_set_subspace_bitmap(table.topology)
 
 
 def _ev_equiv_scl_form(table, profile):
+    # sCl a against its closed form a | int cl a
     t, scl = table.topology, table.semi_closure_table
-    return _where(t, lambda a: scl[a] != semi_closure_closed_form(t, a))
+    i, full = interior_table(t), t.full
+    return _where(t, lambda a: scl[a] != a | i[full ^ i[full ^ a]])
 
 
 # ---------------------------------------------------------------------------

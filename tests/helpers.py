@@ -19,16 +19,20 @@ from fintopo import (
     BudgetExceeded,
     EnumerationBudget,
     Preorder,
+    SpaceProperty,
     Topology,
     build_topology,
     class_table,
+    closure,
     enumerate_maps,
+    semi_closure_closed_form,
     space_profile,
     theorems,
     topology_from_preorder,
 )
 from fintopo.enumeration import _extensions
 from fintopo.maps import _domain_facts, _fact_word
+from fintopo.setclasses import is_ic_set_subspace, is_semi_open
 from fintopo.space import iter_points, up_sets
 
 
@@ -70,6 +74,38 @@ def random_preorder_topology(seeds):
                 rows[i] = merged
                 changed = True
     return topology_from_preorder(Preorder(tuple(rows)))
+
+
+def where(t, holds):
+    """Bitmap of the subsets a of t with holds(t, a)."""
+    return sum(1 << a for a in t.subsets() if holds(t, a))
+
+
+# The space properties decided one subset at a time through interior and
+# closure, as spaceprops did before it read interior_table: the oracles
+# its predicates are checked against.
+SPACE_PROPERTY_SCANS = {
+    SpaceProperty.EXTREMALLY_DISCONNECTED: lambda t: all(
+        t.is_open(closure(t, u)) for u in t.opens),
+    SpaceProperty.SUBMAXIMAL: lambda t: all(
+        t.is_open(a) for a in t.subsets() if closure(t, a) == t.full),
+    SpaceProperty.PARTITION: lambda t: all(t.is_closed(u) for u in t.opens),
+    SpaceProperty.HYPERCONNECTED: lambda t: all(
+        closure(t, u) == t.full for u in t.opens if u != 0),
+    SpaceProperty.SEMI_CONNECTED: lambda t: not any(
+        is_semi_open(t, a) and is_semi_open(t, t.full ^ a)
+        for a in range(1, t.full)),
+}
+
+
+def ic_set_subspace_by_subset(t):
+    """The subspace ic-set route, one is_ic_set_subspace call per subset."""
+    return where(t, is_ic_set_subspace)
+
+
+def semi_closure_closed_forms(t):
+    """a | int cl a per subset a, one semi_closure_closed_form call each."""
+    return tuple(semi_closure_closed_form(t, a) for a in t.subsets())
 
 
 def up_sets_by_scan(rows):

@@ -326,6 +326,22 @@ def test_enumerate_n5_output_pinned(capsys):
     assert hashlib.sha256(out).hexdigest() == ENUMERATE_N5_SHA256
 
 
+# recorded before cmd_enumerate named each mask once per stream: the
+# stdout of enumerate --n 6
+ENUMERATE_N6_SHA256 = (
+    "2cc8cc02801193135f94bcb62e887a60d284f04332585dc8b853c4fe3ad26a4f"
+)
+
+
+@pytest.mark.skipif(os.environ.get("FINTOPO_BIG_SWEEPS") != "1",
+                    reason="set FINTOPO_BIG_SWEEPS=1 to enable")
+def test_enumerate_n6_output_pinned(capsys):
+    assert main(["enumerate", "--n", "6"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (out.count(b"\n"), len(out)) == (209_527, 60_550_406)
+    assert hashlib.sha256(out).hexdigest() == ENUMERATE_N6_SHA256
+
+
 def test_enumerate_cap(capsys):
     assert main(["enumerate", "--n", "7"]) == 2
     assert "capped" in capsys.readouterr().err
@@ -340,6 +356,29 @@ def test_enumerate_negative_n_names_the_flag(capsys):
 
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 2
+
+
+def test_one_process_answers_like_fresh_ones(space_files, capsys,
+                                            monkeypatch):
+    # main() builds its parser once per process; every call must still
+    # print and exit as a run in a fresh process does
+    monkeypatch.setenv("COLUMNS", "80")  # the width --help wraps at
+    calls = [
+        ["classify-set", space_files["e4"], "b", "c"],
+        ["verify", "t00", "--max-n", "x"],
+        ["classify-space", space_files["e3"]],
+        ["--help"],
+    ]
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "fintopo.cli", *argv],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def _chain_document(n):

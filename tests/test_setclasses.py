@@ -1,6 +1,7 @@
 """Set class membership: frozen verdicts, witnesses, and dual routes."""
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -25,6 +26,8 @@ from fintopo.setclasses import (
     ab_set_witness,
     b_set_via_semi_closure_bitmap,
     b_set_witness,
+    ic_set_subspace_bitmap,
+    interior_table,
     is_ab_set,
     is_b_set,
     is_b_set_via_semi_closure,
@@ -35,13 +38,18 @@ from fintopo.setclasses import (
     semi_closures,
     semi_regular_sandwich_bitmap,
 )
+from fintopo.spaceprops import PROPERTY_PREDICATES
 
 from helpers import (
+    SPACE_PROPERTY_SCANS,
     discrete,
     four_point_space,
+    ic_set_subspace_by_subset,
     indiscrete,
     random_preorder_topology,
+    semi_closure_closed_forms,
     three_point_space,
+    where,
 )
 
 
@@ -171,11 +179,6 @@ def test_dual_routes_agree_exhaustively():
             assert semi_closure(t, a) == semi_closure_closed_form(t, a)
 
 
-def _where(t, holds):
-    """Bitmap of the subsets a of t with holds(t, a)."""
-    return sum(1 << a for a in t.subsets() if holds(t, a))
-
-
 def _route_spaces():
     # every space on at most four points, and one seeded random space on
     # each of 8, 9 and 10 points; sparse seed rows keep the closed
@@ -191,30 +194,77 @@ def _route_spaces():
 
 
 def test_per_space_routes_match_definitions(monkeypatch):
-    # each whole-space route against its pointwise or defining-pair
-    # definition, decided one subset at a time; no route may read the
-    # class table or its second families
+    # each whole-space route against its pointwise, defining-pair or
+    # subspace definition, decided one subset at a time, and each space
+    # property against its scan through interior and closure; no route
+    # may read the class table or its second families
     def refuse(*args):
         raise AssertionError("class table read")
 
     monkeypatch.setattr(setclasses, "class_table", refuse)
     monkeypatch.setattr(setclasses, "ClassTable", refuse)
     monkeypatch.setattr(setclasses, "SECOND_FAMILY", None)
-    tally = Counter()
+    tally, verdicts = Counter(), Counter()
     for t in _route_spaces():
         sandwich = semi_regular_sandwich_bitmap(t)
-        assert sandwich == _where(t, is_semi_regular), t
+        assert sandwich == where(t, is_semi_regular), t
         b_sets = b_set_via_semi_closure_bitmap(t)
-        assert b_sets == _where(t, is_b_set), t
+        assert b_sets == where(t, is_b_set), t
+        ic_sets = ic_set_subspace_bitmap(t)
+        assert ic_sets == ic_set_subspace_by_subset(t), t
         scl = semi_closures(t)
-        assert scl == tuple(
-            semi_closure_closed_form(t, a) for a in t.subsets()), t
-        for name, bits in (("sandwich", sandwich), ("b-set", b_sets)):
+        assert scl == semi_closure_closed_forms(t), t
+        for name, bits in (("sandwich", sandwich), ("b-set", b_sets),
+                           ("ic-set", ic_sets)):
             tally[name, True] += bits.bit_count()
             tally[name, False] += (1 << t.n) - bits.bit_count()
         tally["moved"] += sum(s != a for a, s in enumerate(scl))
-    # each route answers both ways on many subsets
-    assert len(tally) == 5 and min(tally.values()) > 300, tally
+        for prop, scan in SPACE_PROPERTY_SCANS.items():
+            verdict = PROPERTY_PREDICATES[prop](t)
+            assert verdict == scan(t), (t, prop)
+            verdicts[prop, verdict] += 1
+    # each route answers both ways on many subsets, each property both
+    # ways on several spaces
+    assert len(tally) == 7 and min(tally.values()) > 300, tally
+    assert len(verdicts) == 2 * len(SPACE_PROPERTY_SCANS), verdicts
+    assert min(verdicts.values()) > 5, verdicts
+
+
+def test_interior_table_matches_interior_and_closure():
+    # every subset of every space on at most four points and of the
+    # seeded random 8-12-point spaces
+    for t in [*all_small_topologies(4), *_random_spaces()]:
+        table = interior_table(t)
+        assert table == tuple(interior(t, a) for a in t.subsets()), t
+        assert tuple(t.full ^ table[t.full ^ a] for a in t.subsets()) == (
+            tuple(closure(t, a) for a in t.subsets())), t
+        assert class_table(t).closure_table == tuple(
+            closure(t, a) for a in t.subsets()), t
+
+
+class _NoData:
+    """A 13-point stand-in whose opens and neighbourhoods must not be read."""
+
+    n = 13
+
+    def __getattr__(self, name):
+        raise AssertionError(f"{name} read")
+
+
+def test_interior_table_budget_guard():
+    # the budget is checked before the walk reads the space and before
+    # the table is allocated (8,192 entries would take 64 KiB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroundSetTooLarge, match=r"2\^13 subsets"):
+            interior_table(_NoData())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024, peak
+    with pytest.raises(GroundSetTooLarge, match=r"2\^13 subsets"):
+        interior_table(indiscrete(13))
+    assert interior_table(indiscrete(12))[-1] == (1 << 12) - 1
 
 
 def test_class_table_matches_predicates_exhaustively():

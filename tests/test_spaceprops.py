@@ -1,6 +1,14 @@
 """Global space property predicates on known spaces and edge sizes."""
 
-from fintopo import SpaceProperty, build_topology, has_property, space_profile
+import pytest
+
+from fintopo import (
+    GroundSetTooLarge,
+    SpaceProperty,
+    build_topology,
+    has_property,
+    space_profile,
+)
 from fintopo.spaceprops import (
     is_discrete,
     is_extremally_disconnected,
@@ -96,3 +104,12 @@ def test_has_property_dispatch():
     t = discrete(2)
     assert has_property(t, SpaceProperty.DISCRETE)
     assert not has_property(t, SpaceProperty.HYPERCONNECTED)
+
+
+def test_space_profile_refuses_more_than_12_points():
+    # the predicates read interior_table, which refuses 2^13 subsets
+    with pytest.raises(GroundSetTooLarge, match=r"2\^13 subsets"):
+        space_profile(indiscrete(13))
+    profile = space_profile(indiscrete(12))
+    assert profile[SpaceProperty.INDISCRETE]
+    assert not profile[SpaceProperty.SUBMAXIMAL]

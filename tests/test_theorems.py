@@ -53,6 +53,7 @@ from helpers import (
     labeled_topologies,
     labeled_trace_table,
     sierpinski,
+    three_point_space,
 )
 
 # map sweep with four-point domains but codomains capped at two points
@@ -622,20 +623,26 @@ def test_orbit_sweep_matches_labeled_oracle_with_repeated_ids(monkeypatch):
 
 # sha256 of serialize_report of the 27 set/space propositions at max_n=6,
 # and at max_n=7 with max_spaces raised, recorded from the sweep in which
-# equiv-sr-sandwich and equiv-bset-scl decided each subset on its own
+# equiv-sr-sandwich and equiv-bset-scl decided each subset on its own;
+# at max_n=8, recorded from the sweep in which the oracles and space
+# properties called interior once per subset
 SET_SPACE_REPORTS = {
     6: (EnumerationBudget(max_n=6),
         "c0160ed712721340bfea6a7f4c1826c5e7db317097b6cfc7babe99f37c62c2d7"),
     7: (EnumerationBudget(max_n=7, max_spaces=10_000_000),
         "ab81d8acf92301116107db5c69d3f34f5597fd3cd38c5244b76cc635ae2e308a"),
+    8: (EnumerationBudget(max_n=8, max_spaces=10**9),
+        "d53f67b93fd44d1525da7b919fe6c2dd5defd11009fdbfe40f6774759711b33c"),
 }
 
 
 @pytest.mark.parametrize("max_n", [
     6,
-    # 9,752,100 labeled spaces, 4,535 classes on seven points
-    pytest.param(7, marks=pytest.mark.skipif(
-        not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")),
+    # 9,752,100 labeled spaces, 4,535 classes on seven points, and
+    # 652,531,454 labeled spaces, 35,979 classes on eight
+    *(pytest.param(n, marks=pytest.mark.skipif(
+        not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable"))
+      for n in (7, 8)),
 ])
 def test_set_space_reports_pinned(max_n):
     budget, digest = SET_SPACE_REPORTS[max_n]
@@ -654,6 +661,7 @@ def _flipped(table, cls, a):
 @pytest.mark.parametrize("pid, cls", [
     ("equiv-sr-sandwich", SetClass.SEMI_REGULAR),
     ("equiv-bset-scl", SetClass.B_SET),
+    ("equiv-ic-subspace", SetClass.IC_SET),
 ])
 def test_oracles_catch_a_corrupted_table(monkeypatch, pid, cls):
     # one flipped bit of the table is a hit at exactly that subset
@@ -663,7 +671,7 @@ def test_oracles_catch_a_corrupted_table(monkeypatch, pid, cls):
         assert p.evaluate(table, None) == 0
         for a in t.subsets():
             assert p.evaluate(_flipped(table, cls, a), None) == 1 << a
-    # the full set is in both families of every space, so dropping it
+    # the full set is in each family of every space, so dropping it
     # from every table makes the sweep hit once per labeled space
     monkeypatch.setattr(theorems, "class_table",
                         lambda t: _flipped(class_table(t), cls, t.full))
@@ -671,6 +679,26 @@ def test_oracles_catch_a_corrupted_table(monkeypatch, pid, cls):
     assert report.verdict == "witness-found"
     assert report.hits == report.spaces_checked == 35
     assert report.witnesses[0].subset == 0
+
+
+def test_oracles_catch_a_corrupted_semi_closed_bit():
+    # equiv-tset hits at exactly the flipped subset, and equiv-scl-form
+    # hits wherever the flip moves the table's semi-closure table
+    tset, scl_form = proposition("equiv-tset"), proposition("equiv-scl-form")
+    moved = 0
+    for t in (four_point_space(), sierpinski(), indiscrete(3),
+              three_point_space()):
+        table = class_table(t)
+        assert tset.evaluate(table, None) == 0
+        assert scl_form.evaluate(table, None) == 0
+        for a in t.subsets():
+            flipped = _flipped(table, SetClass.SEMI_CLOSED, a)
+            assert tset.evaluate(flipped, None) == 1 << a
+            scl, want = flipped.semi_closure_table, table.semi_closure_table
+            hits = sum(1 << b for b in t.subsets() if scl[b] != want[b])
+            assert scl_form.evaluate(flipped, None) == hits
+            moved += hits != 0
+    assert moved > 20
 
 
 def test_orbit_witness_is_the_least_labeled_member(monkeypatch):
