@@ -5,19 +5,24 @@ Main path: finite topologies correspond exactly to preorders (Stong,
 _class_levels, grows preorders one point at a time by one step,
 _extensions: the new point goes above a down-set and below an up-set of
 a preorder on the points before it.  It extends one representative per
-homeomorphism class and removes isomorphic copies by a brute-force
-canonical form: the simple generate-then-dedup form of McKay,
-"Isomorph-free exhaustive generation" (J. Algorithms 26, 1998).  The
-class counts are those of Brinkmann & McKay, "Counting unlabelled
+homeomorphism class, keeps only the extensions whose new point has the
+largest (row size, column size), and removes isomorphic copies among
+those by a brute-force canonical form.  That filter is the cheap half of
+McKay's canonical augmentation, "Isomorph-free exhaustive generation"
+(J. Algorithms 26, 1998), and it loses no class: deleting a point of
+largest invariant from any class leaves a class one size down, whose
+representative's extensions give the class back with that point new.
+The class counts are those of Brinkmann & McKay, "Counting unlabelled
 topologies and transitive relations" (J. Integer Seq. 8, 2005).
 
-Every entry point reads those classes.  enumerate_isomorphism_classes
-gives them with the number of labeled topologies in each class, and
-count_topologies sums those numbers.  enumerate_topologies lists the
-labeled members of every class, relabeled through one table per size
-(_relabelings), in canonical order.  Two independent routes exist for
-cross-checks: a naive filter over all candidate open-set families
-(small n ground truth) and a bit-plane transitive-relation counter.
+Every entry point reads those classes, which come in no promised order
+within a size.  enumerate_isomorphism_classes gives them with the
+number of labeled topologies in each class, and count_topologies sums
+those numbers.  enumerate_topologies lists the labeled members of every
+class, relabeled through one table per size (_relabelings), in
+canonical order.  Two independent routes exist for cross-checks: a
+naive filter over all candidate open-set families (small n ground
+truth) and a bit-plane transitive-relation counter.
 """
 
 from dataclasses import dataclass
@@ -167,22 +172,32 @@ def _orbit(t: Topology, tables):
     return members
 
 
-def _canonical(rows, tables):
-    """The least relabeling of a preorder's rows, and how many give it.
+def _invariants(rows):
+    """Each point's (row size, column size), packed into one int.
 
-    Every isomorphism keeps each point's (row size, column size), so the
-    points are ordered by that pair and only the orders that permute
-    points inside blocks of equal pairs are read from tables, the
-    _relabelings of the size.  Those that reach the least row tuple form
-    one coset of the automorphism group, so their number is its order.
+    Isomorphisms keep the pair, and the packed ints order the points as
+    the pairs do: column sizes are at most n.
     """
     n = len(rows)
     cols = [0] * n
     for row in rows:
-        for y in iter_points(row):
-            cols[y] += 1
-    invariant = [(row.bit_count(), cols[x]) for x, row in enumerate(rows)]
-    order = sorted(range(n), key=invariant.__getitem__)
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] += 1
+            row ^= low
+    return [row.bit_count() * (n + 1) + col for row, col in zip(rows, cols)]
+
+
+def _canonical(rows, tables, invariant):
+    """The least relabeling of a preorder's rows, and how many give it.
+
+    invariant is _invariants(rows).  Every isomorphism keeps it, so the
+    points are ordered by it and only the orders that permute points
+    inside blocks of equal invariant are read from tables, the
+    _relabelings of the size.  Those that reach the least row tuple form
+    one coset of the automorphism group, so their number is its order.
+    """
+    order = sorted(range(len(rows)), key=invariant.__getitem__)
     blocks = [list(b) for _, b in groupby(order, key=invariant.__getitem__)]
     best, automorphisms = None, 0
     for choice in product(*map(permutations, blocks)):
@@ -221,12 +236,14 @@ def _extensions(rows):
 def _class_levels(budget: EnumerationBudget):
     """Per size n = 0..budget.max_n, one (topology, orbit size) per class.
 
-    Size n is built from the classes of size n - 1, and every
-    representative passes Preorder.validate(); a relabeling of a valid
-    preorder is valid, so no other preorder is validated.  It raises
+    Size n is built from the classes of size n - 1 (see _next_level), and
+    every representative passes Preorder.validate(); a relabeling of a
+    valid preorder is valid, so no other preorder is validated.  It raises
     BudgetExceeded once the orbit sizes at one size sum past max_spaces,
     so a size is refused iff it has more than max_spaces labeled
-    topologies, and no later size is built.
+    topologies, and no later size is built.  The classes of one size come
+    in no promised order: counts are sums, and witnesses are taken from
+    first_in_orbits.
     """
     level = {(): 1}  # rows of each class -> its orbit size
     for n in range(budget.max_n + 1):
@@ -239,12 +256,27 @@ def _class_levels(budget: EnumerationBudget):
 
 
 def _next_level(level, n: int, budget: EnumerationBudget):
+    """{canonical rows: orbit size} of every class on n points.
+
+    level holds the classes on n - 1 points.  Only the extensions whose
+    new point, n - 1, has the largest invariant are put in canonical
+    form.  No class is lost: a class has a point w of largest invariant,
+    and the class of its rows without w is in level, so _extensions
+    gives the class back with the new point in w's place.  Isomorphic
+    extensions give one canonical form, which is kept once.
+    """
     tables = _relabelings(n)
     found = {}
     labeled = 0
     for rows in level:
         for extended in _extensions(rows):
-            form, automorphisms = _canonical(extended, tables)
+            # a larger row rules the new point out before columns are counted
+            if max(map(int.bit_count, extended)) > extended[-1].bit_count():
+                continue
+            invariant = _invariants(extended)
+            if invariant[-1] < max(invariant):
+                continue
+            form, automorphisms = _canonical(extended, tables, invariant)
             if form in found:
                 continue
             found[form] = orbit = factorial(n) // automorphisms

@@ -81,7 +81,7 @@ from .setclasses import (
     interior_table,
     semi_regular_sandwich_bitmap,
 )
-from .space import Topology
+from .space import Topology, iter_points
 from .spaceprops import SpaceProperty, space_profile
 
 HOLDS = "holds-exhaustively"
@@ -141,11 +141,6 @@ def _bitmaps(table, *classes):
     return [table.family_bitmap(c) for c in classes]
 
 
-def _where(t: Topology, holds) -> int:
-    """Bitmap of the subsets a of t with holds(a)."""
-    return sum(1 << a for a in t.subsets() if holds(a))
-
-
 def _disagree(x, y, z):
     """Where three formulations are not all equal (bitmaps or bools)."""
     return (x ^ y) | (x ^ z)
@@ -159,7 +154,7 @@ def _ev_l00(table, profile):
     # the semi-closure of every beta-open set is semi-regular
     bo, sr = _bitmaps(table, SC.BETA_OPEN, SC.SEMI_REGULAR)
     scl = table.semi_closure_table
-    return bo & ~_where(table.topology, lambda a: sr >> scl[a] & 1)
+    return sum(1 << a for a in iter_points(bo) if not sr >> scl[a] & 1)
 
 
 def _ev_t00(table, profile):
@@ -222,7 +217,8 @@ def _ev_equiv_scl_form(table, profile):
     # sCl a against its closed form a | int cl a
     t, scl = table.topology, table.semi_closure_table
     i, full = interior_table(t), t.full
-    return _where(t, lambda a: scl[a] != a | i[full ^ i[full ^ a]])
+    return sum(1 << a for a in t.subsets()
+               if scl[a] != a | i[full ^ i[full ^ a]])
 
 
 # ---------------------------------------------------------------------------

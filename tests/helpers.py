@@ -2,7 +2,8 @@
 
 labeled_topologies is the labeled preorder walk, the independent oracle
 for the class generator that enumerate_topologies and every sweep read;
-the labeled_* traversals below are built on it.
+the labeled_* traversals below are built on it.  unfiltered_next_level
+is the class generator's step without its filter on the new point.
 
 Points are indexed a=bit0, b=bit1, c=bit2, d=bit3, so subset literals
 below read right to left.
@@ -25,6 +26,7 @@ from fintopo import (
     class_table,
     closure,
     enumerate_maps,
+    enumeration,
     semi_closure_closed_form,
     space_profile,
     theorems,
@@ -171,6 +173,23 @@ def labeled_topologies(n, budget=EnumerationBudget()):
     keys.sort()
     for _, opens, rows in keys:
         yield Topology(n, opens, rows)
+
+
+def unfiltered_next_level(level, n):
+    """{canonical rows: orbit size} of every class on n points, from the
+    classes on n - 1 in level: oracle for enumeration._next_level.
+
+    Every extension is put in canonical form, whatever the invariant of
+    its new point.
+    """
+    tables = enumeration._relabelings(n)
+    found = {}
+    for rows in level:
+        for extended in _extensions(rows):
+            form, automorphisms = enumeration._canonical(
+                extended, tables, enumeration._invariants(extended))
+            found.setdefault(form, math.factorial(n) // automorphisms)
+    return found
 
 
 class FakePool:

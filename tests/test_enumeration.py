@@ -31,6 +31,7 @@ from helpers import (
     labeled_preorder_count,
     labeled_topologies,
     preorders_by_brute_force,
+    unfiltered_next_level,
     up_sets_by_scan,
 )
 
@@ -342,6 +343,47 @@ def test_class_counts_and_orbit_sums_n7():
     assert sum(orbit for _, orbit in classes) == 9_535_241  # OEIS A000798
 
 
+def _levels_match_the_unfiltered_oracle(max_n):
+    # each size from the same classes one size down: same forms, same
+    # orbit sizes, whatever their order
+    budget = EnumerationBudget(max_n=max_n, max_spaces=10_000_000)
+    level = {(): 1}
+    for n in range(1, max_n + 1):
+        filtered = enumeration._next_level(level, n, budget)
+        assert filtered == unfiltered_next_level(level, n)
+        level = filtered
+
+
+def test_filtered_levels_equal_the_unfiltered_oracle():
+    _levels_match_the_unfiltered_oracle(6)
+
+
+@pytest.mark.skipif(not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")
+def test_filtered_levels_equal_the_unfiltered_oracle_n7():
+    _levels_match_the_unfiltered_oracle(7)
+
+
+def test_filter_canonicalizes_at_most_1000_extensions_at_n6(monkeypatch):
+    # 3,920 extensions of the 139 five-point classes give the 718
+    # six-point ones; only those whose new point has the largest
+    # invariant are put in canonical form
+    budget = EnumerationBudget(max_n=6)
+    level = {(): 1}
+    for n in range(1, 6):
+        level = enumeration._next_level(level, n, budget)
+    assert sum(1 for rows in level for _ in enumeration._extensions(rows)) \
+        == 3920
+    calls = []
+    real = enumeration._canonical
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+    monkeypatch.setattr(enumeration, "_canonical", counted)
+    assert len(enumeration._next_level(level, 6, budget)) == 718
+    assert len(calls) <= 1000
+
+
 def test_representatives_are_valid_topologies(monkeypatch):
     validated = []
     monkeypatch.setattr(enumeration, "Preorder", _counted_preorder(validated))
@@ -374,6 +416,11 @@ def test_one_representative_per_orbit():
         }
         assert len(weights) == len(classes)
         assert weights == {form: len(ts) for form, ts in orbits.items()}
+        # a representative's points are ordered by (row size, column size)
+        for t, _ in classes:
+            pairs = [(row.bit_count(), sum(r >> x & 1 for r in t.min_nbhd))
+                     for x, row in enumerate(t.min_nbhd)]
+            assert pairs == sorted(pairs)
 
 
 def test_first_in_orbits_is_the_least_labeled_member():
