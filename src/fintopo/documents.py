@@ -105,21 +105,13 @@ def decode_space(doc, per_subset: bool = False) -> tuple:
 
 
 def encode_map(f: SpaceMap, domain_points=None, codomain_points=None) -> dict:
-    domain_points = (
-        list(domain_points) if domain_points is not None
-        else default_point_names(f.domain.n)
-    )
-    codomain_points = (
-        list(codomain_points) if codomain_points is not None
-        else default_point_names(f.codomain.n)
-    )
+    domain = encode_space(f.domain, domain_points)
+    codomain = encode_space(f.codomain, codomain_points)
+    targets = [codomain["points"][y] for y in f.assignment]
     return {
-        "domain": encode_space(f.domain, domain_points),
-        "codomain": encode_space(f.codomain, codomain_points),
-        "assignment": {
-            domain_points[x]: codomain_points[f.assignment[x]]
-            for x in range(f.domain.n)
-        },
+        "domain": domain,
+        "codomain": codomain,
+        "assignment": dict(zip(domain["points"], targets)),
     }
 
 

@@ -34,6 +34,7 @@ from .errors import BudgetExceeded
 from .space import (
     Preorder,
     Topology,
+    _or_table,
     _point_planes,
     _sorted_opens,
     build_topology,
@@ -147,15 +148,8 @@ def _relabelings(n: int):
     holds n!·2^n ints (645,120 at n = 7), so it is built for one size
     and dropped with it.
     """
-    tables = {}
-    for seq in permutations(range(n)):
-        image = [0]
-        for x in range(n):
-            # the masks over points 0..x: without x, then with x
-            bit = 1 << seq.index(x)
-            image += [m | bit for m in image]
-        tables[seq] = image
-    return tables
+    return {seq: _or_table([1 << seq.index(x) for x in range(n)])
+            for seq in permutations(range(n))}
 
 
 def _orbit(t: Topology, tables):
@@ -326,12 +320,9 @@ def enumerate_topologies_naive(n: int, budget: EnumerationBudget | None = None):
     full}; keeps families closed under union and intersection.  Cost is
     2^(2^n - 2) candidates, so n <= 4 is enforced.
     """
-    if n < 0:
-        raise ValueError(f"n={n} must be non-negative")
     if n > 4:
         raise BudgetExceeded("naive family filter is capped at n=4")
-    if budget is not None and n > budget.max_n:
-        raise BudgetExceeded(f"n={n} exceeds budget max_n={budget.max_n}")
+    _checked_budget(n, budget)
     full = full_mask(n)
     proper = [m for m in range(1, full)]
     found = []

@@ -15,7 +15,7 @@ from itertools import product
 from .errors import BudgetExceeded
 from .setclasses import (SetClass, check_subset_budget, class_table,
                          is_in_class, semi_closures)
-from .space import SubsetMask, Topology
+from .space import SubsetMask, Topology, _or_table
 
 DEFAULT_MAP_BUDGET = 1 << 22
 
@@ -153,15 +153,11 @@ def _partition_facts(assignment, k: int, facts):
     fibers = [0] * k
     for x, y in enumerate(assignment):
         fibers[y] |= 1 << x
-    pre = [0]
-    for fiber in fibers:
-        pre += [q | fiber for q in pre]
+    pre = _or_table(fibers)
     word = 0
     if all(sr >> q & 1 for q in pre):
         word |= _CLASS_BIT[ContinuityClass.STRONGLY_IRRESOLUTE]
-    img = [0]
-    for y in assignment:
-        img += [i | 1 << y for i in img]
+    img = _or_table([1 << y for y in assignment])
     # f(sCl A) lies in f(A) for every domain subset A
     if all(img[s] & ~img[a] == 0 for a, s in scl):
         word |= _SCL_OK

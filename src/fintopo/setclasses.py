@@ -13,8 +13,8 @@ from functools import cached_property, lru_cache, reduce
 from operator import and_, or_
 
 from .errors import GroundSetTooLarge
-from .space import (SubsetMask, Topology, _point_planes, closure, interior,
-                    iter_points)
+from .space import (SubsetMask, Topology, _or_table, _point_planes, closure,
+                    interior, iter_points)
 
 # class_table, and the CLI's classify commands, refuse ground sets with
 # more than this many subsets (more than 12 points).
@@ -284,10 +284,7 @@ def b_set_via_semi_closure_bitmap(t: Topology) -> int:
     a, so it holds the smallest open U(a) over a too, and U(a) & sCl(a)
     lies between a and u & sCl(a): U(a) is the one open to try.
     """
-    smallest = [0] * (1 << t.n)
-    for a in range(1, len(smallest)):
-        low = a & -a
-        smallest[a] = smallest[a ^ low] | t.min_nbhd[low.bit_length() - 1]
+    smallest = _or_table(t.min_nbhd)
     return sum(1 << a for a, s in enumerate(semi_closures(t))
                if smallest[a] & s == a)
 
@@ -406,14 +403,11 @@ def class_table(t: Topology) -> ClassTable:
     bitmaps = {
         SetClass.OPEN: every(lambda x: ~e[x] | i[x]),
         SetClass.CLOSED: every(lambda x: ~c[x] | e[x]),
-        SetClass.CLOPEN: every(lambda x: (~e[x] | i[x]) & (~c[x] | e[x])),
         SetClass.DENSE: every(lambda x: c[x]),
         SetClass.REGULAR_OPEN: every(lambda x: ~(e[x] ^ ic[x])),
         SetClass.REGULAR_CLOSED: every(lambda x: ~(e[x] ^ ci[x])),
         SetClass.SEMI_OPEN: every(lambda x: ~e[x] | ci[x]),
         SetClass.SEMI_CLOSED: every(lambda x: ~ic[x] | e[x]),
-        SetClass.SEMI_REGULAR: every(
-            lambda x: (~e[x] | ci[x]) & (~ic[x] | e[x])),
         SetClass.PREOPEN: every(lambda x: ~e[x] | ic[x]),
         SetClass.PRECLOSED: every(lambda x: ~ci[x] | e[x]),
         SetClass.BETA_OPEN: every(lambda x: ~e[x] | cic[x]),
@@ -421,6 +415,9 @@ def class_table(t: Topology) -> ClassTable:
         SetClass.IC_SET: every(lambda x: ~(e[x] & ci[x] & ~i[x])),
         SetClass.T_SET: every(lambda x: ~(i[x] ^ ic[x])),
     }
+    bitmaps[SetClass.CLOPEN] = bitmaps[SetClass.OPEN] & bitmaps[SetClass.CLOSED]
+    bitmaps[SetClass.SEMI_REGULAR] = (bitmaps[SetClass.SEMI_OPEN]
+                                      & bitmaps[SetClass.SEMI_CLOSED])
     # An existential class ORs its second family projected onto each open
     # u: off[s] drops the points y of s = full - u, moving the members
     # holding y down by 2^y, from off[s less its highest point].

@@ -41,9 +41,13 @@ def iter_points(mask: SubsetMask):
         x += 1
 
 
-def subset_key(mask: SubsetMask) -> tuple:
-    """Canonical sort key for opens: popcount first, then numeric value."""
-    return (mask.bit_count(), mask)
+def _or_table(values) -> list:
+    """Per subset a of the points, the OR of values[x] over x in a."""
+    table = [0]
+    for v in values:
+        # the masks over the points so far: without the next, then with it
+        table += [u | v for u in table]
+    return table
 
 
 def _point_planes(n: int):
@@ -115,8 +119,8 @@ class Topology:
 
 
 def _sorted_opens(opens) -> tuple:
-    # numeric sort, then a stable sort by popcount: subset_key order
-    # without building a key tuple per mask
+    # numeric sort, then a stable sort by popcount: (popcount, value)
+    # order without building a key tuple per mask
     ordered = sorted(set(opens))
     ordered.sort(key=int.bit_count)
     return tuple(ordered)
@@ -166,11 +170,7 @@ def generate_from_subbasis(n: int, sets) -> Topology:
     """
     sets = list(sets)
     _check_fits(n, sets)
-    nbhd = [full_mask(n)] * n
-    for u in sets:
-        for x in iter_points(u):
-            nbhd[x] &= u
-    return build_topology(n, up_sets(nbhd))
+    return build_topology(n, up_sets(_min_nbhd_table(n, sets)))
 
 
 def interior(t: Topology, a: SubsetMask) -> SubsetMask:
@@ -208,15 +208,11 @@ class Preorder:
                 raise NotAPreorder(f"relation is not reflexive at {x}")
         # row x must contain the row of each of its points
         for x, row in enumerate(rows):
-            rest = row
-            while rest:
-                low = rest & -rest
-                y = low.bit_length() - 1
+            for y in iter_points(row):
                 if rows[y] | row != row:
                     raise NotAPreorder(
                         f"relation is not transitive through {x} <= {y}"
                     )
-                rest ^= low
 
     def __eq__(self, other):
         return isinstance(other, Preorder) and self.rows == other.rows

@@ -98,8 +98,6 @@ KIND_IMP_MAP = "implication-per-map"
 KIND_EQ_MAP = "equivalence-per-map"
 KIND_EXISTS = "existence-of-witness"
 
-_EXISTENTIAL = {KIND_EXISTS}
-
 
 @dataclass(frozen=True)
 class Proposition:
@@ -131,7 +129,7 @@ class Proposition:
 
     @property
     def existential(self) -> bool:
-        return self.kind in _EXISTENTIAL
+        return self.kind == KIND_EXISTS
 
 
 SC, CC, SP = SetClass, ContinuityClass, SpaceProperty

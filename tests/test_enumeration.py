@@ -96,8 +96,15 @@ def test_budget_max_spaces():
 
 
 def test_naive_budget_cap():
-    with pytest.raises(BudgetExceeded):
-        next(iter(enumerate_topologies_naive(5)))
+    # the n <= 4 cap is checked before the sign and the budget
+    with pytest.raises(ValueError, match="^n=-1 must be non-negative$"):
+        next(iter(enumerate_topologies_naive(-1)))
+    for n in (5, 7):
+        with pytest.raises(BudgetExceeded,
+                           match="^naive family filter is capped at n=4$"):
+            next(iter(enumerate_topologies_naive(n)))
+    with pytest.raises(BudgetExceeded, match="^n=3 exceeds budget max_n=2$"):
+        next(iter(enumerate_topologies_naive(3, EnumerationBudget(max_n=2))))
 
 
 def test_budget_field_validation():

@@ -23,7 +23,7 @@ from fintopo import (
     specialization_preorder,
     topology_from_preorder,
 )
-from fintopo.space import iter_points, subset_key
+from fintopo.space import iter_points
 
 from helpers import (
     discrete,
@@ -44,11 +44,6 @@ def test_full_mask_and_complement():
 def test_iter_points_ascending():
     assert list(iter_points(0b1011)) == [0, 1, 3]
     assert list(iter_points(0)) == []
-
-
-def test_subset_key_orders_by_size_then_value():
-    masks = [0b11, 0b100, 0b1, 0b0]
-    assert sorted(masks, key=subset_key) == [0b0, 0b1, 0b100, 0b11]
 
 
 def test_build_topology_sorts_and_dedups():
@@ -165,9 +160,10 @@ def test_generate_from_subbasis_matches_fixpoint_closure():
 
 def test_preorder_validate():
     Preorder((0b01, 0b11)).validate()
-    with pytest.raises(NotAPreorder):
-        Preorder((0b00, 0b11)).validate()  # not reflexive at 0
-    with pytest.raises(NotAPreorder):
+    with pytest.raises(NotAPreorder, match="^relation is not reflexive at 0$"):
+        Preorder((0b00, 0b11)).validate()
+    with pytest.raises(NotAPreorder,
+                       match="^relation is not transitive through 0 <= 1$"):
         # 0 <= 1 and 1 <= 2 but not 0 <= 2
         Preorder((0b011, 0b110, 0b100)).validate()
 
