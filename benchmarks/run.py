@@ -25,17 +25,20 @@ interquartile range of REPEATS runs:
   lists every labeled space first takes seconds per run).  A checkout
   whose map sweep picks its own process pool runs maps_n4 in process
   and, on more than one CPU, maps_n5_c3 and maps_n5 on the pool;
-- layers: class_table and space_profile over the spaces the set/space
-  sweep visits at max_n=5 (every labeled space, or one per isomorphism
-  class where the checkout has enumerate_isomorphism_classes), that
+- layers: class_table (with every family bitmap read, as the sweeps
+  read them) and space_profile over the spaces the set/space sweep
+  visits at max_n=5 (every labeled space, or one per isomorphism class
+  where the checkout has enumerate_isomorphism_classes), that
   class generator per n up to 7 (with max_spaces raised to 10,000,000,
   since the default budget refuses n=7), and class_table_classify: what
   classify-set asks of one space, a fresh class_table plus one witness
   per existential class, over fixed seeded random spaces on 8, 11 and
   12 points (per size, the median is for all of its spaces together),
   interior_closure: interior and closure of every subset of those same
-  spaces, and interior_table: the same interiors and closures read from
-  one interior table per space, where the checkout has interior_table.
+  spaces, interior_table: the same interiors and closures read from
+  one interior table per space, where the checkout has interior_table,
+  and build_topology: validating the opens of those same spaces, and
+  apart the discrete 12-point family of 4,096 opens.
 
 Every end-to-end run starts with empty class_table and interior_table
 caches.  Nothing under perfbench/ is read or written.
@@ -65,8 +68,8 @@ except ImportError:
 
 from fintopo import enumeration, setclasses, spaceprops, theorems
 from fintopo.enumeration import EnumerationBudget
-from fintopo.space import (Preorder, closure, interior, iter_points,
-                           topology_from_preorder)
+from fintopo.space import (Preorder, build_topology, closure, interior,
+                           iter_points, topology_from_preorder)
 
 SETS_MAX_N = 5
 SETS_N6 = EnumerationBudget(max_n=6)
@@ -205,6 +208,16 @@ def _interior_table(build, queries):
         [t.full ^ table[t.full ^ a] for a in t.subsets()]
 
 
+def _read_bitmaps(table):
+    for cls in setclasses.SetClass:
+        table.family_bitmap(cls)
+
+
+def _build_topologies(families):
+    for n, opens in families:
+        build_topology(n, opens)
+
+
 def _clear_caches():
     setclasses.class_table.cache_clear()
     if hasattr(setclasses, "interior_table"):
@@ -246,7 +259,8 @@ def layers():
     build = setclasses.class_table.__wrapped__
     out = {
         "swept_spaces": {"visits": visits, "count": len(spaces)},
-        "class_table": _timed(lambda: [build(t) for t in spaces]),
+        "class_table": _timed(
+            lambda: [_read_bitmaps(build(t)) for t in spaces]),
         "space_profile": _timed(
             lambda: [spaceprops.space_profile(t) for t in spaces]),
     }
@@ -272,6 +286,13 @@ def layers():
             str(n): _timed(partial(_interior_table, table.__wrapped__, q))
             for n, q in queries.items()
         }
+    out["build_topology"] = {
+        str(n): _timed(partial(_build_topologies,
+                               [(t.n, t.opens) for t, _ in q]))
+        for n, q in queries.items()
+    }
+    out["build_topology"]["discrete_12"] = _timed(
+        partial(_build_topologies, [(12, range(1 << 12))]))
     return out
 
 

@@ -57,10 +57,15 @@ def cmd_classify_set(args) -> int:
     a = names_to_mask(args.subset, index)
     print(f"subset {format_set(a, points)} in space on {t.n} point(s)")
     for cls in SetClass:
-        member = table.contains(a, cls)
+        if cls in SECOND_FAMILY:
+            # a is in an existential class iff it has a witness pair
+            pair = table.witness(a, cls)
+            member = pair is not None
+        else:
+            pair, member = None, table.contains(a, cls)
         line = f"  {cls.value}: {'yes' if member else 'no'}"
-        if member and cls in SECOND_FAMILY:
-            u, v = table.witness(a, cls)
+        if pair is not None:
+            u, v = pair
             line += (
                 f"  [open {format_set(u, points)} & "
                 f"{SECOND_FAMILY[cls].value} {format_set(v, points)}]"
@@ -148,12 +153,13 @@ def cmd_enumerate(args) -> int:
     if args.count_only:
         print(count_topologies(args.n, budget))
         return 0
-    # encode_space's document, with each mask's names listed once
+    # encode_space's document as json.dumps(doc, sort_keys=True) writes
+    # it, with each mask's list of names encoded once
     points = default_point_names(args.n)
-    names = [mask_to_names(m, points) for m in range(1 << args.n)]
+    names = [json.dumps(mask_to_names(m, points)) for m in range(1 << args.n)]
+    tail = f'], "points": {json.dumps(points)}}}'
     for t in enumerate_topologies(args.n, budget):
-        doc = {"points": points, "opens": [names[u] for u in t.opens]}
-        print(json.dumps(doc, sort_keys=True))
+        print('{"opens": [' + ", ".join([names[u] for u in t.opens]) + tail)
     return 0
 
 

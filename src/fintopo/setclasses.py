@@ -175,23 +175,22 @@ def _superset_meets(n: int, family):
 def interior_table(t: Topology):
     """int a for every subset a, as a tuple whose entry a is int a.
 
-    x is in int a iff a holds N(x) = min_nbhd[x], so a superset walk
-    gives every superset of N(x) the bit x: at most n * 2^(n-1) steps.
-    The closure is the dual, cl a = full ^ I[full ^ a].  The table reads
-    neither class_table nor its planes, so the routes built on it stay
-    independent of the table they check.
+    Closure distributes over unions, so cl a is the OR of the columns
+    cl{y} over y in a, where x is in cl{y} iff y is in N(x) =
+    min_nbhd[x]: one union table.  The interior is the dual, int a =
+    full ^ cl(full ^ a), and full ^ a runs down as a runs up.  The table
+    reads neither class_table nor its planes, so the routes built on it
+    stay independent of the table they check.
     """
     check_subset_budget(t.n)
-    table = [0] * (1 << t.n)
+    columns = [0] * t.n
     for x, nbhd in enumerate(t.min_nbhd):
-        rest, s = t.full ^ nbhd, 0
-        while True:
-            table[nbhd | s] |= 1 << x
-            # the next subset s of rest, in numeric order
-            s = (s - rest) & rest
-            if not s:
-                break
-    return tuple(table)
+        while nbhd:
+            low = nbhd & -nbhd
+            columns[low.bit_length() - 1] |= 1 << x
+            nbhd ^= low
+    full = t.full
+    return tuple([full ^ c for c in reversed(_or_table(columns))])
 
 
 def semi_closures(t: Topology):
@@ -320,8 +319,11 @@ class ClassTable:
     """Membership of every subset of a space in every set class.
 
     Per class, one int bitmap over the 2^n subset masks: bit a of
-    bitmap(c) says whether subset a is in class c.  The per-subset
-    closure and semi-closure tables are built on first read.
+    bitmap(c) says whether subset a is in class c.  `bitmaps` maps every
+    class to its bitmap; class_table passes a mapping that builds the
+    four existential bitmaps on the first read of any of them, which
+    witness never makes.  The per-subset closure and semi-closure tables
+    are built on first read.
     """
 
     def __init__(self, topology, planes, bitmaps):
@@ -382,8 +384,10 @@ def class_table(t: Topology) -> ClassTable:
     x is in int a iff N(x) = min_nbhd[x] lies in a, and in cl a iff N(x)
     meets a: so the plane of "x in int a" is the AND of the point planes
     E_y over N(x), that of "x in cl a" their OR.  A pointwise class is an
-    AND over x of one condition on such planes.  The n = 0 space's one
-    subset is empty and full at once, and in every class.
+    AND over x of one condition on such planes.  The existential
+    bitmaps are projected from their second families on the first read
+    of any of them.  The n = 0 space's one subset is empty and full at
+    once, and in every class.
     """
     check_subset_budget(t.n)
     ones, points, e = (1 << (1 << t.n)) - 1, range(t.n), _point_planes(t.n)
@@ -418,20 +422,49 @@ def class_table(t: Topology) -> ClassTable:
     bitmaps[SetClass.CLOPEN] = bitmaps[SetClass.OPEN] & bitmaps[SetClass.CLOSED]
     bitmaps[SetClass.SEMI_REGULAR] = (bitmaps[SetClass.SEMI_OPEN]
                                       & bitmaps[SetClass.SEMI_CLOSED])
-    # An existential class ORs its second family projected onto each open
-    # u: off[s] drops the points y of s = full - u, moving the members
-    # holding y down by 2^y, from off[s less its highest point].
+    return ClassTable(t, e, _Bitmaps(t, e, bitmaps))
+
+
+class _Bitmaps(dict):
+    """The pointwise bitmaps; the existential ones are built on first read.
+
+    __missing__ runs only for a key not yet stored, so a read of a built
+    bitmap is a plain dict lookup.
+    """
+
+    __slots__ = ("topology", "planes")
+
+    def __init__(self, topology, planes, pointwise):
+        super().__init__(pointwise)
+        self.topology = topology
+        self.planes = planes
+
+    def __missing__(self, cls):
+        if cls not in SECOND_FAMILY:
+            raise KeyError(cls)
+        self.update(_existential_bitmaps(self.topology, self.planes, self))
+        return self[cls]
+
+
+def _existential_bitmaps(t: Topology, e, bitmaps) -> dict:
+    """The four existential bitmaps, from their second families' bitmaps.
+
+    An existential class ORs its second family projected onto each open
+    u: off[s] drops the points y of s = full - u, moving the members
+    holding y down by 2^y, from off[s less its highest point].
+    """
     closed = [t.full ^ u for u in t.opens]
     steps = sorted({s & ((2 << y) - 1)
-                    for s in closed for y in points if s >> y & 1})
+                    for s in closed for y in range(t.n) if s >> y & 1})
+    out = {}
     for cls, second in SECOND_FAMILY.items():
         off = {0: bitmaps[second]}
         for s in steps:
             y = s.bit_length() - 1
             g = off[s ^ 1 << y]
             off[s] = (g & ~e[y]) | ((g & e[y]) >> (1 << y))
-        bitmaps[cls] = reduce(or_, [off[s] for s in closed])
-    return ClassTable(t, e, bitmaps)
+        out[cls] = reduce(or_, [off[s] for s in closed])
+    return out
 
 
 # single-subset dispatch: the oracles class_table is checked against

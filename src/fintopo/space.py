@@ -6,6 +6,8 @@ subset keeps all the set algebra branch-free; named points exist only at
 the document/CLI layer.
 """
 
+import math
+
 from .errors import (
     GroundSetTooLarge,
     MissingEmptyOrFull,
@@ -142,9 +144,13 @@ def _min_nbhd_table(n: int, opens) -> list:
 def build_topology(n: int, opens) -> Topology:
     """Validate an open family and derive the minimal-neighbourhood table.
 
-    Input order and duplicates are irrelevant.  Closure is checked
-    pairwise only: in a finite space closure under pairwise union and
-    intersection already gives closure under arbitrary ones.
+    Input order and duplicates are irrelevant.  The rows N(x), the meets
+    of the members holding x, form a preorder whose up-sets are a
+    topology holding every member; the family is valid iff it is all of
+    them.  Their union closure stops once it outgrows the family, and
+    only a family that fails is scanned pair by pair (in a finite space
+    closure under pairwise union and intersection gives closure under
+    arbitrary ones), so its error names the first pair that fails.
     """
     opens = list(opens)
     _check_fits(n, opens)
@@ -152,13 +158,15 @@ def build_topology(n: int, opens) -> Topology:
     members = frozenset(fam)
     if 0 not in members or full_mask(n) not in members:
         raise MissingEmptyOrFull(f"open family must contain 0 and {full_mask(n):#b}")
-    for i, u in enumerate(fam):
-        for v in fam[i + 1 :]:
-            if u | v not in members:
-                raise NotClosedUnderUnion(u, v)
-            if u & v not in members:
-                raise NotClosedUnderIntersection(u, v)
-    return Topology(n, fam, _min_nbhd_table(n, fam))
+    rows = _min_nbhd_table(n, fam)
+    if _union_closure(rows, len(fam)) is None:
+        for i, u in enumerate(fam):
+            for v in fam[i + 1 :]:
+                if u | v not in members:
+                    raise NotClosedUnderUnion(u, v)
+                if u & v not in members:
+                    raise NotClosedUnderIntersection(u, v)
+    return Topology(n, fam, rows)
 
 
 def generate_from_subbasis(n: int, sets) -> Topology:
@@ -238,6 +246,17 @@ def specialization_preorder(t: Topology) -> Preorder:
     return Preorder(rows)
 
 
+def _union_closure(rows, limit):
+    """The set of unions of the rows, or None once it has more than limit."""
+    family = {0}
+    for row in rows:
+        if row not in family:
+            family |= {u | row for u in family}
+            if len(family) > limit:
+                return None
+    return family
+
+
 def up_sets(rows) -> tuple:
     """The up-sets of the preorder with these rows, sorted like opens.
 
@@ -245,11 +264,7 @@ def up_sets(rows) -> tuple:
     union of the rows of its points: the family is the union-closure of
     the rows.  The rows are not validated here.
     """
-    family = {0}
-    for row in rows:
-        if row not in family:
-            family |= {u | row for u in family}
-    return _sorted_opens(family)
+    return _sorted_opens(_union_closure(rows, math.inf))
 
 
 def topology_from_preorder(p: Preorder) -> Topology:

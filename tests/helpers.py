@@ -4,6 +4,8 @@ labeled_topologies is the labeled preorder walk, the independent oracle
 for the class generator that enumerate_topologies and every sweep read;
 the labeled_* traversals below are built on it.  unfiltered_next_level
 is the class generator's step without its filter on the new point.
+build_topology_pairwise is the pairwise closure scan build_topology
+ran on every family before it compared the family with its up-sets.
 
 Points are indexed a=bit0, b=bit1, c=bit2, d=bit3, so subset literals
 below read right to left.
@@ -19,6 +21,9 @@ from multiprocessing import Pool
 from fintopo import (
     BudgetExceeded,
     EnumerationBudget,
+    MissingEmptyOrFull,
+    NotClosedUnderIntersection,
+    NotClosedUnderUnion,
     Preorder,
     SpaceProperty,
     Topology,
@@ -28,6 +33,7 @@ from fintopo import (
     enumerate_maps,
     enumeration,
     semi_closure_closed_form,
+    space,
     space_profile,
     theorems,
     topology_from_preorder,
@@ -229,6 +235,28 @@ def subbasis_closure(n, sets):
         opens |= frontier
         frontier = {u | v for u in opens for v in opens if u | v not in opens}
     return build_topology(n, opens)
+
+
+def build_topology_pairwise(n, opens):
+    """build_topology by its pairwise scan alone: oracle for its verdict.
+
+    Raises the same errors, naming the first pair in (popcount, value)
+    order whose union or intersection is missing.
+    """
+    opens = list(opens)
+    space._check_fits(n, opens)
+    fam = space._sorted_opens(opens)
+    members = frozenset(fam)
+    if 0 not in members or space.full_mask(n) not in members:
+        raise MissingEmptyOrFull(
+            f"open family must contain 0 and {space.full_mask(n):#b}")
+    for i, u in enumerate(fam):
+        for v in fam[i + 1:]:
+            if u | v not in members:
+                raise NotClosedUnderUnion(u, v)
+            if u & v not in members:
+                raise NotClosedUnderIntersection(u, v)
+    return Topology(n, fam, space._min_nbhd_table(n, fam))
 
 
 def allow_cpus(monkeypatch, cpus):

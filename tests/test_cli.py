@@ -26,6 +26,7 @@ from fintopo import (
     is_in_class,
     replay_witness,
     serialize_report,
+    setclasses,
     theorems,
     verify,
 )
@@ -38,6 +39,7 @@ from helpers import (
     random_preorder_topology,
     sierpinski,
     three_point_space,
+    where,
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -424,8 +426,8 @@ def test_classify_space_refuses_more_than_12_points(tmp_path, capsys):
 
 def test_classify_refuses_13_points_before_validating_opens(
         tmp_path, monkeypatch, capsys):
-    # the 13-point discrete space has 8,192 opens, whose pairwise closure
-    # check alone takes seconds; the point count refuses it first
+    # the 13-point discrete space has 8,192 opens; the point count
+    # refuses it before they are validated
     points = [f"p{i}" for i in range(13)]
     discrete = {"points": points, "opens": [
         [p for i, p in enumerate(points) if mask >> i & 1]
@@ -536,6 +538,45 @@ def test_classify_set_matches_per_subset_oracles(tmp_path, capsys):
             bracketed.update(line.split(":")[0].strip()
                              for line in out.splitlines() if "[open" in line)
     assert bracketed == {cls.value for cls in _SECOND_LABEL}
+
+
+def test_classify_set_builds_no_existential_bitmap(
+        tmp_path, monkeypatch, capsys):
+    # classify-set prints each existential class from its witness pair,
+    # so the four bitmaps are projected only once one of them is read.
+    # That read is checked against the per-subset predicates on every
+    # subset of the 8-point space (they scan 2^n subsets per call), and
+    # against the witness pair on every subset of the 12-point one.
+    projected = []
+    project = setclasses._existential_bitmaps
+
+    def spy(t, *args):
+        projected.append(t)
+        return project(t, *args)
+
+    monkeypatch.setattr(setclasses, "_existential_bitmaps", spy)
+    rng = random.Random(1414)
+    for n in (8, 12):
+        t = _sparse_space(rng, n)
+        doc = encode_space(t)
+        path = tmp_path / f"space{n}.json"
+        path.write_text(json.dumps(doc))
+        # a locally closed set, so the output shows a witness pair
+        a = rng.choice(t.opens) & (t.full ^ rng.choice(t.opens))
+        names = [p for x, p in enumerate(doc["points"]) if a >> x & 1]
+        setclasses.class_table.cache_clear()
+        assert main(["classify-set", str(path), *names]) == 0
+        assert "locally-closed: yes  [open" in capsys.readouterr().out
+        assert projected == []
+        table = setclasses.class_table(t)
+        for cls in WITNESS_FUNCTIONS:
+            if n == 8:
+                want = where(t, setclasses.PREDICATES[cls])
+            else:
+                want = where(t, lambda t, a: table.witness(a, cls) is not None)
+            assert table.family_bitmap(cls) == want, (n, cls)
+        assert projected == [t]
+        projected.clear()
 
 
 def test_classify_map_matches_per_map_oracle(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import pickle
 import random
+import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -23,12 +25,15 @@ from fintopo import (
     specialization_preorder,
     topology_from_preorder,
 )
+from fintopo import space
 from fintopo.space import iter_points
 
 from helpers import (
+    build_topology_pairwise,
     discrete,
     four_point_space,
     indiscrete,
+    random_preorder_topology,
     subbasis_closure,
     three_point_space,
 )
@@ -71,6 +76,85 @@ def test_build_topology_intersection_violation_carries_witness():
     with pytest.raises(NotClosedUnderIntersection) as info:
         build_topology(3, [0b000, 0b011, 0b101, 0b111])
     assert info.value.witness == (0b011, 0b101)
+
+
+def _verdict(build, n, family):
+    """build's topology data, or its error's type, message and pair."""
+    try:
+        t = build(n, family)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return t.opens, t.min_nbhd
+
+
+def test_build_topology_matches_pairwise_scan_exhaustively():
+    # every family of masks on at most three points, in reverse order so
+    # that the input order plays no part
+    verdicts = set()
+    for n in range(4):
+        masks = range(1 << n)
+        for size in range(len(masks) + 1):
+            for family in combinations(masks, size):
+                got = _verdict(build_topology, n, family[::-1])
+                assert got == _verdict(build_topology_pairwise, n, family), (
+                    n, family)
+                verdicts.add(got[0] if isinstance(got[0], type) else "open")
+    assert verdicts == {"open", MissingEmptyOrFull, NotClosedUnderUnion,
+                        NotClosedUnderIntersection}
+
+
+def test_build_topology_matches_pairwise_scan_on_random_families():
+    # seeded topologies on 4-6 points, some with one open dropped or one
+    # mask added, and families of random masks with 0 and the full set
+    rng = random.Random(4242)
+    verdicts = set()
+    for _ in range(600):
+        n = rng.randint(4, 6)
+        full = (1 << n) - 1
+        t = random_preorder_topology([rng.getrandbits(n) for _ in range(n)])
+        family = list(t.opens)
+        shape = rng.randrange(4)
+        if shape == 1 and len(family) > 2:
+            family.remove(rng.choice(family[1:-1]))
+        elif shape == 2:
+            family.append(rng.getrandbits(n))
+        elif shape == 3:
+            family = [0, full] + [rng.getrandbits(n)
+                                  for _ in range(rng.randint(1, 3 * n))]
+        rng.shuffle(family)
+        got = _verdict(build_topology, n, family)
+        assert got == _verdict(build_topology_pairwise, n, family), (n, family)
+        verdicts.add(got[0] if isinstance(got[0], type) else "open")
+    assert verdicts == {"open", NotClosedUnderUnion,
+                        NotClosedUnderIntersection}
+
+
+def test_build_topology_refuses_32_singletons_in_bounded_memory(monkeypatch):
+    # the union closure of 32 singletons has 2^32 members; it must stop
+    # once it outgrows the 34 opens, and the pairwise scan name {a}, {b}
+    family = [0, (1 << 32) - 1, *(1 << x for x in range(32))]
+    limits = []
+
+    def spy(rows, limit):
+        closed = union_closure(rows, limit)
+        limits.append((limit, closed))
+        return closed
+
+    union_closure = space._union_closure
+    monkeypatch.setattr(space, "_union_closure", spy)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotClosedUnderUnion) as info:
+            build_topology(32, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.witness == (0b01, 0b10)
+    assert str(info.value) == "union of opens 0b1 and 0b10 is not open"
+    assert limits == [(34, None)]
+    # about 2 KiB of ints and set slots per 34 members; 2^12 members of
+    # the closure would take well over 100 KiB
+    assert peak < 64 * 1024, peak
 
 
 def test_build_topology_rejects_oversized_ground_set():
