@@ -4,8 +4,8 @@ labeled_topologies is the labeled preorder walk, the independent oracle
 for the class generator that enumerate_topologies and every sweep read;
 the labeled_* traversals below are built on it.  unfiltered_next_level
 is the class generator's step without its filter on the new point.
-build_topology_pairwise is the pairwise closure scan build_topology
-ran on every family before it compared the family with its up-sets.
+build_topology_pairwise decides every family by the pairwise closure
+scan alone: the oracle for build_topology's comparison with up-sets.
 
 Points are indexed a=bit0, b=bit1, c=bit2, d=bit3, so subset literals
 below read right to left.
