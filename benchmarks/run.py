@@ -38,14 +38,21 @@ interquartile range of REPEATS runs:
   spaces, interior_table: the same interiors and closures read from
   one interior table per space, where the checkout has interior_table,
   and build_topology: validating the opens of those same spaces, and
-  apart the discrete 12-point family of 4,096 opens.
+  apart the discrete 12-point family of 4,096 opens;
+- map_facts: the map sweep's per-domain and per-partition step,
+  _domain_facts plus _partition_facts over every partition of every
+  domain class on at most 5 points, and continuity_profile on fixed
+  seeded random maps with domains on 7, 10 and 12 points (per size, the
+  median is for all of its maps together).
 
-Every end-to-end run starts with empty class_table and interior_table
-caches.  Nothing under perfbench/ is read or written.
+Every timed run starts after a garbage collection, with empty
+class_table and interior_table caches, so that no entry reads state an
+earlier one left behind.  Nothing under perfbench/ is read or written.
 """
 
 import argparse
 import datetime
+import gc
 import importlib.metadata
 import json
 import os
@@ -66,7 +73,7 @@ except ImportError:
     sys.path.insert(0, str(HERE.parent / "src"))
     import fintopo
 
-from fintopo import enumeration, setclasses, spaceprops, theorems
+from fintopo import enumeration, maps, setclasses, spaceprops, theorems
 from fintopo.enumeration import EnumerationBudget
 from fintopo.space import (Preorder, build_topology, closure, interior,
                            iter_points, topology_from_preorder)
@@ -89,6 +96,11 @@ GENERATOR_MAX_N = 7
 CLASSIFY_SIZES = (8, 11, 12)
 CLASSIFY_SPACES = 4
 CLASSIFY_SEED = 12
+# continuity_profile's maps: PROFILE_MAPS seeded random maps per domain
+# size, into spaces on 2 to 5 points
+PROFILE_SIZES = (7, 10, 12)
+PROFILE_MAPS = 6
+PROFILE_SEED = 18
 
 
 def _summary(samples):
@@ -100,11 +112,11 @@ def _summary(samples):
     }
 
 
-def _timed(fn, before=None):
+def _timed(fn):
     samples = []
     for _ in range(REPEATS):
-        if before:
-            before()
+        gc.collect()
+        _clear_caches()
         start = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - start)
@@ -153,25 +165,30 @@ def _swept_spaces():
     ]
 
 
+def _sparse_space(rng, n):
+    """The space of the preorder that closes sparse random rows."""
+    rows = [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+            | 1 << x for x in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            merged = rows[x]
+            for y in iter_points(rows[x]):
+                merged |= rows[y]
+            changed |= merged != rows[x]
+            rows[x] = merged
+    return topology_from_preorder(Preorder(tuple(rows)))
+
+
 def _random_space(rng, n):
     """A random space on n points with 3n to 4n opens, like classify-set's.
 
-    Its preorder closes sparse random rows; spaces outside the band of
-    opens are drawn again, so that the cost per space stays narrow.
+    Spaces outside the band of opens are drawn again, so that the cost
+    per space stays narrow.
     """
     while True:
-        rows = [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
-                | 1 << x for x in range(n)]
-        changed = True
-        while changed:
-            changed = False
-            for x in range(n):
-                merged = rows[x]
-                for y in iter_points(rows[x]):
-                    merged |= rows[y]
-                changed |= merged != rows[x]
-                rows[x] = merged
-        t = topology_from_preorder(Preorder(tuple(rows)))
+        t = _sparse_space(rng, n)
         if 3 * n <= len(t.opens) <= 4 * n:
             return t
 
@@ -213,6 +230,29 @@ def _read_bitmaps(table):
         table.family_bitmap(cls)
 
 
+def _random_maps(n, rng):
+    """PROFILE_MAPS maps from random spaces on n points (see _random_space)
+    into sparse random spaces on 2 to 5 points."""
+    out = []
+    for _ in range(PROFILE_MAPS):
+        tx, ty = _random_space(rng, n), _sparse_space(rng, rng.randint(2, 5))
+        out.append(maps.SpaceMap(tx, ty,
+                                 [rng.randrange(ty.n) for _ in range(n)]))
+    return out
+
+
+def _facts_per_partition(domains):
+    for tx in domains:
+        facts = maps._domain_facts(tx)
+        for blocks in theorems._partitions(tx.n):
+            maps._partition_facts(blocks, max(blocks, default=-1) + 1, facts)
+
+
+def _profiles(fs):
+    for f in fs:
+        maps.continuity_profile(f)
+
+
 def _build_topologies(families):
     for n, opens in families:
         build_topology(n, opens)
@@ -226,31 +266,28 @@ def _clear_caches():
 
 def end_to_end():
     set_space = [p.id for p in theorems.registry() if p.scope != "map"]
-    maps = [p.id for p in theorems.registry() if p.scope == "map"]
+    map_ids = [p.id for p in theorems.registry() if p.scope == "map"]
     sets_budget = EnumerationBudget(max_n=SETS_MAX_N)
-    clear = _clear_caches
     return {
         "sets_n5": _timed(
-            lambda: theorems.verify_all(set_space, sets_budget), clear),
-        "sets_n6": _timed(
-            lambda: theorems.verify_all(set_space, SETS_N6), clear),
-        "sets_n7": _timed(
-            lambda: theorems.verify_all(set_space, SETS_N7), clear),
-        "verify_all_sequential": _timed(theorems.verify_all, clear),
+            lambda: theorems.verify_all(set_space, sets_budget)),
+        "sets_n6": _timed(lambda: theorems.verify_all(set_space, SETS_N6)),
+        "sets_n7": _timed(lambda: theorems.verify_all(set_space, SETS_N7)),
+        "verify_all_sequential": _timed(theorems.verify_all),
         "count_topologies_6": _timed(lambda: enumeration.count_topologies(6)),
         "count_relations_5": _timed(
             lambda: enumeration.count_reflexive_transitive_relations(5)),
         "enumerate_topologies_6": _timed(
             lambda: list(enumeration.enumerate_topologies(6))),
-        "maps_default": _timed(lambda: theorems.verify_all(maps), clear),
+        "maps_default": _timed(lambda: theorems.verify_all(map_ids)),
         "maps_n4": _timed(
-            lambda: theorems.verify_all(maps, MAP_REGISTRY_N4), clear),
+            lambda: theorems.verify_all(map_ids, MAP_REGISTRY_N4)),
         "maps_n5_c3": _timed(
-            lambda: theorems.verify_all(maps, MAP_REGISTRY_N5_C3), clear),
+            lambda: theorems.verify_all(map_ids, MAP_REGISTRY_N5_C3)),
         "maps_n5": _timed(
-            lambda: theorems.verify_all(maps, MAP_REGISTRY_N5), clear),
+            lambda: theorems.verify_all(map_ids, MAP_REGISTRY_N5)),
         "maps_refused_n6": _timed(
-            lambda: theorems.verify_all(maps, MAP_REFUSED_N6), clear),
+            lambda: theorems.verify_all(map_ids, MAP_REFUSED_N6)),
     }
 
 
@@ -293,6 +330,15 @@ def layers():
     }
     out["build_topology"]["discrete_12"] = _timed(
         partial(_build_topologies, [(12, range(1 << 12))]))
+    rng = random.Random(PROFILE_SEED)
+    profiled = {n: _random_maps(n, rng) for n in PROFILE_SIZES}
+    out["map_facts"] = {
+        "partitions_n5": _timed(partial(_facts_per_partition, spaces)),
+        "continuity_profile": {
+            str(n): _timed(partial(_profiles, fs))
+            for n, fs in profiled.items()
+        },
+    }
     return out
 
 

@@ -1,12 +1,12 @@
 """Maps between finite spaces and the generalized continuity hierarchy.
 
-Every continuity notion except strong irresoluteness is an instance of
-one scheme: f is c-continuous when the preimage of every open set of the
-codomain lies in set class c of the domain.  The binding table below is
-the only per-class data.  The map's fact word (_fact_word) decides every
-class at once and is the one evaluator: _partition_facts reads the
-fibers, _open_bits the codomain's opens.  is_continuous_in stays as the
-definitional oracle it is tested against.
+Each continuity class asks that the preimages of some codomain subsets
+lie in one family of the domain: those of the opens in set class c, per
+the binding table below (the only per-class data), or, for strong
+irresoluteness and its image form f(sCl A) in f(A), those of all subsets
+in the semi-regular or the semi-closed family.  _fact_word decides every
+class at once from family bitmaps and is the one evaluator; the
+definitional is_continuous_in and strongly_irresolute_scl are its oracles.
 """
 
 from enum import Enum
@@ -131,25 +131,26 @@ _SCL_OK = 1 << len(ContinuityClass)
 def _domain_facts(t: Topology):
     """What _partition_facts and _open_bits need of a map's domain t.
 
-    (bit, family bitmap) of each class in CONTINUITY_BINDING, the
-    semi-regular family, and the pairs (A, sCl A) with A != sCl A.
+    (bit, family bitmap) of each class in CONTINUITY_BINDING, then the
+    semi-regular and the semi-closed family bitmaps.
     """
     table = class_table(t)
-    bound = [
-        (_CLASS_BIT[cc], table.family_bitmap(sc))
-        for cc, sc in CONTINUITY_BINDING.items()
-    ]
-    scl = [(a, s) for a, s in enumerate(table.semi_closure_table) if s != a]
-    return bound, table.family_bitmap(SetClass.SEMI_REGULAR), scl
+    bound = [(_CLASS_BIT[cc], table.family_bitmap(sc))
+             for cc, sc in CONTINUITY_BINDING.items()]
+    return (bound, table.family_bitmap(SetClass.SEMI_REGULAR),
+            table.family_bitmap(SetClass.SEMI_CLOSED))
 
 
 def _partition_facts(assignment, k: int, facts):
     """(pre, word) of a map onto k targets, from its fibers alone.
 
     pre lists the preimage of every target subset, in numeric order;
-    word holds the strongly-irresolute bit and _SCL_OK.
+    word holds the strongly-irresolute bit and _SCL_OK.  The preimages
+    are the unions of fibers, and f(sCl A) lies in f(A) for all A iff all
+    are semi-closed: the fibers A meets hold sCl A, and sCl B = B if B is
+    a union with f(sCl B) in f(B).
     """
-    _, sr, scl = facts
+    _, sr, sc = facts
     fibers = [0] * k
     for x, y in enumerate(assignment):
         fibers[y] |= 1 << x
@@ -157,9 +158,7 @@ def _partition_facts(assignment, k: int, facts):
     word = 0
     if all(sr >> q & 1 for q in pre):
         word |= _CLASS_BIT[ContinuityClass.STRONGLY_IRRESOLUTE]
-    img = _or_table([1 << y for y in assignment])
-    # f(sCl A) lies in f(A) for every domain subset A
-    if all(img[s] & ~img[a] == 0 for a, s in scl):
+    if all(sc >> q & 1 for q in pre):
         word |= _SCL_OK
     return pre, word
 

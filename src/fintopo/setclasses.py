@@ -323,7 +323,8 @@ class ClassTable:
     class to its bitmap; class_table passes a mapping that builds the
     four existential bitmaps on the first read of any of them, which
     witness never makes.  The per-subset closure and semi-closure tables
-    are built on first read.
+    are built on first read; the map facts read neither, and only the
+    propositions l00 and equiv-scl-form read the semi-closure table.
     """
 
     def __init__(self, topology, planes, bitmaps):

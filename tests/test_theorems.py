@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 from dataclasses import replace
 from functools import cache, partial
 from itertools import product
@@ -20,11 +21,14 @@ from fintopo import (
     Witness,
     acceptable,
     class_table,
+    continuity_profile,
+    encode_map,
     enumerate_isomorphism_classes,
     enumerate_maps,
     enumerate_topologies,
     find_counterexample,
     is_continuous_in,
+    is_strongly_irresolute,
     proposition,
     registry,
     replay_witness,
@@ -38,7 +42,9 @@ from fintopo import (
     theorems,
 )
 
+from fintopo.cli import main
 from fintopo.enumeration import _class_levels, first_in_orbits
+from fintopo.setclasses import is_semi_open
 
 from helpers import (
     FakePool,
@@ -52,6 +58,7 @@ from helpers import (
     labeled_sweep_spaces,
     labeled_topologies,
     labeled_trace_table,
+    random_preorder_topology,
     sierpinski,
     three_point_space,
 )
@@ -551,6 +558,36 @@ def test_fact_words_agree_with_definitions():
     assert maps_ == 24907
 
 
+def test_scl_bit_agrees_with_oracles_on_larger_maps():
+    # _SCL_OK reads the unions of fibers off the semi-closed family; it
+    # must agree with the literal image form, both preimage forms of
+    # strong irresoluteness and "every fiber is semi-open" (unions of
+    # fibers are closed under complement, semi-open sets under union)
+    rng = random.Random(2718)
+    strirr = maps._CLASS_BIT[ContinuityClass.STRONGLY_IRRESOLUTE]
+    seen = {True: 0, False: 0}
+    for j in range(1500):
+        nx, ny = rng.randint(4, 8), rng.randint(1, 5)
+        tx = random_preorder_topology([rng.getrandbits(nx) for _ in range(nx)])
+        ty = random_preorder_topology([rng.getrandbits(ny) for _ in range(ny)])
+        # few image points make fibers coarse, so verdicts vary
+        targets = rng.sample(range(ny), 1 + j % min(ny, 3))
+        f = SpaceMap(tx, ty, [rng.choice(targets) for _ in range(nx)])
+        word = maps._fact_word(f, maps._domain_facts(tx))
+        fibers = [sum(1 << x for x, y in enumerate(f.assignment) if y == z)
+                  for z in range(ny)]
+        verdicts = {
+            word & maps._SCL_OK != 0,
+            word & strirr != 0,
+            strongly_irresolute_scl(f),
+            is_strongly_irresolute(f),
+            all(is_semi_open(tx, fiber) for fiber in fibers),
+        }
+        assert len(verdicts) == 1, f.assignment
+        seen[verdicts.pop()] += 1
+    assert min(seen.values()) >= 500, seen
+
+
 SET_SPACE_IDS = [p.id for p in registry() if p.scope != "map"]
 BIG = os.environ.get("FINTOPO_BIG_SWEEPS") == "1"
 
@@ -807,6 +844,37 @@ def test_find_counterexample_budget_refusal():
 
 
 MAP_IDS = [p.id for p in registry() if p.scope == "map"]
+
+
+def _no_semi_closure_table(n, family):
+    raise AssertionError("a semi-closure table was built")
+
+
+def test_map_path_builds_no_semi_closure_table(monkeypatch, tmp_path, capsys):
+    # every map fact is read off family bitmaps: with the per-subset
+    # semi-closure fold refused, the map routes give what they gave before
+    rng = random.Random(1729)
+    tx = random_preorder_topology([rng.getrandbits(12) for _ in range(12)])
+    ty = random_preorder_topology([rng.getrandbits(3) for _ in range(3)])
+    f = SpaceMap(tx, ty, [rng.randrange(3) for _ in range(12)])
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(encode_map(f)))
+
+    def run():
+        assert main(["classify-map", str(path)]) == 0
+        reports = verify_all(MAP_IDS, EnumerationBudget(max_n=3))
+        witnesses = [w for report in reports for w in report.witnesses]
+        assert witnesses
+        for w in witnesses:
+            assert replay_witness(w) is True
+        return (continuity_profile(f), capsys.readouterr().out,
+                serialize_report(reports))
+
+    want = run()
+    setclasses.class_table.cache_clear()
+    setclasses.interior_table.cache_clear()
+    monkeypatch.setattr(setclasses, "_superset_meets", _no_semi_closure_table)
+    assert run() == want
 
 
 def _factored_and_labeled(monkeypatch, budget):
