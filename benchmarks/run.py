@@ -43,7 +43,11 @@ interquartile range of REPEATS runs:
   _domain_facts plus _partition_facts over every partition of every
   domain class on at most 5 points, and continuity_profile on fixed
   seeded random maps with domains on 7, 10 and 12 points (per size, the
-  median is for all of its maps together).
+  median is for all of its maps together);
+- cli_import: `import fintopo.cli` timed inside each of REPEATS fresh
+  interpreters, with the package's bytecode compiled beforehand, and
+  the number of modules that import adds: the start-up every CLI
+  command pays before it checks anything.
 
 Every timed run starts after a garbage collection, with empty
 class_table and interior_table caches, so that no entry reads state an
@@ -51,6 +55,7 @@ earlier one left behind.  Nothing under perfbench/ is read or written.
 """
 
 import argparse
+import compileall
 import datetime
 import gc
 import importlib.metadata
@@ -264,6 +269,28 @@ def _clear_caches():
         setclasses.interior_table.cache_clear()
 
 
+# run in a fresh interpreter: the seconds `import fintopo.cli` takes and
+# the number of modules it adds
+_IMPORT_CLI = (
+    "import sys, time; before = len(sys.modules); "
+    "start = time.perf_counter(); import fintopo.cli; "
+    "print(time.perf_counter() - start, len(sys.modules) - before)"
+)
+
+
+def cli_import():
+    package = Path(fintopo.__file__).resolve().parent
+    compileall.compile_dir(str(package), quiet=1)
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    runs = [
+        subprocess.run([sys.executable, "-c", _IMPORT_CLI], check=True,
+                       capture_output=True, text=True, env=env).stdout.split()
+        for _ in range(REPEATS)
+    ]
+    return {**_summary([float(s) for s, _ in runs]),
+            "modules_added": max(int(m) for _, m in runs)}
+
+
 def end_to_end():
     set_space = [p.id for p in theorems.registry() if p.scope != "map"]
     map_ids = [p.id for p in theorems.registry() if p.scope == "map"]
@@ -360,6 +387,7 @@ def main(argv=None) -> int:
         "source": source,
         "repeats": REPEATS,
         "end_to_end": end_to_end(),
+        "cli_import": cli_import(),
         "layers": layers(),
     }
     sha = (source["commit"] or "unknown")[:7]

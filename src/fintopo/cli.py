@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from functools import cache
 
 from .documents import (
@@ -115,7 +114,7 @@ def cmd_verify(args) -> int:
     for scope in ("set", "map"):
         group = [p for p in props if (p.scope == "map") == (scope == "map")]
         if group:
-            budget = replace(default_budget(scope), **overrides)
+            budget = default_budget(scope)._replace(**overrides)
             swept.update(zip(group, verify_all(group, budget)))
     reports = [swept[p] for p in props]
     all_ok = True

@@ -7,7 +7,6 @@ masks; names exist only at this boundary.
 """
 
 import json
-import string
 
 from .errors import (
     DocumentError,
@@ -22,7 +21,7 @@ from .space import SubsetMask, Topology, build_topology, iter_points
 def default_point_names(n: int):
     """a, b, c, ... for small spaces; indexed names past the alphabet."""
     if n <= 26:
-        return list(string.ascii_lowercase[:n])
+        return list("abcdefghijklmnopqrstuvwxyz"[:n])
     return [f"p{i}" for i in range(n)]
 
 

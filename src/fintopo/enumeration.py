@@ -2,7 +2,7 @@
 
 Main path: finite topologies correspond exactly to preorders (Stong,
 1966), and their opens are the preorder's up-sets.  One generator,
-_class_levels, grows preorders one point at a time by one step,
+_row_levels, grows preorders one point at a time by one step,
 _extensions: the new point goes above a down-set and below an up-set of
 a preorder on the points before it.  It extends one representative per
 homeomorphism class, keeps only the extensions whose new point has the
@@ -25,7 +25,7 @@ naive filter over all candidate open-set families (small n ground
 truth) and a bit-plane transitive-relation counter.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import (chain, combinations, groupby, islice, permutations,
                        product)
 from math import factorial
@@ -49,32 +49,35 @@ from .space import (
 MAX_ENUMERATION_N = 6
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
+class EnumerationBudget(namedtuple(
+        "EnumerationBudget", "max_n max_spaces max_maps codomain_max_n",
+        defaults=(4, 1_000_000, 5_000_000, None))):
     """Hard caps for sweep loops.
 
     max_n bounds the ground-set size of every swept space, and of the
     domain of every swept map.  codomain_max_n bounds map codomains
     separately; None means the same as max_n.  The size caps must be
-    non-negative, max_spaces and max_maps positive.
+    non-negative, max_spaces and max_maps positive, however the budget
+    is built: _make, and so _replace, go through the same check.
     """
 
-    max_n: int = 4
-    max_spaces: int = 1_000_000
-    max_maps: int = 5_000_000
-    codomain_max_n: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_n < 0:
             raise ValueError(f"max_n must be non-negative, got {self.max_n}")
         if self.codomain_max_n is not None and self.codomain_max_n < 0:
             raise ValueError("codomain_max_n must be non-negative, got "
                              f"{self.codomain_max_n}")
-        for name in ("max_spaces", "max_maps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(
-                    f"{name} must be positive, got {getattr(self, name)}"
-                )
+        for name, value in zip(self._fields[1:3], self[1:3]):
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*super()._make(iterable))
 
     @property
     def codomain_n(self) -> int:
@@ -227,22 +230,28 @@ def _extensions(rows):
                 yield lowered + (new | u,)
 
 
-def _class_levels(budget: EnumerationBudget):
-    """Per size n = 0..budget.max_n, one (topology, orbit size) per class.
+def _row_levels(budget: EnumerationBudget):
+    """Per size n = 0..budget.max_n, {canonical rows: orbit size} of
+    every class on n points.
 
-    Size n is built from the classes of size n - 1 (see _next_level), and
-    every representative passes Preorder.validate(); a relabeling of a
-    valid preorder is valid, so no other preorder is validated.  It raises
-    BudgetExceeded once the orbit sizes at one size sum past max_spaces,
-    so a size is refused iff it has more than max_spaces labeled
-    topologies, and no later size is built.  The classes of one size come
-    in no promised order: counts are sums, and witnesses are taken from
-    first_in_orbits.
+    Size n is built from the classes of size n - 1 (see _next_level).  It
+    raises BudgetExceeded once the orbit sizes at one size sum past
+    max_spaces, so a size is refused iff it has more than max_spaces
+    labeled topologies, and no later size is built.  The classes of one
+    size come in no promised order: counts are sums, and witnesses are
+    taken from first_in_orbits.
     """
-    level = {(): 1}  # rows of each class -> its orbit size
+    level = {(): 1}
     for n in range(budget.max_n + 1):
         if n:
             level = _next_level(level, n, budget)
+        yield level
+
+
+def _class_levels(budget: EnumerationBudget):
+    """_row_levels as (topology, orbit size) pairs.  Only the
+    representatives pass Preorder.validate(): relabelings keep validity."""
+    for level in _row_levels(budget):
         yield [
             (topology_from_preorder(Preorder(rows)), orbit)
             for rows, orbit in level.items()
@@ -346,11 +355,12 @@ def _closed_under_ops(family) -> bool:
 def count_topologies(n: int, budget: EnumerationBudget | None = None) -> int:
     """The number of topologies on n labeled points, without listing them.
 
-    Sums the orbit sizes of the isomorphism classes on n points.  The
-    budget is checked as in enumerate_topologies: size n is refused iff
-    it has more than max_spaces topologies.
+    Sums the orbit sizes of the classes on n points; no Topology is
+    built.  The budget is checked as in enumerate_topologies: size n is
+    refused iff it has more than max_spaces topologies.
     """
-    return sum(orbit for _, orbit in enumerate_isomorphism_classes(n, budget))
+    budget = _checked_budget(n, budget)
+    return sum(_level(_row_levels(budget), n, budget).values())
 
 
 def count_reflexive_transitive_relations(n: int) -> int:

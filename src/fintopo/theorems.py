@@ -41,10 +41,9 @@ labeled codomain and assignment that hit.
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from functools import cache, partial
 from itertools import permutations, product
-from multiprocessing import Pool
 
 from .documents import (
     decode_map,
@@ -81,7 +80,7 @@ from .setclasses import (
     interior_table,
     semi_regular_sandwich_bitmap,
 )
-from .space import Topology, iter_points
+from .space import iter_points
 from .spaceprops import SpaceProperty, space_profile
 
 HOLDS = "holds-exhaustively"
@@ -99,8 +98,9 @@ KIND_EQ_MAP = "equivalence-per-map"
 KIND_EXISTS = "existence-of-witness"
 
 
-@dataclass(frozen=True)
-class Proposition:
+class Proposition(namedtuple(
+        "Proposition", "id kind scope description evaluate exploratory",
+        defaults=(False,))):
     """One checkable claim.
 
     scope fixes quantification: a "space" claim is checked on every
@@ -120,12 +120,7 @@ class Proposition:
     overall verdict.
     """
 
-    id: str
-    kind: str
-    scope: str
-    description: str
-    evaluate: callable = field(repr=False, compare=False)
-    exploratory: bool = False
+    __slots__ = ()
 
     @property
     def existential(self) -> bool:
@@ -460,14 +455,10 @@ def proposition(pid: str) -> Proposition:
 # witnesses and reports
 
 
-@dataclass
-class Witness:
-    proposition_id: str
-    polarity: str
-    topology: Topology
-    subset: int | None = None
-    codomain: Topology | None = None
-    assignment: tuple | None = None
+class Witness(namedtuple(
+        "Witness", "proposition_id polarity topology subset codomain "
+        "assignment", defaults=(None, None, None))):
+    __slots__ = ()
 
     def to_document(self) -> dict:
         doc = {"proposition": self.proposition_id, "polarity": self.polarity}
@@ -484,18 +475,10 @@ class Witness:
         return doc
 
 
-@dataclass
-class SweepReport:
-    proposition_id: str
-    kind: str
-    description: str
-    budget: EnumerationBudget
-    spaces_checked: int
-    sets_checked: int
-    maps_checked: int
-    hits: int
-    verdict: str
-    witnesses: list
+class SweepReport(namedtuple(
+        "SweepReport", "proposition_id kind description budget "
+        "spaces_checked sets_checked maps_checked hits verdict witnesses")):
+    __slots__ = ()
 
     def to_document(self) -> dict:
         doc = {
@@ -682,6 +665,12 @@ def _fact_histograms(tx, traces):
     return by_ny
 
 
+def Pool(processes):
+    """multiprocessing.Pool, imported on first use (see _map_histograms)."""
+    import multiprocessing
+    return multiprocessing.Pool(processes)
+
+
 _CHUNK_DOMAINS = 8
 
 # _open_bits calls above which a process pool pays; measured between
@@ -698,7 +687,8 @@ def _map_histograms(domains, codomains):
     representative per isomorphism class with its orbit size: the fact
     words are topological, so every labeled domain of an orbit has the
     same histogram.  Past _POOL_MIN_CALLS _open_bits calls, they run on
-    a pool of one worker per CPU this process may use, if more than one.
+    a pool of one worker per CPU this process may use, if more than one;
+    multiprocessing is imported only then (see Pool).
     """
     traces = _trace_table(codomains)
     work = partial(_fact_histograms, traces=traces)
@@ -746,7 +736,7 @@ def _sweep_maps(props, budget):
     # domains range over n <= max_n, codomains over n <= codomain_n;
     # spaces_checked and the budget read the orbit sums of both sides
     top = max(budget.max_n, budget.codomain_n)
-    both_sides = replace(budget, max_n=top)
+    both_sides = budget._replace(max_n=top)
     try:
         levels = list(_class_levels(both_sides))
     except BudgetExceeded:

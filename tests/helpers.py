@@ -13,7 +13,6 @@ below read right to left.
 
 import math
 import os
-from dataclasses import replace
 from functools import cache, partial
 from itertools import chain, islice, permutations, product
 from multiprocessing import Pool
@@ -402,7 +401,7 @@ def labeled_map_histogram(budget, parallel=False, workers=None):
     _fact_chunk gives it (None when max_maps refuses the sweep).
     parallel runs the pairs on a Pool."""
     top = max(budget.max_n, budget.codomain_n)
-    both_sides = replace(budget, max_n=top)
+    both_sides = budget._replace(max_n=top)
     topos = [list(labeled_topologies(n, both_sides))
              for n in range(top + 1)]
     sizes = list(product(range(budget.max_n + 1),

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 from collections import defaultdict
@@ -44,6 +45,16 @@ BIG = os.environ.get("FINTOPO_BIG_SWEEPS") == "1"
 def test_known_counts_main_path():
     for n, expected in enumerate(KNOWN_COUNTS):
         assert count_topologies(n) == expected
+
+
+def test_count_builds_no_topology(monkeypatch):
+    # the count sums orbit sizes read from the class rows (A000798)
+    def no_topology(*args):
+        raise AssertionError("count_topologies built a topology")
+
+    monkeypatch.setattr(enumeration, "topology_from_preorder", no_topology)
+    counts = [count_topologies(n) for n in range(MAX_ENUMERATION_N + 1)]
+    assert counts == KNOWN_COUNTS + [6942, 209527]
 
 
 def test_naive_oracle_counts():
@@ -119,8 +130,40 @@ def test_budget_field_validation():
     ("max_maps", 0, "positive"),
 ])
 def test_budget_error_names_the_field(field, value, rule):
-    with pytest.raises(ValueError, match=f"^{field} must be {rule}, got {value}$"):
-        EnumerationBudget(**{field: value})
+    # keywords, positions, _make and _replace all go through one check
+    fields = list(EnumerationBudget())
+    fields[EnumerationBudget._fields.index(field)] = value
+    builds = [
+        lambda: EnumerationBudget(**{field: value}),
+        lambda: EnumerationBudget(*fields),
+        lambda: EnumerationBudget._make(fields),
+        lambda: EnumerationBudget()._replace(**{field: value}),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be {rule}, got {value}$"):
+            build()
+
+
+def test_budget_checks_its_fields_in_order():
+    # with several fields bad, the message names the first in this order
+    bad = {"max_n": -1, "codomain_max_n": -1, "max_spaces": 0, "max_maps": 0}
+    order = list(bad)
+    for i, field in enumerate(order):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            EnumerationBudget(**{f: bad[f] for f in order[i:]})
+
+
+def test_budget_record_shape():
+    budget = EnumerationBudget()
+    assert repr(budget) == ("EnumerationBudget(max_n=4, max_spaces=1000000, "
+                            "max_maps=5000000, codomain_max_n=None)")
+    replaced = budget._replace(max_n=6, codomain_max_n=2)
+    assert type(replaced) is EnumerationBudget
+    assert replaced == EnumerationBudget(6, 1_000_000, 5_000_000, 2)
+    assert replaced.codomain_n == 2 and budget.codomain_n == 4
+    for b in (budget, replaced):
+        assert pickle.loads(pickle.dumps(b)) == b
 
 
 @pytest.mark.parametrize("entry", [

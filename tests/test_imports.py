@@ -1,6 +1,9 @@
-"""Import hygiene of the package, checked by parsing its modules with ast."""
+"""Import hygiene of the package, checked by parsing its modules with ast
+and by importing the CLI in a fresh interpreter."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -95,3 +98,19 @@ def test_src_imports_only_the_standard_library():
                 modules.add(node.module)
     outside = {m.split(".")[0] for m in modules} - {"fintopo"}
     assert sorted(outside - sys.stdlib_module_names) == []
+
+
+def test_cli_import_loads_no_pool_or_dataclass_machinery():
+    # every command starts a cold process: multiprocessing waits for the
+    # first map sweep that takes a pool, and the records are named tuples
+    code = ("import sys; before = set(sys.modules); import fintopo.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    added = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": path},
+    ).stdout.split()
+    assert "fintopo.cli" in added
+    heavy = ("multiprocessing", "dataclasses", "inspect")
+    assert [m for m in added if m.split(".")[0] in heavy] == []

@@ -3,8 +3,8 @@
 import hashlib
 import json
 import os
+import pickle
 import random
-from dataclasses import replace
 from functools import cache, partial
 from itertools import product
 
@@ -323,6 +323,21 @@ def test_report_document_fields():
     assert doc["witnesses"] == []
     text = serialize_report([report])
     assert json.loads(text)[0] == json.loads(json.dumps(doc))
+
+
+def test_records_survive_pickling():
+    # reports, their witnesses and budgets are named tuples; a round trip
+    # keeps their type, their fields and their report bytes
+    reports = [verify("nonrev-ab-b", EnumerationBudget(max_n=2)),
+               verify("nonrev-s41-i", CAPPED)]
+    for report in reports:
+        (w,) = report.witnesses
+        for record in (report, w, report.budget):
+            back = pickle.loads(pickle.dumps(record))
+            assert type(back) is type(record) and back == record
+        assert serialize_report(pickle.loads(pickle.dumps(report))) == (
+            serialize_report(report))
+    assert reports[1].witnesses[0].assignment is not None
 
 
 def test_default_budgets_by_scope():
@@ -894,7 +909,7 @@ def _factored_histogram(budget):
     """{word: labeled maps} of the factored sweep, over every size."""
     words = {}
     top = max(budget.max_n, budget.codomain_n)
-    levels = list(_class_levels(replace(budget, max_n=top)))
+    levels = list(_class_levels(budget._replace(max_n=top)))
     for _, level in theorems._map_histograms(
         levels[:budget.max_n + 1], levels[:budget.codomain_n + 1],
     ):
@@ -931,7 +946,7 @@ def test_map_sweep_matches_labeled_oracle_at_map_budget(monkeypatch, budget):
     total = _labeled_maps(budget)
     for cap, refused in ((total - 1, True), (total, False)):
         factored, labeled = _factored_and_labeled(
-            monkeypatch, replace(budget, max_maps=cap))
+            monkeypatch, budget._replace(max_maps=cap))
         assert factored == labeled
         for doc in json.loads(factored):
             assert doc["maps_checked"] == (0 if refused else total)
