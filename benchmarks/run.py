@@ -9,8 +9,9 @@ this checkout's src/, so one runner measures any checkout:
 
 The file names the measured checkout's commit and holds the machine
 (cpu count, Python and numpy versions, numpy None where it is not
-installed), the line count of the measured src/ tree, and the median and
-interquartile range of REPEATS runs:
+installed), the line count of the measured src/ tree, both raw and of
+code alone (no blank line, comment line or docstring), and the median
+and interquartile range of REPEATS runs:
 
 - end to end: the 27 set/space propositions at max_n=5, at max_n=6 and
   at max_n=7 (with max_spaces raised to 10,000,000), verify_all() at the
@@ -55,6 +56,7 @@ earlier one left behind.  Nothing under perfbench/ is read or written.
 """
 
 import argparse
+import ast
 import compileall
 import datetime
 import gc
@@ -143,16 +145,32 @@ def _numpy_version():
         return None
 
 
+def _code_lines(text):
+    """Lines of text that hold code: not blank, not a comment alone, and
+    not in a docstring (found with ast)."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            doc = node.body[0]
+            docstrings.update(range(doc.lineno, doc.end_lineno + 1))
+    return sum(
+        1 for number, line in enumerate(text.splitlines(), 1)
+        if line.strip() and not line.lstrip().startswith("#")
+        and number not in docstrings
+    )
+
+
 def _source():
     package = Path(fintopo.__file__).resolve().parent
-    lines = sum(
-        len(p.read_text(encoding="utf-8").splitlines())
-        for p in sorted(package.glob("*.py"))
-    )
+    texts = [p.read_text(encoding="utf-8")
+             for p in sorted(package.glob("*.py"))]
     return {
         "commit": _git(package, "rev-parse", "HEAD"),
         "dirty": bool(_git(package, "status", "--porcelain", "--", ".")),
-        "src_lines": lines,
+        "src_lines": sum(len(text.splitlines()) for text in texts),
+        "src_code_lines": sum(_code_lines(text) for text in texts),
     }
 
 

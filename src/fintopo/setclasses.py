@@ -289,6 +289,8 @@ def b_set_via_semi_closure_bitmap(t: Topology) -> int:
 
 
 def is_b_set_via_semi_closure(t: Topology, a: SubsetMask) -> bool:
+    """Each call builds the whole route over the 2^n subsets: a caller
+    deciding many subsets reads b_set_via_semi_closure_bitmap once."""
     return bool(b_set_via_semi_closure_bitmap(t) >> a & 1)
 
 
@@ -308,6 +310,8 @@ def semi_regular_sandwich_bitmap(t: Topology) -> int:
 
 
 def is_semi_regular_sandwich(t: Topology, a: SubsetMask) -> bool:
+    """Each call builds the whole route over the 2^n subsets: a caller
+    deciding many subsets reads semi_regular_sandwich_bitmap once."""
     return bool(semi_regular_sandwich_bitmap(t) >> a & 1)
 
 
@@ -319,12 +323,13 @@ class ClassTable:
     """Membership of every subset of a space in every set class.
 
     Per class, one int bitmap over the 2^n subset masks: bit a of
-    bitmap(c) says whether subset a is in class c.  `bitmaps` maps every
-    class to its bitmap; class_table passes a mapping that builds the
-    four existential bitmaps on the first read of any of them, which
-    witness never makes.  The per-subset closure and semi-closure tables
-    are built on first read; the map facts read neither, and only the
-    propositions l00 and equiv-scl-form read the semi-closure table.
+    bitmap(c) says whether subset a is in class c.  `bitmaps` maps at
+    least every pointwise class to its bitmap; family_bitmap projects
+    the four existential bitmaps into it on the first read of any of
+    them, which witness never makes.  The per-subset closure and
+    semi-closure tables are built on first read; the map facts read
+    neither, and only the propositions l00 and equiv-scl-form read the
+    semi-closure table.
     """
 
     def __init__(self, topology, planes, bitmaps):
@@ -333,14 +338,21 @@ class ClassTable:
         self._bitmaps = bitmaps
 
     def contains(self, a: SubsetMask, cls: SetClass) -> bool:
-        return bool(self._bitmaps[cls] >> a & 1)
+        return bool(self.family_bitmap(cls) >> a & 1)
 
     def family(self, cls: SetClass):
         """Masks in the class, numerically ascending."""
-        bits = bin(self._bitmaps[cls])[:1:-1]
+        bits = bin(self.family_bitmap(cls))[:1:-1]
         return [a for a, bit in enumerate(bits) if bit == "1"]
 
     def family_bitmap(self, cls: SetClass) -> int:
+        try:
+            return self._bitmaps[cls]
+        except KeyError:
+            if cls not in SECOND_FAMILY:
+                raise
+        self._bitmaps.update(_existential_bitmaps(
+            self.topology, self._planes, self._bitmaps))
         return self._bitmaps[cls]
 
     def witness(self, a: SubsetMask, cls: SetClass):
@@ -353,7 +365,7 @@ class ClassTable:
         u = reduce(or_, [t.min_nbhd[x] for x in iter_points(a)], 0)
         v = reduce(and_, [e[y] for y in iter_points(a)]
                    + [~e[y] for y in iter_points(u ^ a)],
-                   self._bitmaps[SECOND_FAMILY[cls]])
+                   self.family_bitmap(SECOND_FAMILY[cls]))
         return (u, (v & -v).bit_length() - 1) if v else None
 
     @cached_property
@@ -423,28 +435,7 @@ def class_table(t: Topology) -> ClassTable:
     bitmaps[SetClass.CLOPEN] = bitmaps[SetClass.OPEN] & bitmaps[SetClass.CLOSED]
     bitmaps[SetClass.SEMI_REGULAR] = (bitmaps[SetClass.SEMI_OPEN]
                                       & bitmaps[SetClass.SEMI_CLOSED])
-    return ClassTable(t, e, _Bitmaps(t, e, bitmaps))
-
-
-class _Bitmaps(dict):
-    """The pointwise bitmaps; the existential ones are built on first read.
-
-    __missing__ runs only for a key not yet stored, so a read of a built
-    bitmap is a plain dict lookup.
-    """
-
-    __slots__ = ("topology", "planes")
-
-    def __init__(self, topology, planes, pointwise):
-        super().__init__(pointwise)
-        self.topology = topology
-        self.planes = planes
-
-    def __missing__(self, cls):
-        if cls not in SECOND_FAMILY:
-            raise KeyError(cls)
-        self.update(_existential_bitmaps(self.topology, self.planes, self))
-        return self[cls]
+    return ClassTable(t, e, bitmaps)
 
 
 def _existential_bitmaps(t: Topology, e, bitmaps) -> dict:

@@ -180,30 +180,27 @@ def _ev_cor_submax(table, profile):
 
 
 def _gap(c_in: SetClass, c_out: SetClass):
-    """The sets in c_in but not in c_out."""
+    """The sets in c_in but not in c_out; ev.gap records the pair."""
     def ev(table, profile):
         return table.family_bitmap(c_in) & ~table.family_bitmap(c_out)
+    ev.gap = (c_in, c_out)
+    return ev
+
+
+def _route(cls: SetClass, route):
+    """Where the table's cls bitmap and a per-space route's differ.
+
+    The route reads the topology alone, so it stays independent of the
+    table it checks.
+    """
+    def ev(table, profile):
+        return table.family_bitmap(cls) ^ route(table.topology)
     return ev
 
 
 def _ev_equiv_tset(table, profile):
     sc, ts = _bitmaps(table, SC.SEMI_CLOSED, SC.T_SET)
     return sc ^ ts
-
-
-def _ev_equiv_sr_sandwich(table, profile):
-    sr = table.family_bitmap(SC.SEMI_REGULAR)
-    return sr ^ semi_regular_sandwich_bitmap(table.topology)
-
-
-def _ev_equiv_bset_scl(table, profile):
-    b = table.family_bitmap(SC.B_SET)
-    return b ^ b_set_via_semi_closure_bitmap(table.topology)
-
-
-def _ev_equiv_ic_subspace(table, profile):
-    ic = table.family_bitmap(SC.IC_SET)
-    return ic ^ ic_set_subspace_bitmap(table.topology)
 
 
 def _ev_equiv_scl_form(table, profile):
@@ -265,12 +262,11 @@ def _ev_t6(table, profile):
 
 def _ev_t7(table, profile):
     # semi-connected <=> no split into two disjoint nonempty AB-sets
+    # reversed over its 2^n positions, the AB bitmap has bit full - a at a
     ab = table.family_bitmap(SC.AB_SET)
     full = table.topology.full
-    unsplit = not any(
-        ab >> a & 1 and ab >> (full ^ a) & 1 for a in range(1, full)
-    )
-    return profile()[SP.SEMI_CONNECTED] != unsplit
+    rev = int(format(ab, f"0{full + 1}b")[::-1], 2)
+    return profile()[SP.SEMI_CONNECTED] != (ab & rev & ~(1 | 1 << full) == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +349,16 @@ def _build_registry():
           _ev_equiv_tset),
         P("equiv-sr-sandwich", KIND_EQ_SET, "set",
           "semi-regular agrees with the regular-open sandwich form",
-          _ev_equiv_sr_sandwich),
+          _route(SC.SEMI_REGULAR, semi_regular_sandwich_bitmap)),
         P("equiv-bset-scl", KIND_EQ_SET, "set",
           "B-set scan agrees with the single-open semi-closure form",
-          _ev_equiv_bset_scl),
+          _route(b_s, b_set_via_semi_closure_bitmap)),
         P("equiv-scl-form", KIND_EQ_SET, "set",
           "semi-closure scan agrees with the closed form A union int cl A",
           _ev_equiv_scl_form),
         P("equiv-ic-subspace", KIND_EQ_SET, "set",
           "ic-set closed form agrees with the literal subspace check",
-          _ev_equiv_ic_subspace),
+          _route(SC.IC_SET, ic_set_subspace_bitmap)),
         # space characterizations
         P("t1", KIND_EQ_SPACE, "space",
           "extremally disconnected iff the AB-sets are exactly the opens",
@@ -825,22 +821,16 @@ def acceptable(p, report: SweepReport) -> bool:
 # directed counterexample search and witness replay
 
 
-_KNOWN_GAPS = {
-    (SetClass.AB_SET, SetClass.A_SET): "nonrev-ab-a",
-    (SetClass.B_SET, SetClass.AB_SET): "nonrev-ab-b",
-    (SetClass.SEMI_OPEN, SetClass.AB_SET): "nonrev-ab-so",
-    (SetClass.AB_SET, SetClass.LOCALLY_CLOSED): "indep-ab-lc",
-    (SetClass.LOCALLY_CLOSED, SetClass.AB_SET): "indep-lc-ab",
-}
+# every set-scope existential claim is a _gap: the registered claim
+# behind each tracked (class in, class out) pair
+_KNOWN_GAPS = {p.evaluate.gap: p for p in _REGISTRY
+               if p.scope == "set" and p.existential}
 
 
 def _gap_proposition(class_from: SetClass, class_to: SetClass) -> Proposition:
     """The registered claim for a tracked gap, else an ad-hoc universal
     one: every class_from set is in class_to."""
-    key = _KNOWN_GAPS.get((class_from, class_to))
-    if key:
-        return _BY_ID[key]
-    return Proposition(
+    return _KNOWN_GAPS.get((class_from, class_to)) or Proposition(
         f"counterexample-{class_from.value}-to-{class_to.value}",
         KIND_IMP_SET, "set",
         f"every {class_from.value} set is {class_to.value}",

@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -38,6 +39,7 @@ from fintopo.setclasses import (
     semi_closures,
     semi_regular_sandwich_bitmap,
 )
+from fintopo.space import _point_planes
 from fintopo.spaceprops import PROPERTY_PREDICATES
 
 from helpers import (
@@ -428,3 +430,53 @@ def test_class_table_answers_without_interior(monkeypatch):
     scl = table.semi_closure_table
     for a in rng.sample(range(1 << t.n), 8):
         assert scl[a] == semi_closure(t, a), a
+
+
+def test_class_table_projects_existential_bitmaps_on_first_read(monkeypatch):
+    # A fresh table projects the four existential bitmaps exactly once,
+    # on the first read of any of them through family_bitmap, contains
+    # or family, and never for a pointwise read or a witness.  A table
+    # handed all 19 bitmaps never projects.
+    projected = []
+    project = setclasses._existential_bitmaps
+
+    def spy(t, *args):
+        projected.append(t)
+        return project(t, *args)
+
+    monkeypatch.setattr(setclasses, "_existential_bitmaps", spy)
+    t = four_point_space()
+    reads = (
+        lambda table, cls: table.family_bitmap(cls),
+        lambda table, cls: table.contains(t.full, cls),
+        lambda table, cls: table.family(cls),
+    )
+
+    def read_without_projecting(table):
+        for read, cls in product(reads, SetClass):
+            if cls not in SECOND_FAMILY:
+                read(table, cls)
+        for cls in SECOND_FAMILY:
+            for a in t.subsets():
+                table.witness(a, cls)
+        assert table.closure_table and table.semi_closure_table
+
+    for first, cls in product(reads, SECOND_FAMILY):
+        class_table.cache_clear()
+        table = class_table(t)
+        read_without_projecting(table)
+        assert projected == []
+        first(table, cls)
+        assert projected == [t]
+        for other, c in product(reads, SetClass):
+            other(table, c)
+        assert projected == [t]
+        assert all(table.family_bitmap(c) == where(t, PREDICATES[c])
+                   for c in SECOND_FAMILY)
+        projected.clear()
+    bitmaps = {c: table.family_bitmap(c) for c in SetClass}
+    given = setclasses.ClassTable(t, _point_planes(t.n), bitmaps)
+    read_without_projecting(given)
+    for read, cls in product(reads, SetClass):
+        read(given, cls)
+    assert projected == []

@@ -5,8 +5,9 @@ import json
 import os
 import pickle
 import random
-from functools import cache, partial
+from functools import cache, partial, reduce
 from itertools import product
+from operator import and_
 
 import pytest
 
@@ -18,6 +19,7 @@ from fintopo import (
     GroundSetTooLarge,
     SetClass,
     SpaceMap,
+    SpaceProperty,
     Witness,
     acceptable,
     class_table,
@@ -753,6 +755,39 @@ def test_oracles_catch_a_corrupted_semi_closed_bit():
     assert moved > 20
 
 
+def _splits_by_scan(ab, full):
+    """t7's split, one subset at a time: some nonempty a and full - a
+    are both AB-sets."""
+    return any(ab >> a & 1 and ab >> (full ^ a) & 1 for a in range(1, full))
+
+
+def test_t7_split_formula_matches_per_subset_scan():
+    # with semi-connectedness read as True, t7 hits exactly the spaces
+    # that split, and with it read as False exactly those that do not:
+    # every space on at most five points (n = 0 and n = 1 included) and
+    # seeded sparse and dense spaces on 8 to 12 points
+    t7 = proposition("t7")
+    rng = random.Random(2407)
+    spaces = [t for n in range(6)
+              for t in enumerate_topologies(n, EnumerationBudget(max_n=5))]
+    # seed rows that AND more draws are sparser and give more opens
+    for n, draws, _ in product(range(8, 13), (2, 3, 4), range(3)):
+        spaces.append(random_preorder_topology([
+            reduce(and_, [rng.getrandbits(n) for _ in range(draws)])
+            for _ in range(n)]))
+    seen = set()
+    for t in spaces:
+        table = class_table(t)
+        split = _splits_by_scan(table.family_bitmap(SetClass.AB_SET), t.full)
+        connected = {SpaceProperty.SEMI_CONNECTED: True}
+        assert t7.evaluate(table, lambda: connected) == split, t
+        connected = {SpaceProperty.SEMI_CONNECTED: False}
+        assert t7.evaluate(table, lambda: connected) == (not split), t
+        seen.add((t.n > 5, split))
+    # both outcomes occur among the small spaces and among the seeded ones
+    assert len(seen) == 4
+
+
 def test_orbit_witness_is_the_least_labeled_member(monkeypatch):
     # one ad-hoc claim per class on <= 4 points, hit by the nonempty
     # opens of that class's spaces only.  Many representatives are not
@@ -845,6 +880,32 @@ def test_find_counterexample_matches_labeled_scan():
         assert w.topology.min_nbhd == first[a, b][0].min_nbhd
         assert w.proposition_id == theorems._gap_proposition(a, b).id
         assert replay_witness(w) is True
+
+
+def test_gap_proposition_resolves_exactly_the_tracked_gaps():
+    # the five set-scope existential claims are the tracked gaps; every
+    # other pair of classes gets the ad-hoc universal claim
+    tracked = {
+        (SetClass.AB_SET, SetClass.A_SET): "nonrev-ab-a",
+        (SetClass.B_SET, SetClass.AB_SET): "nonrev-ab-b",
+        (SetClass.SEMI_OPEN, SetClass.AB_SET): "nonrev-ab-so",
+        (SetClass.AB_SET, SetClass.LOCALLY_CLOSED): "indep-ab-lc",
+        (SetClass.LOCALLY_CLOSED, SetClass.AB_SET): "indep-lc-ab",
+    }
+    ad_hoc = 0
+    for a, b in product(SetClass, repeat=2):
+        p = theorems._gap_proposition(a, b)
+        if (a, b) in tracked:
+            assert p is proposition(tracked[a, b])
+            continue
+        assert p.id == f"counterexample-{a.value}-to-{b.value}"
+        assert (p.kind, p.scope) == ("implication-per-set", "set")
+        ad_hoc += 1
+    assert ad_hoc == 356
+    # a serialized ad-hoc witness replays under its id
+    w = find_counterexample(SetClass.SEMI_OPEN, SetClass.OPEN)
+    assert w.proposition_id == "counterexample-semi-open-to-open"
+    assert replay_witness(json.loads(json.dumps(w.to_document()))) is True
 
 
 def test_find_counterexample_budget_refusal():
