@@ -15,7 +15,8 @@ and interquartile range of REPEATS runs:
 
 - end to end: the 27 set/space propositions at max_n=5, at max_n=6 and
   at max_n=7 (with max_spaces raised to 10,000,000), verify_all() at the
-  default budgets, count_topologies(6),
+  default budgets, count_topologies(6), count_topologies(7) (with
+  max_spaces raised to 10,000,000),
   count_reflexive_transitive_relations(5) (the relation filter),
   list(enumerate_topologies(6)) (the labeled stream), and the 12 map
   propositions at the default map budget (max_n=3, 24,907 maps), at
@@ -31,7 +32,10 @@ and interquartile range of REPEATS runs:
   visits at max_n=5 (every labeled space, or one per isomorphism class
   where the checkout has enumerate_isomorphism_classes), that
   class generator per n up to 7 (with max_spaces raised to 10,000,000,
-  since the default budget refuses n=7), and class_table_classify: what
+  since the default budget refuses n=7), extensions_n5: one
+  enumeration._extensions pass over the five-point classes (the 3,920
+  extensions of 139 classes that count_topologies(6) counts), and
+  class_table_classify: what
   classify-set asks of one space, a fresh class_table plus one witness
   per existential class, over fixed seeded random spaces on 8, 11 and
   12 points (per size, the median is for all of its spaces together),
@@ -88,6 +92,7 @@ from fintopo.space import (Preorder, build_topology, closure, interior,
 SETS_MAX_N = 5
 SETS_N6 = EnumerationBudget(max_n=6)
 SETS_N7 = EnumerationBudget(max_n=7, max_spaces=10_000_000)
+COUNT_N7 = SETS_N7  # the default budget refuses n=7
 REPEATS = 5
 # every map between spaces on <= 4 points, and no more
 MAP_REGISTRY_N4 = EnumerationBudget(max_n=4, max_maps=33_827_652)
@@ -271,6 +276,10 @@ def _facts_per_partition(domains):
             maps._partition_facts(blocks, max(blocks, default=-1) + 1, facts)
 
 
+def _extension_count(level):
+    return sum(1 for rows in level for _ in enumeration._extensions(rows))
+
+
 def _profiles(fs):
     for f in fs:
         maps.continuity_profile(f)
@@ -320,6 +329,8 @@ def end_to_end():
         "sets_n7": _timed(lambda: theorems.verify_all(set_space, SETS_N7)),
         "verify_all_sequential": _timed(theorems.verify_all),
         "count_topologies_6": _timed(lambda: enumeration.count_topologies(6)),
+        "count_topologies_7": _timed(
+            lambda: enumeration.count_topologies(7, COUNT_N7)),
         "count_relations_5": _timed(
             lambda: enumeration.count_reflexive_transitive_relations(5)),
         "enumerate_topologies_6": _timed(
@@ -352,6 +363,12 @@ def layers():
             str(n): _timed(lambda n=n: classes(n, EnumerationBudget(
                 max_n=n, max_spaces=10_000_000)))
             for n in range(GENERATOR_MAX_N + 1)
+        }
+        level = [t.min_nbhd for t, _ in classes(5, EnumerationBudget(max_n=5))]
+        out["extensions_n5"] = {
+            "classes": len(level),
+            "extensions": _extension_count(level),
+            **_timed(partial(_extension_count, level)),
         }
     rng = random.Random(CLASSIFY_SEED)
     queries = {n: _classify_queries(n, rng) for n in CLASSIFY_SIZES}

@@ -17,10 +17,15 @@ topologies and transitive relations" (J. Integer Seq. 8, 2005).
 
 Every entry point reads those classes, which come in no promised order
 within a size.  enumerate_isomorphism_classes gives them with the
-number of labeled topologies in each class, and count_topologies sums
-those numbers.  enumerate_topologies lists the labeled members of every
-class, relabeled through one table per size (_relabelings), in
-canonical order.  Two independent routes exist for cross-checks: a
+number of labeled topologies in each class.  enumerate_topologies lists
+the labeled members of every class, relabeled through one table per
+size (_relabelings), in canonical order.  count_topologies(n) reads the
+classes one size down: every labeled preorder on n points restricts to
+exactly one on the points 0..n-2, so the labeled preorders on n points
+are the _extensions of the labeled ones on n - 1, and relabeling a
+preorder on n - 1 points relabels its extensions one to one, so their
+number is the same across a class.  The count is the sum, over the
+classes on n - 1 points, of orbit size times extension count.  Two independent routes exist for cross-checks: a
 naive filter over all candidate open-set families (small n ground
 truth) and a bit-plane transitive-relation counter.
 """
@@ -101,14 +106,15 @@ def _refusal(n: int, budget: EnumerationBudget) -> BudgetExceeded:
     return BudgetExceeded(f"more than {budget.max_spaces} topologies at n={n}")
 
 
-def _level(levels, n: int, budget: EnumerationBudget):
-    """Size n of levels, which yields the sizes 0, 1, ... in turn.
+def _level(levels, n: int, budget: EnumerationBudget, size=None):
+    """Size `size` (n by default) of levels, which yields the sizes 0, 1,
+    ... in turn, read for a request of size n.
 
-    No size has more topologies than the next, so a smaller size refused
-    on the way is reported as a refusal of n.
+    No size has more topologies than the next, so a size refused on the
+    way is reported as a refusal of n.
     """
     try:
-        return next(islice(levels, n, None))
+        return next(islice(levels, n if size is None else size, None))
     except BudgetExceeded:
         raise _refusal(n, budget) from None
 
@@ -355,12 +361,27 @@ def _closed_under_ops(family) -> bool:
 def count_topologies(n: int, budget: EnumerationBudget | None = None) -> int:
     """The number of topologies on n labeled points, without listing them.
 
-    Sums the orbit sizes of the classes on n points; no Topology is
-    built.  The budget is checked as in enumerate_topologies: size n is
-    refused iff it has more than max_spaces topologies.
+    Each labeled preorder on n points restricts to exactly one on the
+    points 0..n-2 and is one of its _extensions.  A relabeling of those
+    n - 1 points carries the extensions of one preorder one to one onto
+    those of the other, so every member of a class has as many
+    extensions as its representative.  The count is the sum, over the
+    classes on n - 1 points, of orbit size times extension count: no
+    preorder on n points is put in canonical form or kept, and no
+    Topology is built.  The budget is checked as in enumerate_topologies:
+    size n is refused iff it has more than max_spaces topologies, and
+    the sum stops at the first partial total above it.
     """
     budget = _checked_budget(n, budget)
-    return sum(_level(_row_levels(budget), n, budget).values())
+    if n == 0:
+        return 1
+    total = 0
+    for rows, orbit in _level(_row_levels(budget), n, budget,
+                              size=n - 1).items():
+        total += orbit * sum(1 for _ in _extensions(rows))
+        if total > budget.max_spaces:
+            raise _refusal(n, budget)
+    return total
 
 
 def count_reflexive_transitive_relations(n: int) -> int:

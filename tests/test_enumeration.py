@@ -57,6 +57,37 @@ def test_count_builds_no_topology(monkeypatch):
     assert counts == KNOWN_COUNTS + [6942, 209527]
 
 
+def test_count_canonicalizes_nothing_at_the_counted_size(monkeypatch):
+    # the count extends the classes one size down and only counts the
+    # extensions; the sum of orbit sizes at size n is its oracle
+    canonical, tables = [], []
+    real_canonical, real_relabelings = (enumeration._canonical,
+                                        enumeration._relabelings)
+
+    def spied_canonical(rows, *args):
+        canonical.append(len(rows))
+        return real_canonical(rows, *args)
+
+    def spied_relabelings(n):
+        tables.append(n)
+        return real_relabelings(n)
+
+    for n in range(MAX_ENUMERATION_N + 1):
+        canonical.clear()
+        tables.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(enumeration, "_canonical", spied_canonical)
+            patch.setattr(enumeration, "_relabelings", spied_relabelings)
+            count = count_topologies(n)
+        assert all(size < n for size in canonical + tables)
+        if n > 1:  # the spies see the level below
+            assert n - 1 in canonical and n - 1 in tables
+        classes = enumerate_isomorphism_classes(n)
+        assert count == sum(orbit for _, orbit in classes)
+        if n <= 5:
+            assert count == count_reflexive_transitive_relations(n)
+
+
 def test_naive_oracle_counts():
     assert sum(1 for _ in enumerate_topologies_naive(0)) == 1
     assert sum(1 for _ in enumerate_topologies_naive(1)) == 1
@@ -345,11 +376,12 @@ def test_n6_canonical_stream_pinned():
     assert digest.hexdigest() == N6_STREAM_SHA256
 
 
-_N7_CHILD = """
-import resource
+_COUNT_CHILD = """
+import resource, sys
 from fintopo import EnumerationBudget, count_topologies
-budget = EnumerationBudget(max_n=7, max_spaces=10_000_000)
-print(count_topologies(7, budget))
+n = int(sys.argv[1])
+budget = EnumerationBudget(max_n=n, max_spaces=10**12)
+print(count_topologies(n, budget))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
@@ -360,16 +392,38 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 _LAUNCHER = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
 
 
-@pytest.mark.skipif(not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")
-def test_n7_count_in_bounded_memory():
+def _count_in_child(n):
+    """count_topologies(n) in a fresh interpreter, and its peak RSS in KiB
+    (ru_maxrss is in KiB on Linux)."""
     src = os.path.dirname(os.path.dirname(fintopo.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    argv = [sys.executable, "-c", _LAUNCHER, sys.executable, "-c", _N7_CHILD]
+    argv = [sys.executable, "-c", _LAUNCHER,
+            sys.executable, "-c", _COUNT_CHILD, str(n)]
     out = subprocess.run(
         argv, env=env, check=True, capture_output=True, text=True,
     ).stdout.split()
-    assert int(out[0]) == 9_535_241  # OEIS A000798
-    assert int(out[1]) < 64 * 1024  # ru_maxrss is in KiB on Linux
+    return int(out[0]), int(out[1])
+
+
+# labeled topologies for n = 7, 8, 9, OEIS A000798
+@pytest.mark.skipif(not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")
+def test_n7_count_in_bounded_memory():
+    count, peak_kib = _count_in_child(7)
+    assert count == 9_535_241
+    assert peak_kib < 64 * 1024
+
+
+@pytest.mark.skipif(not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")
+def test_n8_count():
+    assert _count_in_child(8)[0] == 642_779_354
+
+
+@pytest.mark.skipif(not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")
+def test_n9_count_in_bounded_memory():
+    # the eight-point classes are built, the nine-point ones only counted
+    count, peak_kib = _count_in_child(9)
+    assert count == 63_260_289_423
+    assert peak_kib < 200 * 1024
 
 
 # homeomorphism classes of topologies for n = 0..6, OEIS A001930
@@ -509,9 +563,12 @@ def test_class_budget_refuses_like_enumeration():
 
 def test_count_refuses_like_the_labeled_oracle():
     # size n is refused iff it has more than max_spaces labeled spaces,
-    # with the labeled walk's message
-    for n, total in enumerate([1, 1, 4, 29, 355, 6942]):
-        for cap in {total - 1, total} - {0}:
+    # with the labeled walk's message, also when the cap already refuses
+    # a smaller size on the way
+    counts = [1, 1, 4, 29, 355, 6942]
+    for n, total in enumerate(counts):
+        caps = {counts[m] - 1 for m in range(1, n + 1)} | {total}
+        for cap in caps - {0}:
             budget = EnumerationBudget(max_n=n, max_spaces=cap)
             try:
                 expected = labeled_preorder_count(n, budget)
@@ -521,6 +578,22 @@ def test_count_refuses_like_the_labeled_oracle():
                 assert str(got.value) == str(exc)
             else:
                 assert count_topologies(n, budget) == expected == total
+
+
+def test_count_stops_at_the_first_total_past_the_cap(monkeypatch):
+    # 6,942 fits the five-point level, and the six-point sum passes it
+    # before every five-point class is extended
+    extended = []
+    real = enumeration._extensions
+
+    def counted(rows):
+        extended.append(len(rows))
+        return real(rows)
+    monkeypatch.setattr(enumeration, "_extensions", counted)
+    with pytest.raises(BudgetExceeded,
+                       match="^more than 6942 topologies at n=6$"):
+        count_topologies(6, EnumerationBudget(max_n=6, max_spaces=6942))
+    assert 0 < extended.count(5) < CLASS_COUNTS[5]
 
 
 def test_class_budget_stops_inside_the_refused_size(monkeypatch):
