@@ -19,15 +19,15 @@ Every entry point reads those classes, which come in no promised order
 within a size.  enumerate_isomorphism_classes gives them with the
 number of labeled topologies in each class.  enumerate_topologies lists
 the labeled members of every class, relabeled through one table per
-size (_relabelings), in canonical order.  count_topologies(n) reads the
-classes one size down: every labeled preorder on n points restricts to
-exactly one on the points 0..n-2, so the labeled preorders on n points
-are the _extensions of the labeled ones on n - 1, and relabeling a
-preorder on n - 1 points relabels its extensions one to one, so their
-number is the same across a class.  The count is the sum, over the
-classes on n - 1 points, of orbit size times extension count.  Two independent routes exist for cross-checks: a
-naive filter over all candidate open-set families (small n ground
-truth) and a bit-plane transitive-relation counter.
+size (_relabelings), in canonical order.  count_topologies(n) counts
+from the classes one size down: every labeled preorder on n points is
+one of the _extensions of exactly one on the points 0..n-2, and a
+relabeling of those points carries one preorder's extensions one to one
+onto its image's, so each class on n - 1 points adds its orbit size
+times its representative's extension count.  Two independent routes
+exist for cross-checks: a naive filter over all candidate open-set
+families (small n ground truth) and a bit-plane transitive-relation
+counter.
 """
 
 from collections import namedtuple
@@ -107,8 +107,8 @@ def _refusal(n: int, budget: EnumerationBudget) -> BudgetExceeded:
 
 
 def _level(levels, n: int, budget: EnumerationBudget, size=None):
-    """Size `size` (n by default) of levels, which yields the sizes 0, 1,
-    ... in turn, read for a request of size n.
+    """Size n of levels, which yields the sizes 0, 1, ... in turn, or
+    size `size` where the request for n reads a smaller one.
 
     No size has more topologies than the next, so a size refused on the
     way is reported as a refusal of n.
