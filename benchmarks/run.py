@@ -34,8 +34,11 @@ and interquartile range of REPEATS runs:
   class generator per n up to 7 (with max_spaces raised to 10,000,000,
   since the default budget refuses n=7), extensions_n5: one
   enumeration._extensions pass over the five-point classes (the 3,920
-  extensions of 139 classes that count_topologies(6) counts), and
-  class_table_classify: what
+  extensions of 139 classes that count_topologies(6) counts),
+  class_tables_n6: every family bitmap of the 718 six-point classes,
+  read from one ClassTable per chunk of CHUNK_SUBSETS >> 6 classes
+  where the checkout has CHUNK_SUBSETS, else from one class_table per
+  class, and class_table_classify: what
   classify-set asks of one space, a fresh class_table plus one witness
   per existential class, over fixed seeded random spaces on 8, 11 and
   12 points (per size, the median is for all of its spaces together),
@@ -258,6 +261,19 @@ def _read_bitmaps(table):
         table.family_bitmap(cls)
 
 
+def _class_tables(spaces):
+    """Every family bitmap of every space, from chunked tables where the
+    checkout has them."""
+    chunk = getattr(setclasses, "CHUNK_SUBSETS", None)
+    if chunk is None:
+        for t in spaces:
+            _read_bitmaps(setclasses.class_table.__wrapped__(t))
+        return
+    size = max(1, chunk >> spaces[0].n)
+    for start in range(0, len(spaces), size):
+        _read_bitmaps(setclasses.ClassTable(spaces[start:start + size]))
+
+
 def _random_maps(n, rng):
     """PROFILE_MAPS maps from random spaces on n points (see _random_space)
     into sparse random spaces on 2 to 5 points."""
@@ -369,6 +385,12 @@ def layers():
             "classes": len(level),
             "extensions": _extension_count(level),
             **_timed(partial(_extension_count, level)),
+        }
+        six = [t for t, _ in classes(6, EnumerationBudget(max_n=6))]
+        out["class_tables_n6"] = {
+            "classes": len(six),
+            "chunked": hasattr(setclasses, "CHUNK_SUBSETS"),
+            **_timed(partial(_class_tables, six)),
         }
     rng = random.Random(CLASSIFY_SEED)
     queries = {n: _classify_queries(n, rng) for n in CLASSIFY_SIZES}

@@ -6,12 +6,12 @@ existential (the sweep must find a witness).  Sweeps never stop early:
 the full budget is always traversed and the canonically first hit is
 reported, so in-process and process-pool runs give identical reports.
 
-A proposition is a formula that returns its hits on one instance: the
-counterexamples of a universal claim, the examples of an existential
-one.  Set-scope formulas turn a space's ClassTable into a bitmap over
-its subsets, space-scope formulas into a bool, and map-scope formulas
-read one int fact word per map.  One traversal per scope feeds every
-requested proposition.
+A proposition is a formula that returns its hits: the counterexamples
+of a universal claim, the examples of an existential one.  Set- and
+space-scope formulas read a ClassTable of some spaces side by side and
+return a bitmap over their subsets or one bit per space; map-scope
+formulas read one int fact word per map.  One traversal per scope feeds
+every requested proposition.
 
 The instance order fixing "first" is: ground-set size ascending,
 topology canonical order, subset numeric order, map order by
@@ -20,9 +20,10 @@ assignment lexicographic).
 
 Set and space sweeps visit one space per isomorphism class and weight
 it by the size of its orbit, the labeled spaces homeomorphic to it.
-Counts and hits are those of the labeled sweep, and the first witness is
-the first labeled one, taken from the least member of the first hitting
-orbits.
+The classes of one size are evaluated in chunks, one ClassTable of up
+to 2^15 >> n spaces per chunk.  Counts and hits are those of the
+labeled sweep, and the first witness is the first labeled one, taken
+from the least member of the first hitting orbits.
 
 Map sweeps build no map and no labeled space outside the witness
 search.  A map f: X -> Y with k nonempty fibers has the fact word of the
@@ -42,8 +43,9 @@ labeled codomain and assignment that hit.
 import json
 import os
 from collections import namedtuple
-from functools import cache, partial
+from functools import cache, partial, reduce
 from itertools import permutations, product
+from operator import and_, or_
 
 from .documents import (
     decode_map,
@@ -73,14 +75,14 @@ from .maps import (
     enumerate_maps,
 )
 from .setclasses import (
+    CHUNK_SUBSETS,
+    ClassTable,
     SetClass,
     b_set_via_semi_closure_bitmap,
     class_table,
     ic_set_subspace_bitmap,
-    interior_table,
     semi_regular_sandwich_bitmap,
 )
-from .space import iter_points
 from .spaceprops import SpaceProperty, space_profile
 
 HOLDS = "holds-exhaustively"
@@ -107,15 +109,19 @@ class Proposition(namedtuple(
     topology, a "set" claim on every (topology, subset), a "map" claim on
     every map between a pair of topologies.  evaluate returns the hits,
     which are counterexamples for universal kinds and witnesses for
-    existence-of-witness.  A "set" evaluator maps (ClassTable, profile)
-    to a bitmap over the subsets, a "space" evaluator maps the same
-    arguments to a bool, where profile() returns the space's
-    space_profile; a "map" evaluator maps a fact word to a bool.
-    Set and space evaluators must not depend on how the points are
-    labeled: relabeling a space may only permute a set evaluator's hits
-    and must keep a space evaluator's value, since the sweep evaluates
-    one space per isomorphism class (every set class and space property
-    here is topological, so the registered ones qualify).
+    existence-of-witness.  A "set" or "space" evaluator maps (table,
+    profile) to an int, where table is a ClassTable of one or more
+    spaces, one segment of 2^n bits each, and profile() maps each space
+    property to the segment starts (bit 0 of each segment) of the spaces
+    that have it.  A "set" evaluator returns a bitmap over the subsets
+    of every segment, a "space" evaluator one bit per space at its
+    segment start: 0 or 1 on a one-space table.  Neither may move a bit
+    from one segment into another.  A "map" evaluator maps a fact word
+    to a bool.  Set and space evaluators must not depend on how the
+    points are labeled: relabeling a space may only permute a set
+    evaluator's hits and must keep a space evaluator's value, since the
+    sweep evaluates one space per isomorphism class (every set class and
+    space property here is topological, so the registered ones qualify).
     exploratory propositions are swept and reported but never gate an
     overall verdict.
     """
@@ -144,10 +150,11 @@ def _disagree(x, y, z):
 
 
 def _ev_l00(table, profile):
-    # the semi-closure of every beta-open set is semi-regular
-    bo, sr = _bitmaps(table, SC.BETA_OPEN, SC.SEMI_REGULAR)
-    scl = table.semi_closure_table
-    return sum(1 << a for a in iter_points(bo) if not sr >> scl[a] & 1)
+    # the semi-closure of every beta-open set is semi-regular: the
+    # pointwise classes of sCl a, folded on its planes
+    bo = table.family_bitmap(SC.BETA_OPEN)
+    scl = table.pointwise(table.semi_closure_planes)
+    return bo & ~scl[SC.SEMI_REGULAR]
 
 
 def _ev_t00(table, profile):
@@ -173,10 +180,11 @@ def _ev_t0a(table, profile):
 
 def _ev_cor_submax(table, profile):
     # in a submaximal space the AB-sets are exactly the beta-open sets
-    if not profile()[SP.SUBMAXIMAL]:
+    submaximal = profile()[SP.SUBMAXIMAL]
+    if not submaximal:
         return 0
     ab, bo = _bitmaps(table, SC.AB_SET, SC.BETA_OPEN)
-    return ab ^ bo
+    return (ab ^ bo) & table.spread(submaximal)
 
 
 def _gap(c_in: SetClass, c_out: SetClass):
@@ -190,11 +198,11 @@ def _gap(c_in: SetClass, c_out: SetClass):
 def _route(cls: SetClass, route):
     """Where the table's cls bitmap and a per-space route's differ.
 
-    The route reads the topology alone, so it stays independent of the
+    The route reads each topology alone, so it stays independent of the
     table it checks.
     """
     def ev(table, profile):
-        return table.family_bitmap(cls) ^ route(table.topology)
+        return table.family_bitmap(cls) ^ table.per_space(route)
     return ev
 
 
@@ -204,51 +212,53 @@ def _ev_equiv_tset(table, profile):
 
 
 def _ev_equiv_scl_form(table, profile):
-    # sCl a against its closed form a | int cl a
-    t, scl = table.topology, table.semi_closure_table
-    i, full = interior_table(t), t.full
-    return sum(1 << a for a in t.subsets()
-               if scl[a] != a | i[full ^ i[full ^ a]])
+    # sCl a against its closed form a | int cl a, point by point
+    e = table.point_planes
+    ic = table.interiors(table.closures(e))
+    return reduce(or_, [p ^ (x | y) for p, x, y
+                        in zip(table.semi_closure_planes, e, ic)], 0)
 
 
 # ---------------------------------------------------------------------------
-# space-scope formulas: True when the space refutes the claim
+# space-scope formulas: a space's bit is set when it refutes the claim;
+# table.empty(b) has that bit set where b has no subset
 
 
 def _ev_t1(table, profile):
     # extremally disconnected <=> AB family equals the opens
     # <=> every AB-set is open
     ab, op = _bitmaps(table, SC.AB_SET, SC.OPEN)
-    return _disagree(profile()[SP.EXTREMALLY_DISCONNECTED], ab == op,
-                     ab & ~op == 0)
+    return _disagree(profile()[SP.EXTREMALLY_DISCONNECTED],
+                     table.empty(ab ^ op), table.empty(ab & ~op))
 
 
 def _ev_t2(table, profile):
     # submaximal <=> every preopen set is AB <=> every dense set is AB
     ab, po, dense = _bitmaps(table, SC.AB_SET, SC.PREOPEN, SC.DENSE)
-    return _disagree(profile()[SP.SUBMAXIMAL], po & ~ab == 0,
-                     dense & ~ab == 0)
+    return _disagree(profile()[SP.SUBMAXIMAL], table.empty(po & ~ab),
+                     table.empty(dense & ~ab))
 
 
 def _ev_t3(table, profile):
     # partition <=> every AB-set is clopen <=> every AB-set is preclosed
     ab, clopen, pc = _bitmaps(table, SC.AB_SET, SC.CLOPEN, SC.PRECLOSED)
-    return _disagree(profile()[SP.PARTITION], ab & ~clopen == 0,
-                     ab & ~pc == 0)
+    return _disagree(profile()[SP.PARTITION], table.empty(ab & ~clopen),
+                     table.empty(ab & ~pc))
 
 
 def _ev_t4(table, profile):
     # indiscrete <=> the only AB-sets are empty and full
-    ab = table.family_bitmap(SC.AB_SET)
-    return profile()[SP.INDISCRETE] != (ab == 1 | 1 << table.topology.full)
+    ab, full = table.family_bitmap(SC.AB_SET), (1 << table.n) - 1
+    ends = table.fill(1 | 1 << full)
+    return profile()[SP.INDISCRETE] ^ table.empty(ab ^ ends)
 
 
 def _ev_t5(table, profile):
     # discrete <=> every subset is AB <=> every singleton is AB
     ab = table.family_bitmap(SC.AB_SET)
-    n = table.topology.n
-    return _disagree(profile()[SP.DISCRETE], ab == (1 << (1 << n)) - 1,
-                     all(ab >> (1 << x) & 1 for x in range(n)))
+    singletons = reduce(and_, [ab >> (1 << x) for x in range(table.n)],
+                        table.starts)
+    return _disagree(profile()[SP.DISCRETE], table.empty(~ab), singletons)
 
 
 def _ev_t6(table, profile):
@@ -257,16 +267,17 @@ def _ev_t6(table, profile):
     # claim is read with the same nonemptiness convention as
     # hyperconnectedness itself.
     ab, dense = _bitmaps(table, SC.AB_SET, SC.DENSE)
-    return profile()[SP.HYPERCONNECTED] != (ab & ~dense & ~1 == 0)
+    return profile()[SP.HYPERCONNECTED] ^ table.empty(
+        ab & ~dense & ~table.starts)
 
 
 def _ev_t7(table, profile):
-    # semi-connected <=> no split into two disjoint nonempty AB-sets
-    # reversed over its 2^n positions, the AB bitmap has bit full - a at a
-    ab = table.family_bitmap(SC.AB_SET)
-    full = table.topology.full
-    rev = int(format(ab, f"0{full + 1}b")[::-1], 2)
-    return profile()[SP.SEMI_CONNECTED] != (ab & rev & ~(1 | 1 << full) == 0)
+    # semi-connected <=> no split into two disjoint nonempty AB-sets;
+    # mirrored, the AB bitmap has bit full - a at a
+    ab, full = table.family_bitmap(SC.AB_SET), (1 << table.n) - 1
+    ends = table.fill(1 | 1 << full)
+    return profile()[SP.SEMI_CONNECTED] ^ table.empty(
+        ab & table.mirror(ab) & ~ends)
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +551,14 @@ def _polarity(p) -> str:
     return EXAMPLE if p.existential else COUNTEREXAMPLE
 
 
+def _profile(table):
+    """Per space property, the segment starts of the table's spaces that
+    have it, from each space's space_profile."""
+    profiles = zip(*[space_profile(t).values() for t in table.topologies])
+    return {prop: table.where(flags)
+            for prop, flags in zip(SpaceProperty, profiles)}
+
+
 def _orbit_levels(props, budget):
     """Sweep one space per isomorphism class, size by size.
 
@@ -548,19 +567,28 @@ def _orbit_levels(props, budget):
     formula's value: all the labeled spaces of one orbit have the same
     hit count.  Yields (n, labeled spaces of size n, hits per
     proposition, the hitting representatives per proposition), each
-    representative weighted by its orbit size.
+    representative weighted by its orbit size.  A level is evaluated in
+    chunks of up to CHUNK_SUBSETS >> n spaces, and a chunk's hits are
+    counted per orbit size over the segments of its spaces of that size.
     """
     for n, level in enumerate(_class_levels(budget)):
         hits = [0] * len(props)
         hitting = [[] for _ in props]
-        for t, orbit in level:
-            table = class_table(t)
-            profile = cache(partial(space_profile, t))
+        size = max(1, CHUNK_SUBSETS >> n)
+        for start in range(0, len(level), size):
+            chunk = level[start:start + size]
+            table = ClassTable(t for t, _ in chunk)
+            profile = cache(partial(_profile, table))
+            orbits = [orbit for _, orbit in chunk]
+            weights = [(orbit, table.spread(table.where(
+                [o == orbit for o in orbits]))) for orbit in set(orbits)]
             for i, p in enumerate(props):
                 got = p.evaluate(table, profile)
                 if got:
-                    hits[i] += orbit * got.bit_count()
-                    hitting[i].append(t)
+                    hits[i] += sum(orbit * (got & segments).bit_count()
+                                   for orbit, segments in weights)
+                    hitting[i] += table.spaces(
+                        table.starts ^ table.empty(got))
         yield n, sum(orbit for _, orbit in level), hits, hitting
 
 
@@ -572,7 +600,8 @@ def _first_witness(p, hitting):
     formula, not its representative's, gives the subset.
     """
     t = first_in_orbits(hitting)
-    got = p.evaluate(class_table(t), cache(partial(space_profile, t)))
+    table = ClassTable((t,))
+    got = p.evaluate(table, cache(partial(_profile, table)))
     if not got:
         raise ValueError(
             f"proposition {p.id}: the evaluator hits a space but not a "
@@ -892,8 +921,8 @@ def _evaluate_witness(w: Witness) -> bool:
         f = SpaceMap(w.topology, w.codomain, w.assignment)
         hit = p.evaluate(_fact_word(f, _domain_facts(f.domain)))
     else:
-        got = p.evaluate(class_table(w.topology),
-                         partial(space_profile, w.topology))
+        table = class_table(w.topology)
+        got = p.evaluate(table, partial(_profile, table))
         if p.scope == "set":
             if w.subset is None:
                 raise DocumentError(f"witness for {pid!r} needs a subset")

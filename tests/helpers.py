@@ -88,6 +88,13 @@ def where(t, holds):
     return sum(1 << a for a in t.subsets() if holds(t, a))
 
 
+def chunk_segments(bitmap, n, count):
+    """The count segments of 2^n bits of a ClassTable bitmap, the first
+    space's first."""
+    mask = (1 << (1 << n)) - 1
+    return [bitmap >> (k << n) & mask for k in range(count)]
+
+
 # The space properties decided one subset at a time through interior and
 # closure, as spaceprops did before it read interior_table: the oracles
 # its predicates are checked against.

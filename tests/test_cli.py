@@ -575,7 +575,7 @@ def test_classify_set_builds_no_existential_bitmap(
             else:
                 want = where(t, lambda t, a: table.witness(a, cls) is not None)
             assert table.family_bitmap(cls) == want, (n, cls)
-        assert projected == [t]
+        assert projected == [(t,)]
         projected.clear()
 
 

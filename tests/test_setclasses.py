@@ -1,5 +1,7 @@
 """Set class membership: frozen verdicts, witnesses, and dual routes."""
 
+import math
+import os
 import random
 import tracemalloc
 from collections import Counter
@@ -8,10 +10,13 @@ from itertools import product
 import pytest
 
 from fintopo import (
+    ClassTable,
+    EnumerationBudget,
     GroundSetTooLarge,
     SetClass,
     class_table,
     closure,
+    enumerate_isomorphism_classes,
     enumerate_topologies,
     interior,
     is_in_class,
@@ -20,6 +25,7 @@ from fintopo import (
     setclasses,
 )
 from fintopo.setclasses import (
+    CHUNK_SUBSETS,
     PREDICATES,
     SECOND_FAMILY,
     WITNESS_FUNCTIONS,
@@ -39,11 +45,11 @@ from fintopo.setclasses import (
     semi_closures,
     semi_regular_sandwich_bitmap,
 )
-from fintopo.space import _point_planes
 from fintopo.spaceprops import PROPERTY_PREDICATES
 
 from helpers import (
     SPACE_PROPERTY_SCANS,
+    chunk_segments,
     discrete,
     four_point_space,
     ic_set_subspace_by_subset,
@@ -206,6 +212,10 @@ def test_per_space_routes_match_definitions(monkeypatch):
     monkeypatch.setattr(setclasses, "class_table", refuse)
     monkeypatch.setattr(setclasses, "ClassTable", refuse)
     monkeypatch.setattr(setclasses, "SECOND_FAMILY", None)
+    # the routes keep their last spaces: build each one under the patch
+    for route in (semi_regular_sandwich_bitmap, b_set_via_semi_closure_bitmap,
+                  semi_closures):
+        route.cache_clear()
     tally, verdicts = Counter(), Counter()
     for t in _route_spaces():
         sandwich = semi_regular_sandwich_bitmap(t)
@@ -467,16 +477,138 @@ def test_class_table_projects_existential_bitmaps_on_first_read(monkeypatch):
         read_without_projecting(table)
         assert projected == []
         first(table, cls)
-        assert projected == [t]
+        assert projected == [(t,)]
         for other, c in product(reads, SetClass):
             other(table, c)
-        assert projected == [t]
+        assert projected == [(t,)]
         assert all(table.family_bitmap(c) == where(t, PREDICATES[c])
                    for c in SECOND_FAMILY)
         projected.clear()
     bitmaps = {c: table.family_bitmap(c) for c in SetClass}
-    given = setclasses.ClassTable(t, _point_planes(t.n), bitmaps)
+    given = setclasses.ClassTable((t,), bitmaps)
     read_without_projecting(given)
     for read, cls in product(reads, SetClass):
         read(given, cls)
     assert projected == []
+
+
+BIG = os.environ.get("FINTOPO_BIG_SWEEPS") == "1"
+_ALL_SPACES = EnumerationBudget(max_n=7, max_spaces=10**7)
+
+
+def _chunk_spaces(n, classes_only=False):
+    """Every labeled space on n points, or one per isomorphism class."""
+    if classes_only:
+        return [t for t, _ in enumerate_isomorphism_classes(n, _ALL_SPACES)]
+    return list(enumerate_topologies(n, _ALL_SPACES))
+
+
+_SIZES = [
+    *((n, False) for n in range(6)),
+    *(pytest.param(n, classes, marks=pytest.mark.skipif(
+        not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable"))
+      for n, classes in ((6, False), (7, True))),
+]
+
+
+# a level wider than this many bits is checked in the sweep's chunks
+_WHOLE_LEVEL_BITS = 1 << 20
+
+
+def _blocks(spaces, sizes):
+    """spaces in runs whose length every size divides, so that the
+    one-space tables of a run are built once for every size."""
+    step = math.lcm(*sizes)
+    for start in range(0, len(spaces), step):
+        yield spaces[start:start + step]
+
+
+@pytest.mark.parametrize("n, classes_only", _SIZES)
+def test_chunk_bitmaps_match_one_space_tables(n, classes_only):
+    # every one of the 19 bitmaps of a chunk of K spaces is, segment by
+    # segment, that of each space's own table, for K = 1, 2, 3 and the
+    # whole level (the sweep's chunk where the level is wider than
+    # _WHOLE_LEVEL_BITS): so no fold mask, projection or shift reaches
+    # into a neighbouring segment.  Every labeled space on at most five
+    # points (opt-in: six, and every class on seven).
+    spaces = _chunk_spaces(n, classes_only)
+    whole = len(spaces)
+    if whole << n > _WHOLE_LEVEL_BITS:
+        whole = CHUNK_SUBSETS >> n
+    sizes = sorted({1, 2, 3, whole})
+    for part in _blocks(spaces, sizes):
+        want = []
+        for t in part:
+            table = class_table(t)
+            want.append(tuple(table.family_bitmap(c) for c in SetClass))
+        for size in sizes:
+            for start in range(0, len(part), size):
+                chunk = ClassTable(part[start:start + size])
+                got = [chunk_segments(chunk.family_bitmap(c), n,
+                                      len(chunk.topologies))
+                       for c in SetClass]
+                assert list(zip(*got)) == want[start:start + size], (
+                    n, size, start)
+
+
+def _planes_per_space(planes, n, count):
+    """sCl a per subset a of each of count spaces, read off the planes."""
+    columns = [chunk_segments(p, n, count) for p in planes]
+    return [tuple(sum((column[k] >> a & 1) << x
+                      for x, column in enumerate(columns))
+                  for a in range(1 << n))
+            for k in range(count)]
+
+
+@pytest.mark.parametrize("n, classes_only", [
+    *((n, False) for n in range(6)),
+    (6, True),
+    *(pytest.param(n, classes, marks=pytest.mark.skipif(
+        not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable"))
+      for n, classes in ((6, False), (7, True))),
+])
+def test_semi_closure_planes_match_semi_closures(n, classes_only):
+    # the planes "x in sCl a" of a whole level (in runs of
+    # _WHOLE_LEVEL_BITS where it is wider), pushed from its SEMI_CLOSED
+    # bitmap, against the per-subset fold over the semi-closed family of
+    # each space: every labeled space on at most five points and every
+    # class on six (opt-in: every labeled space on six and every class
+    # on seven)
+    spaces = _chunk_spaces(n, classes_only)
+    moved = 0
+    for part in _blocks(spaces, [_WHOLE_LEVEL_BITS >> n]):
+        chunk = ClassTable(part)
+        got = _planes_per_space(chunk.semi_closure_planes, n, len(part))
+        for t, scl in zip(part, got):
+            assert scl == semi_closures(t), t
+            moved += sum(s != a for a, s in enumerate(scl))
+    assert moved > 0 or n < 2
+
+
+def test_per_subset_forms_build_their_route_once(monkeypatch):
+    # semi_closure, is_b_set_via_semi_closure and is_semi_regular_sandwich
+    # read whole-space routes that are kept per space: asking all 256
+    # subsets of one 8-point space builds each route once
+    rng = random.Random(88)
+    t = random_preorder_topology([
+        rng.getrandbits(8) & rng.getrandbits(8) for _ in range(8)])
+    meets = []
+    real = setclasses._superset_meets
+
+    def spy(n, family):
+        meets.append(n)
+        return real(n, family)
+
+    monkeypatch.setattr(setclasses, "_superset_meets", spy)
+    routes = (semi_closures, b_set_via_semi_closure_bitmap,
+              semi_regular_sandwich_bitmap)
+    for route in routes:
+        route.cache_clear()
+    got = [(semi_closure(t, a), is_b_set_via_semi_closure(t, a),
+            is_semi_regular_sandwich(t, a)) for a in t.subsets()]
+    assert meets == [8]
+    assert [route.cache_info().misses for route in routes] == [1, 1, 1]
+    table = class_table(t)
+    assert got == [
+        (semi_closure_closed_form(t, a), table.contains(a, SetClass.B_SET),
+         table.contains(a, SetClass.SEMI_REGULAR)) for a in t.subsets()]

@@ -36,7 +36,6 @@ from fintopo import (
     replay_witness,
     serialize_report,
     setclasses,
-    space,
     strongly_irresolute_scl,
     verify,
     verify_all,
@@ -52,6 +51,7 @@ from helpers import (
     FakePool,
     allow_cpus,
     canonical_rows_by_brute_force,
+    chunk_segments,
     force_pool,
     four_point_space,
     indiscrete,
@@ -704,12 +704,11 @@ def test_set_space_reports_pinned(max_n):
     assert _sha256(report) == digest
 
 
-def _flipped(table, cls, a):
-    """A copy of table with subset a's membership in cls flipped."""
-    t = table.topology
+def _flipped(table, cls, bits):
+    """A copy of table with the membership in cls of the bits flipped."""
     bitmaps = {c: table.family_bitmap(c) for c in SetClass}
-    bitmaps[cls] ^= 1 << a
-    return setclasses.ClassTable(t, space._point_planes(t.n), bitmaps)
+    bitmaps[cls] ^= bits
+    return setclasses.ClassTable(table.topologies, bitmaps)
 
 
 @pytest.mark.parametrize("pid, cls", [
@@ -724,11 +723,15 @@ def test_oracles_catch_a_corrupted_table(monkeypatch, pid, cls):
         table = class_table(t)
         assert p.evaluate(table, None) == 0
         for a in t.subsets():
-            assert p.evaluate(_flipped(table, cls, a), None) == 1 << a
+            assert p.evaluate(_flipped(table, cls, 1 << a), None) == 1 << a
     # the full set is in each family of every space, so dropping it
-    # from every table makes the sweep hit once per labeled space
-    monkeypatch.setattr(theorems, "class_table",
-                        lambda t: _flipped(class_table(t), cls, t.full))
+    # from every table the sweep builds makes it hit once per labeled
+    # space
+    def corrupted(spaces):
+        table = setclasses.ClassTable(spaces)
+        return _flipped(table, cls, table.fill(1 << (1 << table.n) - 1))
+
+    monkeypatch.setattr(theorems, "ClassTable", corrupted)
     report = verify(pid, EnumerationBudget(max_n=3))
     assert report.verdict == "witness-found"
     assert report.hits == report.spaces_checked == 35
@@ -746,13 +749,79 @@ def test_oracles_catch_a_corrupted_semi_closed_bit():
         assert tset.evaluate(table, None) == 0
         assert scl_form.evaluate(table, None) == 0
         for a in t.subsets():
-            flipped = _flipped(table, SetClass.SEMI_CLOSED, a)
+            flipped = _flipped(table, SetClass.SEMI_CLOSED, 1 << a)
             assert tset.evaluate(flipped, None) == 1 << a
             scl, want = flipped.semi_closure_table, table.semi_closure_table
             hits = sum(1 << b for b in t.subsets() if scl[b] != want[b])
             assert scl_form.evaluate(flipped, None) == hits
             moved += hits != 0
     assert moved > 20
+
+
+def _one_space_hits(p, t):
+    table = class_table(t)
+    return p.evaluate(table, cache(partial(theorems._profile, table)))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_chunked_evaluators_match_one_space_evaluations(n):
+    # every set/space proposition on a chunk of K = 2, 3 or all spaces
+    # gives, segment by segment, its hits on each space's own table, and
+    # hits the same spaces: a shift that leaks across segments (the
+    # projection, t7's mirror, t5's singletons, t4's equality) shows as
+    # a wrong bit in a neighbour.  Every labeled space on at most four
+    # points and every class on five; a size with fewer than four
+    # spaces is repeated, so that its chunks hold several.
+    budget = EnumerationBudget(max_n=5)
+    if n < 5:
+        spaces = list(enumerate_topologies(n, budget))
+    else:
+        spaces = [t for t, _ in enumerate_isomorphism_classes(n, budget)]
+    if len(spaces) < 4:
+        spaces *= 3
+    props = [proposition(pid) for pid in SET_SPACE_IDS]
+    want = {p.id: [_one_space_hits(p, t) for t in spaces] for p in props}
+    hit = set()
+    for size in (2, 3, len(spaces)):
+        for start in range(0, len(spaces), size):
+            chunk = spaces[start:start + size]
+            table = setclasses.ClassTable(chunk)
+            profile = cache(partial(theorems._profile, table))
+            for p in props:
+                got = p.evaluate(table, profile)
+                one = want[p.id][start:start + size]
+                assert chunk_segments(got, n, len(chunk)) == one, (
+                    p.id, size, start)
+                assert table.spaces(table.starts ^ table.empty(got)) == [
+                    t for t, bits in zip(chunk, one) if bits]
+                hit.update(p.id for bits in one if bits)
+    # existential claims hit from two points on
+    assert bool(hit) == (n >= 2)
+
+
+def test_set_space_sweep_builds_no_semi_closure_table(monkeypatch):
+    # l00, equiv-scl-form and the B-set route read sCl off point planes,
+    # so the sweep and its witnesses never fold a per-subset
+    # semi-closure table
+    budget = EnumerationBudget(max_n=5)
+    want = serialize_report(verify_all(SET_SPACE_IDS, budget))
+
+    def refuse(*args):
+        raise AssertionError("a semi-closure table was built")
+
+    for route in (setclasses.semi_closures,
+                  setclasses.b_set_via_semi_closure_bitmap,
+                  setclasses.semi_regular_sandwich_bitmap):
+        route.cache_clear()
+    setclasses.class_table.cache_clear()
+    monkeypatch.setattr(setclasses, "_superset_meets", refuse)
+    monkeypatch.setattr(setclasses.ClassTable, "semi_closure_table",
+                        property(refuse))
+    reports = verify_all(SET_SPACE_IDS, budget)
+    assert serialize_report(reports) == want
+    witnesses = [w for report in reports for w in report.witnesses]
+    assert len(witnesses) == 5
+    assert all(replay_witness(w) for w in witnesses)
 
 
 def _splits_by_scan(ab, full):
@@ -798,9 +867,10 @@ def test_orbit_witness_is_the_least_labeled_member(monkeypatch):
 
     def only(target):
         def ev(table, profile):
-            if form(table.topology.min_nbhd) != target:
-                return 0
-            return table.family_bitmap(SetClass.OPEN) & ~1
+            keep = table.where([form(t.min_nbhd) == target
+                                for t in table.topologies])
+            return (table.family_bitmap(SetClass.OPEN) & ~table.starts
+                    & table.spread(keep))
         return ev
 
     budget = EnumerationBudget(max_n=4)
@@ -832,7 +902,8 @@ def test_label_dependent_evaluator_is_refused():
     )
     p = theorems.Proposition(
         "label-dependent", "implication-per-set", "set", "not this labeling",
-        lambda table, profile: 1 if table.topology == rep else 0,
+        lambda table, profile: table.where([t == rep
+                                            for t in table.topologies]),
     )
     with pytest.raises(ValueError, match="depends on the point labels"):
         verify_all([p], budget)
@@ -949,6 +1020,7 @@ def test_map_path_builds_no_semi_closure_table(monkeypatch, tmp_path, capsys):
     want = run()
     setclasses.class_table.cache_clear()
     setclasses.interior_table.cache_clear()
+    setclasses.semi_closures.cache_clear()
     monkeypatch.setattr(setclasses, "_superset_meets", _no_semi_closure_table)
     assert run() == want
 
