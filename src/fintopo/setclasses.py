@@ -403,9 +403,8 @@ class ClassTable:
     each plane of a point y kept to the segments of the spaces whose
     N(x) holds y: so every formula on planes runs on all segments at
     once and never carries a bit from one segment into another.
-    contains, family, witness and the per-subset closure and
-    semi-closure tables read a single space's table; the others read
-    every segment.
+    contains, family, witness and the per-subset closure table read a
+    single space's table; the others read every segment.
     """
 
     def __init__(self, topologies, bitmaps=None):
@@ -598,12 +597,6 @@ class ClassTable:
         # cl a = full ^ I[full ^ a], and full ^ a runs down as a runs up
         full = self.topology.full
         return tuple(full ^ i for i in reversed(interior_table(self.topology)))
-
-    @cached_property
-    def semi_closure_table(self):
-        """sCl a per subset a, folded over the SEMI_CLOSED bitmap."""
-        family = self.family(SetClass.SEMI_CLOSED)
-        return _superset_meets(self.topology.n, family)
 
 
 def check_subset_budget(n: int) -> None:

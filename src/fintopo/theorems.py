@@ -8,7 +8,8 @@ reported, so in-process and process-pool runs give identical reports.
 
 A proposition is a formula that returns its hits: the counterexamples
 of a universal claim, the examples of an existential one.  Set- and
-space-scope formulas read a ClassTable of some spaces side by side and
+space-scope formulas read a ClassTable of some spaces side by side, and
+nothing else (a space property through ClassTable.per_space), and
 return a bitmap over their subsets or one bit per space; map-scope
 formulas read one int fact word per map.  One traversal per scope feeds
 every requested proposition.
@@ -43,7 +44,7 @@ labeled codomain and assignment that hit.
 import json
 import os
 from collections import namedtuple
-from functools import cache, partial, reduce
+from functools import partial, reduce
 from itertools import permutations, product
 from operator import and_, or_
 
@@ -83,7 +84,15 @@ from .setclasses import (
     ic_set_subspace_bitmap,
     semi_regular_sandwich_bitmap,
 )
-from .spaceprops import SpaceProperty, space_profile
+from .spaceprops import (
+    is_discrete,
+    is_extremally_disconnected,
+    is_hyperconnected,
+    is_indiscrete,
+    is_partition,
+    is_semi_connected,
+    is_submaximal,
+)
 
 HOLDS = "holds-exhaustively"
 FOUND = "witness-found"
@@ -109,15 +118,15 @@ class Proposition(namedtuple(
     topology, a "set" claim on every (topology, subset), a "map" claim on
     every map between a pair of topologies.  evaluate returns the hits,
     which are counterexamples for universal kinds and witnesses for
-    existence-of-witness.  A "set" or "space" evaluator maps (table,
-    profile) to an int, where table is a ClassTable of one or more
-    spaces, one segment of 2^n bits each, and profile() maps each space
-    property to the segment starts (bit 0 of each segment) of the spaces
-    that have it.  A "set" evaluator returns a bitmap over the subsets
-    of every segment, a "space" evaluator one bit per space at its
-    segment start: 0 or 1 on a one-space table.  Neither may move a bit
-    from one segment into another.  A "map" evaluator maps a fact word
-    to a bool.  Set and space evaluators must not depend on how the
+    existence-of-witness.  A "set" or "space" evaluator maps a table to
+    an int, where table is a ClassTable of one or more spaces, one
+    segment of 2^n bits each; table.per_space(is_submaximal) gives a
+    space property as the segment starts (bit 0 of each segment) of the
+    spaces that have it.  A "set" evaluator returns a bitmap over the
+    subsets of every segment, a "space" evaluator one bit per space at
+    its segment start: 0 or 1 on a one-space table.  Neither may move a
+    bit from one segment into another.  A "map" evaluator maps a fact
+    word to a bool.  Set and space evaluators must not depend on how the
     points are labeled: relabeling a space may only permute a set
     evaluator's hits and must keep a space evaluator's value, since the
     sweep evaluates one space per isomorphism class (every set class and
@@ -133,7 +142,7 @@ class Proposition(namedtuple(
         return self.kind == KIND_EXISTS
 
 
-SC, CC, SP = SetClass, ContinuityClass, SpaceProperty
+SC, CC = SetClass, ContinuityClass
 
 
 def _bitmaps(table, *classes):
@@ -149,7 +158,7 @@ def _disagree(x, y, z):
 # set-scope formulas: bitmaps over the subsets of one space
 
 
-def _ev_l00(table, profile):
+def _ev_l00(table):
     # the semi-closure of every beta-open set is semi-regular: the
     # pointwise classes of sCl a, folded on its planes
     bo = table.family_bitmap(SC.BETA_OPEN)
@@ -157,30 +166,30 @@ def _ev_l00(table, profile):
     return bo & ~scl[SC.SEMI_REGULAR]
 
 
-def _ev_t00(table, profile):
+def _ev_t00(table):
     # AB-set <=> semi-open B-set <=> beta-open B-set
     ab, so, bo, b = _bitmaps(table, SC.AB_SET, SC.SEMI_OPEN, SC.BETA_OPEN,
                              SC.B_SET)
     return _disagree(ab, so & b, bo & b)
 
 
-def _ev_t0(table, profile):
+def _ev_t0(table):
     # semi-regular <=> semi-closed AB-set <=> beta-closed AB-set
     sr, sc, bc, ab = _bitmaps(table, SC.SEMI_REGULAR, SC.SEMI_CLOSED,
                               SC.BETA_CLOSED, SC.AB_SET)
     return _disagree(sr, sc & ab, bc & ab)
 
 
-def _ev_t0a(table, profile):
+def _ev_t0a(table):
     # open <=> AB-set that is preopen or an ic-set
     op, ab, po, ic = _bitmaps(table, SC.OPEN, SC.AB_SET, SC.PREOPEN,
                               SC.IC_SET)
     return op ^ (ab & (po | ic))
 
 
-def _ev_cor_submax(table, profile):
+def _ev_cor_submax(table):
     # in a submaximal space the AB-sets are exactly the beta-open sets
-    submaximal = profile()[SP.SUBMAXIMAL]
+    submaximal = table.per_space(is_submaximal)
     if not submaximal:
         return 0
     ab, bo = _bitmaps(table, SC.AB_SET, SC.BETA_OPEN)
@@ -189,7 +198,7 @@ def _ev_cor_submax(table, profile):
 
 def _gap(c_in: SetClass, c_out: SetClass):
     """The sets in c_in but not in c_out; ev.gap records the pair."""
-    def ev(table, profile):
+    def ev(table):
         return table.family_bitmap(c_in) & ~table.family_bitmap(c_out)
     ev.gap = (c_in, c_out)
     return ev
@@ -201,17 +210,17 @@ def _route(cls: SetClass, route):
     The route reads each topology alone, so it stays independent of the
     table it checks.
     """
-    def ev(table, profile):
+    def ev(table):
         return table.family_bitmap(cls) ^ table.per_space(route)
     return ev
 
 
-def _ev_equiv_tset(table, profile):
+def _ev_equiv_tset(table):
     sc, ts = _bitmaps(table, SC.SEMI_CLOSED, SC.T_SET)
     return sc ^ ts
 
 
-def _ev_equiv_scl_form(table, profile):
+def _ev_equiv_scl_form(table):
     # sCl a against its closed form a | int cl a, point by point
     e = table.point_planes
     ic = table.interiors(table.closures(e))
@@ -224,59 +233,60 @@ def _ev_equiv_scl_form(table, profile):
 # table.empty(b) has that bit set where b has no subset
 
 
-def _ev_t1(table, profile):
+def _ev_t1(table):
     # extremally disconnected <=> AB family equals the opens
     # <=> every AB-set is open
     ab, op = _bitmaps(table, SC.AB_SET, SC.OPEN)
-    return _disagree(profile()[SP.EXTREMALLY_DISCONNECTED],
+    return _disagree(table.per_space(is_extremally_disconnected),
                      table.empty(ab ^ op), table.empty(ab & ~op))
 
 
-def _ev_t2(table, profile):
+def _ev_t2(table):
     # submaximal <=> every preopen set is AB <=> every dense set is AB
     ab, po, dense = _bitmaps(table, SC.AB_SET, SC.PREOPEN, SC.DENSE)
-    return _disagree(profile()[SP.SUBMAXIMAL], table.empty(po & ~ab),
+    return _disagree(table.per_space(is_submaximal), table.empty(po & ~ab),
                      table.empty(dense & ~ab))
 
 
-def _ev_t3(table, profile):
+def _ev_t3(table):
     # partition <=> every AB-set is clopen <=> every AB-set is preclosed
     ab, clopen, pc = _bitmaps(table, SC.AB_SET, SC.CLOPEN, SC.PRECLOSED)
-    return _disagree(profile()[SP.PARTITION], table.empty(ab & ~clopen),
+    return _disagree(table.per_space(is_partition), table.empty(ab & ~clopen),
                      table.empty(ab & ~pc))
 
 
-def _ev_t4(table, profile):
+def _ev_t4(table):
     # indiscrete <=> the only AB-sets are empty and full
     ab, full = table.family_bitmap(SC.AB_SET), (1 << table.n) - 1
     ends = table.fill(1 | 1 << full)
-    return profile()[SP.INDISCRETE] ^ table.empty(ab ^ ends)
+    return table.per_space(is_indiscrete) ^ table.empty(ab ^ ends)
 
 
-def _ev_t5(table, profile):
+def _ev_t5(table):
     # discrete <=> every subset is AB <=> every singleton is AB
     ab = table.family_bitmap(SC.AB_SET)
     singletons = reduce(and_, [ab >> (1 << x) for x in range(table.n)],
                         table.starts)
-    return _disagree(profile()[SP.DISCRETE], table.empty(~ab), singletons)
+    return _disagree(table.per_space(is_discrete), table.empty(~ab),
+                     singletons)
 
 
-def _ev_t6(table, profile):
+def _ev_t6(table):
     # hyperconnected <=> every nonempty AB-set is dense.  The empty set
     # is an AB-set in every space and is never dense for n >= 1, so the
     # claim is read with the same nonemptiness convention as
     # hyperconnectedness itself.
     ab, dense = _bitmaps(table, SC.AB_SET, SC.DENSE)
-    return profile()[SP.HYPERCONNECTED] ^ table.empty(
+    return table.per_space(is_hyperconnected) ^ table.empty(
         ab & ~dense & ~table.starts)
 
 
-def _ev_t7(table, profile):
+def _ev_t7(table):
     # semi-connected <=> no split into two disjoint nonempty AB-sets;
     # mirrored, the AB bitmap has bit full - a at a
     ab, full = table.family_bitmap(SC.AB_SET), (1 << table.n) - 1
     ends = table.fill(1 | 1 << full)
-    return profile()[SP.SEMI_CONNECTED] ^ table.empty(
+    return table.per_space(is_semi_connected) ^ table.empty(
         ab & table.mirror(ab) & ~ends)
 
 
@@ -551,14 +561,6 @@ def _polarity(p) -> str:
     return EXAMPLE if p.existential else COUNTEREXAMPLE
 
 
-def _profile(table):
-    """Per space property, the segment starts of the table's spaces that
-    have it, from each space's space_profile."""
-    profiles = zip(*[space_profile(t).values() for t in table.topologies])
-    return {prop: table.where(flags)
-            for prop, flags in zip(SpaceProperty, profiles)}
-
-
 def _orbit_levels(props, budget):
     """Sweep one space per isomorphism class, size by size.
 
@@ -578,12 +580,11 @@ def _orbit_levels(props, budget):
         for start in range(0, len(level), size):
             chunk = level[start:start + size]
             table = ClassTable(t for t, _ in chunk)
-            profile = cache(partial(_profile, table))
             orbits = [orbit for _, orbit in chunk]
             weights = [(orbit, table.spread(table.where(
                 [o == orbit for o in orbits]))) for orbit in set(orbits)]
             for i, p in enumerate(props):
-                got = p.evaluate(table, profile)
+                got = p.evaluate(table)
                 if got:
                     hits[i] += sum(orbit * (got & segments).bit_count()
                                    for orbit, segments in weights)
@@ -600,8 +601,7 @@ def _first_witness(p, hitting):
     formula, not its representative's, gives the subset.
     """
     t = first_in_orbits(hitting)
-    table = ClassTable((t,))
-    got = p.evaluate(table, cache(partial(_profile, table)))
+    got = p.evaluate(ClassTable((t,)))
     if not got:
         raise ValueError(
             f"proposition {p.id}: the evaluator hits a space but not a "
@@ -808,11 +808,12 @@ def verify_all(ids=None, budget: EnumerationBudget | None = None):
     ids holds proposition ids or Proposition objects.  The set- and
     space-scope propositions share one traversal of the spaces, the
     map-scope ones one traversal of the maps; budget None gives each
-    group its default_budget.  Set and space evaluators must be kept by
-    relabeling the points (see Proposition); one found to depend on the
-    labels raises ValueError.  A long map traversal runs on a process
-    pool (see _map_histograms); its report is byte-identical to the
-    one-process one.  Reports come back in request order.
+    group its default_budget.  Set and space evaluators take the table
+    alone and must be kept by relabeling the points (see Proposition);
+    one found to depend on the labels raises ValueError.  A long map
+    traversal runs on a process pool (see _map_histograms); its report
+    is byte-identical to the one-process one.  Reports come back in
+    request order.
     """
     if ids is None:
         ids = registry()
@@ -921,8 +922,7 @@ def _evaluate_witness(w: Witness) -> bool:
         f = SpaceMap(w.topology, w.codomain, w.assignment)
         hit = p.evaluate(_fact_word(f, _domain_facts(f.domain)))
     else:
-        table = class_table(w.topology)
-        got = p.evaluate(table, partial(_profile, table))
+        got = p.evaluate(class_table(w.topology))
         if p.scope == "set":
             if w.subset is None:
                 raise DocumentError(f"witness for {pid!r} needs a subset")

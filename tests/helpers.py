@@ -13,7 +13,7 @@ below read right to left.
 
 import math
 import os
-from functools import cache, partial
+from functools import cache
 from itertools import chain, islice, permutations, product
 from multiprocessing import Pool
 
@@ -33,7 +33,6 @@ from fintopo import (
     enumeration,
     semi_closure_closed_form,
     space,
-    space_profile,
     theorems,
     topology_from_preorder,
 )
@@ -294,11 +293,10 @@ def labeled_sweep_spaces(props, budget):
         for n in range(budget.max_n + 1):
             for t in labeled_topologies(n, budget):
                 table = class_table(t)
-                profile = cache(partial(space_profile, t))
                 spaces += 1
                 sets_ += 1 << n
                 for i, p in enumerate(props):
-                    got = p.evaluate(table, profile)
+                    got = p.evaluate(table)
                     if not got:
                         continue
                     hits[i] += got.bit_count()

@@ -114,3 +114,22 @@ def test_cli_import_loads_no_pool_or_dataclass_machinery():
     assert "fintopo.cli" in added
     heavy = ("multiprocessing", "dataclasses", "inspect")
     assert [m for m in added if m.split(".")[0] in heavy] == []
+
+
+def test_every_class_table_member_has_a_reader():
+    # a method or property of ClassTable that only tests read is a
+    # second path the program no longer takes
+    root = TESTS.parent
+    paths = sorted(SRC.glob("*.py"))
+    for folder in ("perfbench", "demos", "benchmarks"):
+        paths += sorted((root / folder).glob("*.py"))
+    read = {node.attr for path in paths for node in ast.walk(_parse(path))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    (body,) = [node.body for node in _parse(SRC / "setclasses.py").body
+               if isinstance(node, ast.ClassDef) and node.name == "ClassTable"]
+    members = [node.name for node in body
+               if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("__")]
+    assert len(members) > 15
+    assert [name for name in members if name not in read] == []

@@ -365,7 +365,6 @@ def test_class_table_interior_closure_and_scl_tables():
         # int a is the complement of the closure of the complement
         assert interior(t, a) == t.full & ~table.closure_table[t.full & ~a]
         assert table.closure_table[a] == closure(t, a)
-        assert table.semi_closure_table[a] == semi_closure(t, a)
 
 
 def test_family_bitmap_consistency():
@@ -392,9 +391,10 @@ def test_class_table_budget_guard():
 
 
 def test_semi_closure_table_matches_definition():
-    # the fold over the table's SEMI_CLOSED bitmap against the fold over
-    # the family is_semi_closed finds, on every space up to four points
-    # and on seeded random spaces of 8 to 11 points
+    # the semi-closure planes pushed from the table's SEMI_CLOSED bitmap
+    # against the fold over the family is_semi_closed finds, on every
+    # space up to four points and on seeded random spaces of 8 to 11
+    # points
     spaces = [t for n in range(5) for t in enumerate_topologies(n)]
     rng = random.Random(4711)
     for n in (8, 9, 10, 11):
@@ -404,7 +404,8 @@ def test_semi_closure_table_matches_definition():
         spaces.append(random_preorder_topology(seeds))
     moved = 0
     for t in spaces:
-        scl = class_table(t).semi_closure_table
+        planes = class_table(t).semi_closure_planes
+        (scl,) = _planes_per_space(planes, t.n, 1)
         assert scl == semi_closures(t), t
         moved += sum(s != a for a, s in enumerate(scl))
     assert moved > 1000
@@ -412,7 +413,8 @@ def test_semi_closure_table_matches_definition():
 
 def test_class_table_answers_without_interior(monkeypatch):
     # The bitmaps and witnesses come from point planes alone.  The
-    # per-subset tables are built on first read, after the patch is gone.
+    # per-subset closure table is built on first read, after the patch is
+    # gone.
     rng = random.Random(1212)
     t = random_preorder_topology([
         rng.getrandbits(12) & rng.getrandbits(12) & rng.getrandbits(12)
@@ -437,9 +439,6 @@ def test_class_table_answers_without_interior(monkeypatch):
                 assert table.contains(v, SECOND_FAMILY[cls])
     monkeypatch.undo()
     assert table.closure_table == tuple(closure(t, a) for a in t.subsets())
-    scl = table.semi_closure_table
-    for a in rng.sample(range(1 << t.n), 8):
-        assert scl[a] == semi_closure(t, a), a
 
 
 def test_class_table_projects_existential_bitmaps_on_first_read(monkeypatch):
@@ -469,7 +468,7 @@ def test_class_table_projects_existential_bitmaps_on_first_read(monkeypatch):
         for cls in SECOND_FAMILY:
             for a in t.subsets():
                 table.witness(a, cls)
-        assert table.closure_table and table.semi_closure_table
+        assert table.closure_table
 
     for first, cls in product(reads, SECOND_FAMILY):
         class_table.cache_clear()

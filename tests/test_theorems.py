@@ -19,7 +19,6 @@ from fintopo import (
     GroundSetTooLarge,
     SetClass,
     SpaceMap,
-    SpaceProperty,
     Witness,
     acceptable,
     class_table,
@@ -36,6 +35,7 @@ from fintopo import (
     replay_witness,
     serialize_report,
     setclasses,
+    spaceprops,
     strongly_irresolute_scl,
     verify,
     verify_all,
@@ -721,9 +721,9 @@ def test_oracles_catch_a_corrupted_table(monkeypatch, pid, cls):
     p = proposition(pid)
     for t in (four_point_space(), sierpinski(), indiscrete(3)):
         table = class_table(t)
-        assert p.evaluate(table, None) == 0
+        assert p.evaluate(table) == 0
         for a in t.subsets():
-            assert p.evaluate(_flipped(table, cls, 1 << a), None) == 1 << a
+            assert p.evaluate(_flipped(table, cls, 1 << a)) == 1 << a
     # the full set is in each family of every space, so dropping it
     # from every table the sweep builds makes it hit once per labeled
     # space
@@ -740,27 +740,28 @@ def test_oracles_catch_a_corrupted_table(monkeypatch, pid, cls):
 
 def test_oracles_catch_a_corrupted_semi_closed_bit():
     # equiv-tset hits at exactly the flipped subset, and equiv-scl-form
-    # hits wherever the flip moves the table's semi-closure table
+    # hits wherever the flip moves the fold over the semi-closed family
     tset, scl_form = proposition("equiv-tset"), proposition("equiv-scl-form")
     moved = 0
     for t in (four_point_space(), sierpinski(), indiscrete(3),
               three_point_space()):
         table = class_table(t)
-        assert tset.evaluate(table, None) == 0
-        assert scl_form.evaluate(table, None) == 0
+        assert tset.evaluate(table) == 0
+        assert scl_form.evaluate(table) == 0
+        want = setclasses.semi_closures(t)
         for a in t.subsets():
             flipped = _flipped(table, SetClass.SEMI_CLOSED, 1 << a)
-            assert tset.evaluate(flipped, None) == 1 << a
-            scl, want = flipped.semi_closure_table, table.semi_closure_table
+            assert tset.evaluate(flipped) == 1 << a
+            scl = setclasses._superset_meets(
+                t.n, flipped.family(SetClass.SEMI_CLOSED))
             hits = sum(1 << b for b in t.subsets() if scl[b] != want[b])
-            assert scl_form.evaluate(flipped, None) == hits
+            assert scl_form.evaluate(flipped) == hits
             moved += hits != 0
     assert moved > 20
 
 
 def _one_space_hits(p, t):
-    table = class_table(t)
-    return p.evaluate(table, cache(partial(theorems._profile, table)))
+    return p.evaluate(class_table(t))
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -786,9 +787,8 @@ def test_chunked_evaluators_match_one_space_evaluations(n):
         for start in range(0, len(spaces), size):
             chunk = spaces[start:start + size]
             table = setclasses.ClassTable(chunk)
-            profile = cache(partial(theorems._profile, table))
             for p in props:
-                got = p.evaluate(table, profile)
+                got = p.evaluate(table)
                 one = want[p.id][start:start + size]
                 assert chunk_segments(got, n, len(chunk)) == one, (
                     p.id, size, start)
@@ -815,8 +815,25 @@ def test_set_space_sweep_builds_no_semi_closure_table(monkeypatch):
         route.cache_clear()
     setclasses.class_table.cache_clear()
     monkeypatch.setattr(setclasses, "_superset_meets", refuse)
-    monkeypatch.setattr(setclasses.ClassTable, "semi_closure_table",
-                        property(refuse))
+    reports = verify_all(SET_SPACE_IDS, budget)
+    assert serialize_report(reports) == want
+    witnesses = [w for report in reports for w in report.witnesses]
+    assert len(witnesses) == 5
+    assert all(replay_witness(w) for w in witnesses)
+
+
+def test_set_space_sweep_calls_no_space_profile(monkeypatch):
+    # a space property reaches a formula through ClassTable.per_space,
+    # one predicate at a time, so neither the sweep nor witness replay
+    # asks space_profile for every property of a space
+    budget = EnumerationBudget(max_n=5)
+    want = serialize_report(verify_all(SET_SPACE_IDS, budget))
+
+    def refuse(t):
+        raise AssertionError("space_profile called")
+
+    monkeypatch.setattr(spaceprops, "space_profile", refuse)
+    monkeypatch.setattr(theorems, "space_profile", refuse, raising=False)
     reports = verify_all(SET_SPACE_IDS, budget)
     assert serialize_report(reports) == want
     witnesses = [w for report in reports for w in report.witnesses]
@@ -830,7 +847,7 @@ def _splits_by_scan(ab, full):
     return any(ab >> a & 1 and ab >> (full ^ a) & 1 for a in range(1, full))
 
 
-def test_t7_split_formula_matches_per_subset_scan():
+def test_t7_split_formula_matches_per_subset_scan(monkeypatch):
     # with semi-connectedness read as True, t7 hits exactly the spaces
     # that split, and with it read as False exactly those that do not:
     # every space on at most five points (n = 0 and n = 1 included) and
@@ -848,10 +865,10 @@ def test_t7_split_formula_matches_per_subset_scan():
     for t in spaces:
         table = class_table(t)
         split = _splits_by_scan(table.family_bitmap(SetClass.AB_SET), t.full)
-        connected = {SpaceProperty.SEMI_CONNECTED: True}
-        assert t7.evaluate(table, lambda: connected) == split, t
-        connected = {SpaceProperty.SEMI_CONNECTED: False}
-        assert t7.evaluate(table, lambda: connected) == (not split), t
+        monkeypatch.setattr(theorems, "is_semi_connected", lambda t: True)
+        assert t7.evaluate(table) == split, t
+        monkeypatch.setattr(theorems, "is_semi_connected", lambda t: False)
+        assert t7.evaluate(table) == (not split), t
         seen.add((t.n > 5, split))
     # both outcomes occur among the small spaces and among the seeded ones
     assert len(seen) == 4
@@ -866,7 +883,7 @@ def test_orbit_witness_is_the_least_labeled_member(monkeypatch):
     form = cache(canonical_rows_by_brute_force)
 
     def only(target):
-        def ev(table, profile):
+        def ev(table):
             keep = table.where([form(t.min_nbhd) == target
                                 for t in table.topologies])
             return (table.family_bitmap(SetClass.OPEN) & ~table.starts
@@ -902,8 +919,7 @@ def test_label_dependent_evaluator_is_refused():
     )
     p = theorems.Proposition(
         "label-dependent", "implication-per-set", "set", "not this labeling",
-        lambda table, profile: table.where([t == rep
-                                            for t in table.topologies]),
+        lambda table: table.where([t == rep for t in table.topologies]),
     )
     with pytest.raises(ValueError, match="depends on the point labels"):
         verify_all([p], budget)
