@@ -799,12 +799,22 @@ def test_chunked_evaluators_match_one_space_evaluations(n):
     assert bool(hit) == (n >= 2)
 
 
+def _sweep_keeps_its_bytes(want):
+    """The 27 set/space propositions at max_n=5 give the report want,
+    and their 5 witnesses replay."""
+    reports = verify_all(SET_SPACE_IDS, EnumerationBudget(max_n=5))
+    assert serialize_report(reports) == want
+    witnesses = [w for report in reports for w in report.witnesses]
+    assert len(witnesses) == 5
+    assert all(replay_witness(w) for w in witnesses)
+
+
 def test_set_space_sweep_builds_no_semi_closure_table(monkeypatch):
     # l00, equiv-scl-form and the B-set route read sCl off point planes,
     # so the sweep and its witnesses never fold a per-subset
     # semi-closure table
-    budget = EnumerationBudget(max_n=5)
-    want = serialize_report(verify_all(SET_SPACE_IDS, budget))
+    want = serialize_report(verify_all(SET_SPACE_IDS,
+                                       EnumerationBudget(max_n=5)))
 
     def refuse(*args):
         raise AssertionError("a semi-closure table was built")
@@ -815,30 +825,22 @@ def test_set_space_sweep_builds_no_semi_closure_table(monkeypatch):
         route.cache_clear()
     setclasses.class_table.cache_clear()
     monkeypatch.setattr(setclasses, "_superset_meets", refuse)
-    reports = verify_all(SET_SPACE_IDS, budget)
-    assert serialize_report(reports) == want
-    witnesses = [w for report in reports for w in report.witnesses]
-    assert len(witnesses) == 5
-    assert all(replay_witness(w) for w in witnesses)
+    _sweep_keeps_its_bytes(want)
 
 
 def test_set_space_sweep_calls_no_space_profile(monkeypatch):
     # a space property reaches a formula through ClassTable.per_space,
     # one predicate at a time, so neither the sweep nor witness replay
     # asks space_profile for every property of a space
-    budget = EnumerationBudget(max_n=5)
-    want = serialize_report(verify_all(SET_SPACE_IDS, budget))
+    want = serialize_report(verify_all(SET_SPACE_IDS,
+                                       EnumerationBudget(max_n=5)))
 
     def refuse(t):
         raise AssertionError("space_profile called")
 
     monkeypatch.setattr(spaceprops, "space_profile", refuse)
     monkeypatch.setattr(theorems, "space_profile", refuse, raising=False)
-    reports = verify_all(SET_SPACE_IDS, budget)
-    assert serialize_report(reports) == want
-    witnesses = [w for report in reports for w in report.witnesses]
-    assert len(witnesses) == 5
-    assert all(replay_witness(w) for w in witnesses)
+    _sweep_keeps_its_bytes(want)
 
 
 def _splits_by_scan(ab, full):
