@@ -52,6 +52,10 @@ and interquartile range of REPEATS runs:
   domain class on at most 5 points, and continuity_profile on fixed
   seeded random maps with domains on 7, 10 and 12 points (per size, the
   median is for all of its maps together);
+- trace_table: the map sweep's trace counts N(ny, k, sigma) for
+  codomains on at most 5 points, theorems._trace_table alone, called
+  with the codomain cap, or with the codomain class levels (built
+  before the timing) where the checkout's table reads them;
 - cli_import: `import fintopo.cli` timed inside each of REPEATS fresh
   interpreters, with the package's bytecode compiled beforehand, and
   the number of modules that import adds: the start-up every CLI
@@ -116,6 +120,8 @@ CLASSIFY_SEED = 12
 PROFILE_SIZES = (7, 10, 12)
 PROFILE_MAPS = 6
 PROFILE_SEED = 18
+# codomain cap of the trace_table layer
+TRACE_MAX_N = 5
 
 
 def _summary(samples):
@@ -296,6 +302,16 @@ def _extension_count(level):
     return sum(1 for rows in level for _ in enumeration._extensions(rows))
 
 
+def _trace_table_call():
+    """theorems._trace_table for codomains on at most TRACE_MAX_N
+    points, as (what it takes, a call with no argument)."""
+    if hasattr(enumeration, "_trace_table"):
+        return "cap", partial(theorems._trace_table, TRACE_MAX_N)
+    levels = list(enumeration._class_levels(
+        EnumerationBudget(max_n=TRACE_MAX_N)))
+    return "class levels", partial(theorems._trace_table, levels)
+
+
 def _profiles(fs):
     for f in fs:
         maps.continuity_profile(f)
@@ -422,6 +438,13 @@ def layers():
             str(n): _timed(partial(_profiles, fs))
             for n, fs in profiled.items()
         },
+    }
+    takes, trace_table = _trace_table_call()
+    out["trace_table"] = {
+        "codomain_max_n": TRACE_MAX_N,
+        "takes": takes,
+        "sigmas": sum(len(row) for row in trace_table()),
+        **_timed(trace_table),
     }
     return out
 

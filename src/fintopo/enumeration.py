@@ -24,7 +24,9 @@ from the classes one size down: every labeled preorder on n points is
 one of the _extensions of exactly one on the points 0..n-2, and a
 relabeling of those points carries one preorder's extensions one to one
 onto its image's, so each class on n - 1 points adds its orbit size
-times its representative's extension count.  Two independent routes
+times its representative's extension count.  _trace_table counts the
+map sweep's codomains by restriction, walking the labeled _extensions
+tree once with no class at all.  Two independent routes
 exist for cross-checks: a naive filter over all candidate open-set
 families (small n ground truth) and a bit-plane transitive-relation
 counter.
@@ -33,7 +35,7 @@ counter.
 from collections import namedtuple
 from itertools import (chain, combinations, groupby, islice, permutations,
                        product)
-from math import factorial
+from math import factorial, perm
 
 from .errors import BudgetExceeded
 from .space import (
@@ -382,6 +384,33 @@ def count_topologies(n: int, budget: EnumerationBudget | None = None) -> int:
         if total > budget.max_spaces:
             raise _refusal(n, budget)
     return total
+
+
+def _trace_table(cap: int):
+    """Per k <= cap, each preorder sigma on the points 0..k-1 (as its
+    opens) with N(ny, k, sigma) for every ny <= cap: the maps with a
+    given k-block fiber partition into a space on ny points whose opens
+    pull back to sigma on the blocks.
+
+    A relabeling moves the image of the blocks to the points 0..k-1, and
+    a subspace carries the restricted preorder, so N is (ny)_k times the
+    labeled preorders on ny points that restrict to sigma: sigma's
+    descendants on ny points in the tree of _extensions, walked once
+    from the empty preorder.  No class, relabeling or injection is read.
+    """
+    table = [[] for _ in range(cap + 1)]
+
+    def walk(rows):
+        k = len(rows)
+        below = [int(ny == k) for ny in range(cap + 1)]
+        for extended in _extensions(rows) if k < cap else ():
+            below = [a + b for a, b in zip(below, walk(extended))]
+        table[k].append((up_sets(rows), [perm(ny, k) * count
+                                         for ny, count in enumerate(below)]))
+        return below
+
+    walk(())
+    return table
 
 
 def count_reflexive_transitive_relations(n: int) -> int:

@@ -607,7 +607,9 @@ def check_subset_budget(n: int) -> None:
         )
 
 
-# sweeps read each space's table for a run of consecutive instances only
+# the set/space sweeps build their own tables and never call this; it
+# serves classify-set, each map domain's facts, a witness search or
+# replay that reads a domain again, and perfbench's tracer (cache_info)
 @lru_cache(maxsize=8)
 def class_table(t: Topology) -> ClassTable:
     """Classify all 2^n subsets of t with whole-bitmap int operations.

@@ -26,7 +26,7 @@ to 2^15 >> n spaces per chunk.  Counts and hits are those of the
 labeled sweep, and the first witness is the first labeled one, taken
 from the least member of the first hitting orbits.
 
-Map sweeps build no map and no labeled space outside the witness
+Map sweeps build no map and no labeled Topology outside the witness
 search.  A map f: X -> Y with k nonempty fibers has the fact word of the
 surjection from X onto its fiber partition's k blocks (numbered by least
 point), carrying the trace sigma of Y's opens on the image: the
@@ -34,18 +34,19 @@ continuity bits read only unions of blocks indexed by sigma, the other
 bits only the partition.  So each domain representative X (weighted by
 orbit size) takes its partition facts once per partition and its open
 bits once per sigma, and counts the maps into the spaces on ny points
-that give (partition, sigma): per codomain representative, its orbit
-size times its injections of the blocks that pull its opens back to
-sigma.  A witness comes from the first (domain size, codomain size) with
-a hit: the least labeled domain of the hitting orbits, then the first
-labeled codomain and assignment that hit.
+that give (partition, sigma): (ny)_k times the labeled preorders on ny
+points that restrict to sigma, read off one walk of the _extensions
+tree (see enumeration._trace_table).  A witness comes from the first
+(domain size, codomain size) with a hit: the least labeled domain of
+the hitting orbits, then the first labeled codomain and assignment that
+hit.
 """
 
 import json
 import os
 from collections import namedtuple
 from functools import partial, reduce
-from itertools import permutations, product
+from itertools import product
 from operator import and_, or_
 
 from .documents import (
@@ -60,6 +61,7 @@ from .documents import (
 from .enumeration import (
     EnumerationBudget,
     _class_levels,
+    _trace_table,
     enumerate_topologies,
     first_in_orbits,
 )
@@ -646,31 +648,6 @@ def _partitions(n: int):
             yield head + (block,)
 
 
-def _trace_table(codomains):
-    """Per k, each trace topology sigma on k points (as its opens) with
-    N(ny, k, sigma) for every codomain size ny: the maps with a given
-    k-block fiber partition into a space on ny points whose opens pull
-    back to sigma on the blocks.
-
-    codomains holds the classes of each size with their orbit sizes.
-    Relabeling a codomain carries its injections of the blocks along, so
-    N sums orbit(Y) times Y's injections that give sigma.
-    """
-    table = []
-    for k in range(len(codomains)):
-        counts = {}
-        for ny in range(k, len(codomains)):
-            for ty, orbit in codomains[ny]:
-                for image in permutations(range(ny), k):
-                    sigma = frozenset(
-                        sum(1 << j for j, y in enumerate(image) if v >> y & 1)
-                        for v in ty.opens
-                    )
-                    counts.setdefault(sigma, [0] * len(codomains))[ny] += orbit
-        table.append(list(counts.items()))
-    return table
-
-
 def _fact_histograms(tx, traces):
     """Per codomain size ny, {fact word: the number of maps from tx into
     a space on ny points with that word}, one word per (fiber partition,
@@ -699,23 +676,29 @@ def Pool(processes):
 _CHUNK_DOMAINS = 8
 
 # _open_bits calls above which a process pool pays; measured between
-# (max_n, codomain_max_n) (4, 4) at 18,809 calls and (5, 3) at 116,348
+# (max_n, codomain_max_n) (4, 4) at 18,809 calls and (5, 3) at 116,348.
+# The 12 map propositions in process against a forced pool of two, four
+# runs each on 2 cores: (4, 4) 0.036-0.037 s against 0.040-0.057 s,
+# (5, 3) 0.229-0.235 s against 0.153-0.165 s, (5, 4) 1.07-1.08 s against
+# 0.61-0.64 s
 _POOL_MIN_CALLS = 50_000
 
 
-def _map_histograms(domains, codomains):
+def _map_histograms(domains, codomain_n):
     """Per (domain size, codomain size) in sweep order, the codomain size
     and the labeled maps of each fact word: {word: [count, domain
     representatives with it]}.
 
-    domains and codomains hold the classes of each size, one
-    representative per isomorphism class with its orbit size: the fact
-    words are topological, so every labeled domain of an orbit has the
-    same histogram.  Past _POOL_MIN_CALLS _open_bits calls, they run on
-    a pool of one worker per CPU this process may use, if more than one;
-    multiprocessing is imported only then (see Pool).
+    domains holds the classes of each size, one representative per
+    isomorphism class with its orbit size: the fact words are
+    topological, so every labeled domain of an orbit has the same
+    histogram.  Codomains range over the spaces on at most codomain_n
+    points, counted by _trace_table without being listed.  Past
+    _POOL_MIN_CALLS _open_bits calls, they run on a pool of one worker
+    per CPU this process may use, if more than one; multiprocessing is
+    imported only then (see Pool).
     """
-    traces = _trace_table(codomains)
+    traces = _trace_table(codomain_n)
     work = partial(_fact_histograms, traces=traces)
     reps = [tx for level in domains for tx, _ in level]
     # one call per (representative, partition into k blocks, sigma on k)
@@ -731,7 +714,7 @@ def _map_histograms(domains, codomains):
         done = map(work, reps)
     for level in domains:
         level = [(tx, orbit, next(done)) for tx, orbit in level]
-        for ny in range(len(codomains)):
+        for ny in range(codomain_n + 1):
             words = {}
             for tx, orbit, by_ny in level:
                 for word, count in by_ny[ny].items():
@@ -779,7 +762,7 @@ def _sweep_maps(props, budget):
     best = [None] * len(props)
     maps_ = 0
     for ny, words in _map_histograms(levels[:budget.max_n + 1],
-                                     levels[:budget.codomain_n + 1]):
+                                     budget.codomain_n):
         maps_ += sum(count for count, _ in words.values())
         for i, p in enumerate(props):
             hit = [entry for word, entry in words.items() if p.evaluate(word)]

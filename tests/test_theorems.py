@@ -27,6 +27,7 @@ from fintopo import (
     enumerate_isomorphism_classes,
     enumerate_maps,
     enumerate_topologies,
+    enumeration,
     find_counterexample,
     is_continuous_in,
     is_strongly_irresolute,
@@ -1059,10 +1060,8 @@ def _factored_and_labeled(monkeypatch, budget):
 def _factored_histogram(budget):
     """{word: labeled maps} of the factored sweep, over every size."""
     words = {}
-    top = max(budget.max_n, budget.codomain_n)
-    levels = list(_class_levels(budget._replace(max_n=top)))
     for _, level in theorems._map_histograms(
-        levels[:budget.max_n + 1], levels[:budget.codomain_n + 1],
+        list(_class_levels(budget)), budget.codomain_n,
     ):
         for word, (count, _) in level.items():
             words[word] = words.get(word, 0) + count
@@ -1152,12 +1151,26 @@ def test_four_point_map_histogram_matches_labeled_oracle(monkeypatch):
     assert sum(factored.values()) == 33_827_652
 
 
-def test_trace_table_matches_labeled_oracle():
-    # N(ny, k, sigma) for every ny <= 5 and k <= ny, from the codomain
-    # classes against the labeled codomains
-    levels = list(_class_levels(EnumerationBudget(max_n=5)))
-    table = theorems._trace_table(levels)
-    assert [dict(row) for row in table] == labeled_trace_table(5)
+def _no_classes(*args):
+    raise AssertionError("the trace table reads no class or relabeling")
+
+
+@pytest.mark.parametrize("cap", [
+    5,
+    # 216,859 labeled codomains; the oracle lists each one's traces
+    pytest.param(6, marks=pytest.mark.skipif(
+        not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")),
+])
+def test_trace_table_matches_labeled_oracle(monkeypatch, cap):
+    # N(ny, k, sigma) for every ny <= cap and k <= ny, from one walk of
+    # the labeled preorders against the labeled codomains' traces
+    monkeypatch.setattr(enumeration, "_canonical", _no_classes)
+    monkeypatch.setattr(enumeration, "_relabelings", _no_classes)
+    table = theorems._trace_table(cap)
+    keyed = [{frozenset(opens): counts for opens, counts in row}
+             for row in table]
+    assert [len(row) for row in keyed] == [len(row) for row in table]
+    assert keyed == labeled_trace_table(cap)
 
 
 @pytest.mark.parametrize("budget", [EnumerationBudget(max_n=3), CAPPED],
@@ -1195,18 +1208,23 @@ def test_map_sweep_builds_maps_and_spaces_for_witnesses_only(monkeypatch,
 
 # sha256 of serialize_report of the 12 map propositions over every map
 # between spaces on <= 4 and on <= 5 points, recorded from the sweep
-# that built one SpaceMap per (domain, partition, trace topology)
-@pytest.mark.parametrize("max_n, max_maps, digest", [
-    (4, 33_827_652,
+# that built one SpaceMap per (domain, partition, trace topology); and
+# from spaces on <= 4 points into spaces on <= 5, recorded from the
+# sweep that counted codomain classes, injections and orbit sizes
+@pytest.mark.parametrize("max_n, codomain_max_n, max_maps, digest", [
+    (4, None, 33_827_652,
      "d9d12e3a0aa0e0d24f3320708a7439337f407610efaa88ab4afabde5d57f29ac"),
+    (4, 5, 1_599_984_504,
+     "fb70c40aa3dd1b609580a81e232eab92cbeacc20f84551fd56deb5674d1e678b"),
     pytest.param(
-        5, 154_771_368_636,
+        5, None, 154_771_368_636,
         "9134d85bd435bc1b9e000a37dbcdb3fcca607664b8c557c3cb528dec9e501b82",
         marks=pytest.mark.skipif(
             not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")),
 ])
-def test_full_map_sweep_report_bytes(max_n, max_maps, digest):
-    budget = EnumerationBudget(max_n=max_n, max_maps=max_maps)
+def test_full_map_sweep_report_bytes(max_n, codomain_max_n, max_maps, digest):
+    budget = EnumerationBudget(max_n=max_n, codomain_max_n=codomain_max_n,
+                               max_maps=max_maps)
     report = verify_all(MAP_IDS, budget)
     assert _sha256(serialize_report(report)) == digest
     assert all(r.maps_checked == max_maps for r in report)
