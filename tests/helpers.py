@@ -347,7 +347,7 @@ def labeled_preorder_count(n, budget):
 
 
 def labeled_trace_table(codomain_n):
-    """The labeled count, oracle for theorems._trace_table.
+    """The labeled count, oracle for enumeration._trace_table.
 
     Per k <= codomain_n, {trace opens: N(ny, k, sigma) for every ny <=
     codomain_n}: (ny)_k injections of the k blocks times the labeled
