@@ -22,8 +22,10 @@ and interquartile range of REPEATS runs:
   propositions at the default map budget (max_n=3, 24,907 maps), at
   max_n=4 (33,827,652 maps, every one counted; a checkout that builds
   each map takes minutes per run), at max_n=5 with codomains on at most
-  3 points, at max_n=5 with max_maps raised to 154,771,368,636 (every
-  map counted) and at max_n=6, which max_maps refuses (a checkout that
+  3 points, at max_n=4 with codomains on at most 5 points (max_maps
+  raised to 1,599,984,504, every map counted), at max_n=5 with max_maps
+  raised to 154,771,368,636 (every map counted) and at max_n=6, which
+  max_maps refuses (a checkout that
   lists every labeled space first takes seconds per run).  A checkout
   whose map sweep picks its own process pool runs maps_n4 in process
   and, on more than one CPU, maps_n5_c3 and maps_n5 on the pool;
@@ -35,6 +37,8 @@ and interquartile range of REPEATS runs:
   since the default budget refuses n=7), extensions_n5: one
   enumeration._extensions pass over the five-point classes (the 3,920
   extensions of 139 classes that count_topologies(6) counts),
+  extension_count_n5: the same count from enumeration._extension_count,
+  which builds no extension, where the checkout has it,
   class_tables_n6: every family bitmap of the 718 six-point classes,
   read from one ClassTable per chunk of CHUNK_SUBSETS >> 6 classes
   where the checkout has CHUNK_SUBSETS, else from one class_table per
@@ -53,9 +57,13 @@ and interquartile range of REPEATS runs:
   seeded random maps with domains on 7, 10 and 12 points (per size, the
   median is for all of its maps together);
 - trace_table: the map sweep's trace counts N(ny, k, sigma) for
-  codomains on at most 5 points, theorems._trace_table alone, called
-  with the codomain cap, or with the codomain class levels (built
-  before the timing) where the checkout's table reads them;
+  codomains on at most 5 points, every row, theorems._trace_table
+  alone, called with the codomain cap (and as many blocks), or with the
+  codomain class levels (built before the timing) where the checkout's
+  table reads them; trace_table_c5_b4: the rows of at most 4 blocks of
+  the same table, the rows that domains on at most 4 points read, where
+  the checkout's table takes the blocks, else the whole table as its
+  map sweep builds it;
 - cli_import: `import fintopo.cli` timed inside each of REPEATS fresh
   interpreters, with the package's bytecode compiled beforehand, and
   the number of modules that import adds: the start-up every CLI
@@ -103,6 +111,9 @@ COUNT_N7 = SETS_N7  # the default budget refuses n=7
 REPEATS = 5
 # every map between spaces on <= 4 points, and no more
 MAP_REGISTRY_N4 = EnumerationBudget(max_n=4, max_maps=33_827_652)
+# every map from spaces on <= 4 points into spaces on <= 5 points
+MAP_REGISTRY_N4_C5 = EnumerationBudget(max_n=4, codomain_max_n=5,
+                                       max_maps=1_599_984_504)
 # every map from spaces on <= 5 points into spaces on <= 3 points
 MAP_REGISTRY_N5_C3 = EnumerationBudget(max_n=5, codomain_max_n=3,
                                        max_maps=10**12)
@@ -120,8 +131,9 @@ CLASSIFY_SEED = 12
 PROFILE_SIZES = (7, 10, 12)
 PROFILE_MAPS = 6
 PROFILE_SEED = 18
-# codomain cap of the trace_table layer
+# codomain cap of the trace_table layers, and the blocks of the second
 TRACE_MAX_N = 5
+TRACE_BLOCKS = 4
 
 
 def _summary(samples):
@@ -298,18 +310,38 @@ def _facts_per_partition(domains):
             maps._partition_facts(blocks, max(blocks, default=-1) + 1, facts)
 
 
-def _extension_count(level):
+def _extensions_listed(level):
     return sum(1 for rows in level for _ in enumeration._extensions(rows))
 
 
-def _trace_table_call():
+def _extensions_counted(level):
+    return sum(map(enumeration._extension_count, level))
+
+
+def _trace_table_call(blocks):
     """theorems._trace_table for codomains on at most TRACE_MAX_N
-    points, as (what it takes, a call with no argument)."""
-    if hasattr(enumeration, "_trace_table"):
-        return "cap", partial(theorems._trace_table, TRACE_MAX_N)
-    levels = list(enumeration._class_levels(
-        EnumerationBudget(max_n=TRACE_MAX_N)))
-    return "class levels", partial(theorems._trace_table, levels)
+    points and partitions into at most blocks blocks, as (what it takes,
+    a call with no argument).  A table that takes no blocks gives every
+    row."""
+    table = theorems._trace_table
+    if not hasattr(enumeration, "_trace_table"):
+        levels = list(enumeration._class_levels(
+            EnumerationBudget(max_n=TRACE_MAX_N)))
+        return "class levels", partial(table, levels)
+    if table.__code__.co_argcount == 1:
+        return "cap", partial(table, TRACE_MAX_N)
+    return "cap and blocks", partial(table, TRACE_MAX_N, blocks)
+
+
+def _trace_table_layer(blocks):
+    takes, trace_table = _trace_table_call(blocks)
+    return {
+        "codomain_max_n": TRACE_MAX_N,
+        "blocks": blocks,
+        "takes": takes,
+        "sigmas": sum(len(row) for row in trace_table()),
+        **_timed(trace_table),
+    }
 
 
 def _profiles(fs):
@@ -370,6 +402,8 @@ def end_to_end():
         "maps_default": _timed(lambda: theorems.verify_all(map_ids)),
         "maps_n4": _timed(
             lambda: theorems.verify_all(map_ids, MAP_REGISTRY_N4)),
+        "maps_n4_c5": _timed(
+            lambda: theorems.verify_all(map_ids, MAP_REGISTRY_N4_C5)),
         "maps_n5_c3": _timed(
             lambda: theorems.verify_all(map_ids, MAP_REGISTRY_N5_C3)),
         "maps_n5": _timed(
@@ -399,9 +433,15 @@ def layers():
         level = [t.min_nbhd for t, _ in classes(5, EnumerationBudget(max_n=5))]
         out["extensions_n5"] = {
             "classes": len(level),
-            "extensions": _extension_count(level),
-            **_timed(partial(_extension_count, level)),
+            "extensions": _extensions_listed(level),
+            **_timed(partial(_extensions_listed, level)),
         }
+        if hasattr(enumeration, "_extension_count"):
+            out["extension_count_n5"] = {
+                "classes": len(level),
+                "extensions": _extensions_counted(level),
+                **_timed(partial(_extensions_counted, level)),
+            }
         six = [t for t, _ in classes(6, EnumerationBudget(max_n=6))]
         out["class_tables_n6"] = {
             "classes": len(six),
@@ -439,13 +479,8 @@ def layers():
             for n, fs in profiled.items()
         },
     }
-    takes, trace_table = _trace_table_call()
-    out["trace_table"] = {
-        "codomain_max_n": TRACE_MAX_N,
-        "takes": takes,
-        "sigmas": sum(len(row) for row in trace_table()),
-        **_timed(trace_table),
-    }
+    out["trace_table"] = _trace_table_layer(TRACE_MAX_N)
+    out["trace_table_c5_b4"] = _trace_table_layer(TRACE_BLOCKS)
     return out
 
 

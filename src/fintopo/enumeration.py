@@ -24,12 +24,16 @@ from the classes one size down: every labeled preorder on n points is
 one of the _extensions of exactly one on the points 0..n-2, and a
 relabeling of those points carries one preorder's extensions one to one
 onto its image's, so each class on n - 1 points adds its orbit size
-times its representative's extension count.  _trace_table counts the
-map sweep's codomains by restriction, walking the labeled _extensions
-tree once with no class at all.  Two independent routes
-exist for cross-checks: a naive filter over all candidate open-set
-families (small n ground truth) and a bit-plane transitive-relation
-counter.
+times its representative's extension count.  _extension_count reads
+that count off bitmaps, with no extension built: a popcount of the
+up-sets under each down-set's cap.  _trace_table counts the map sweep's
+codomains by restriction, walking the labeled _extensions tree once
+with no class at all.  It keeps rows only for as many blocks as a
+domain can have, and counts its last level by _extension_count where
+no row of that level is kept.  Two
+independent routes exist for cross-checks: a naive filter over all
+candidate open-set families (small n ground truth) and a bit-plane
+transitive-relation counter.
 """
 
 from collections import namedtuple
@@ -44,6 +48,7 @@ from .space import (
     _or_table,
     _point_planes,
     _sorted_opens,
+    _submasks,
     build_topology,
     full_mask,
     iter_points,
@@ -238,6 +243,24 @@ def _extensions(rows):
                 yield lowered + (new | u,)
 
 
+def _extension_count(rows) -> int:
+    """len(list(_extensions(rows))), with no preorder built.
+
+    The extensions over an up-set V are the up-sets inside cap(D), the
+    meet of the rows of its down-set D = full - V, and cap(D) is full
+    less the union of the rows' complements over D: one union table.
+    Per V, the up-sets' bitmap masked by the bitmap of cap(D)'s subsets
+    has one bit per extension, read by popcount (Warren, Hacker's
+    Delight, ch. 5).
+    """
+    full = full_mask(len(rows))
+    ups = up_sets(rows)
+    held = sum(1 << u for u in ups)
+    missed = _or_table([full ^ row for row in rows])
+    return sum((held & _submasks(full ^ missed[full ^ up])).bit_count()
+               for up in ups)
+
+
 def _row_levels(budget: EnumerationBudget):
     """Per size n = 0..budget.max_n, {canonical rows: orbit size} of
     every class on n points.
@@ -368,9 +391,9 @@ def count_topologies(n: int, budget: EnumerationBudget | None = None) -> int:
     n - 1 points carries the extensions of one preorder one to one onto
     those of the other, so every member of a class has as many
     extensions as its representative.  The count is the sum, over the
-    classes on n - 1 points, of orbit size times extension count: no
-    preorder on n points is put in canonical form or kept, and no
-    Topology is built.  The budget is checked as in enumerate_topologies:
+    classes on n - 1 points, of orbit size times extension count, read
+    off bitmaps by _extension_count: no preorder on n points is built,
+    and no Topology.  The budget is checked as in enumerate_topologies:
     size n is refused iff it has more than max_spaces topologies, and
     the sum stops at the first partial total above it.
     """
@@ -380,33 +403,41 @@ def count_topologies(n: int, budget: EnumerationBudget | None = None) -> int:
     total = 0
     for rows, orbit in _level(_row_levels(budget), n, budget,
                               size=n - 1).items():
-        total += orbit * sum(1 for _ in _extensions(rows))
+        total += orbit * _extension_count(rows)
         if total > budget.max_spaces:
             raise _refusal(n, budget)
     return total
 
 
-def _trace_table(cap: int):
-    """Per k <= cap, each preorder sigma on the points 0..k-1 (as its
-    opens) with N(ny, k, sigma) for every ny <= cap: the maps with a
-    given k-block fiber partition into a space on ny points whose opens
-    pull back to sigma on the blocks.
+def _trace_table(cap: int, blocks: int):
+    """Per k <= min(cap, blocks), each preorder sigma on the points
+    0..k-1 (as its opens) with N(ny, k, sigma) for every ny <= cap: the
+    maps with a given k-block fiber partition into a space on ny points
+    whose opens pull back to sigma on the blocks.
 
     A relabeling moves the image of the blocks to the points 0..k-1, and
     a subspace carries the restricted preorder, so N is (ny)_k times the
     labeled preorders on ny points that restrict to sigma: sigma's
     descendants on ny points in the tree of _extensions, walked once
     from the empty preorder.  No class, relabeling or injection is read.
+    A domain on at most blocks points has no partition into more blocks,
+    so no row is kept past them; where the cap lies past them, the walk
+    stops one point short of it and counts the last extensions by
+    _extension_count.
     """
-    table = [[] for _ in range(cap + 1)]
+    table = [[] for _ in range(min(cap, blocks) + 1)]
 
     def walk(rows):
         k = len(rows)
         below = [int(ny == k) for ny in range(cap + 1)]
-        for extended in _extensions(rows) if k < cap else ():
-            below = [a + b for a, b in zip(below, walk(extended))]
-        table[k].append((up_sets(rows), [perm(ny, k) * count
-                                         for ny, count in enumerate(below)]))
+        if k + 1 == cap > blocks:
+            below[cap] = _extension_count(rows)
+        elif k < cap:
+            for extended in _extensions(rows):
+                below = [a + b for a, b in zip(below, walk(extended))]
+        if k <= blocks:
+            table[k].append((up_sets(rows), [perm(ny, k) * count for ny,
+                                             count in enumerate(below)]))
         return below
 
     walk(())

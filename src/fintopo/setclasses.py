@@ -14,8 +14,8 @@ from functools import cache, cached_property, lru_cache, reduce, wraps
 from operator import and_, or_
 
 from .errors import GroundSetTooLarge
-from .space import (SubsetMask, Topology, _or_table, _point_planes, closure,
-                    interior, iter_points)
+from .space import (SubsetMask, Topology, _or_table, _point_planes,
+                    _submasks, closure, interior, iter_points)
 
 # class_table, and the CLI's classify commands, refuse ground sets with
 # more than this many subsets (more than 12 points).
@@ -158,14 +158,14 @@ def ic_set_subspace_bitmap(t: Topology) -> int:
     """Bitmap of the subsets a that is_ic_set_subspace accepts.
 
     The relative closed sets a - u over int a are those whose open u
-    misses int a, and int a is itself open: so per open w the OR miss[w]
-    of the opens missing w is taken once, and the relative closure of
-    int a in a is a - miss[int a].
+    misses int a, so the relative closure of int a in a is a less the
+    union of the opens missing int a.  The union of the opens missing w
+    is the largest open inside full - w: it is open and inside full - w,
+    and it holds every open inside full - w.  So it is int(full - w),
+    read off interior_table like int a.
     """
-    i = interior_table(t)
-    miss = {w: reduce(or_, [u for u in t.opens if u & w == 0])
-            for w in t.opens}
-    return sum(1 << a for a in t.subsets() if a & ~miss[i[a]] == i[a])
+    i, full = interior_table(t), t.full
+    return sum(1 << a for a in t.subsets() if a & ~i[full ^ i[a]] == i[a])
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +231,10 @@ def interior_table(t: Topology):
 
 
 def _semi_closed_sets(t: Topology):
-    """The subsets s with int cl s inside s, read off interior_table."""
+    """The subsets s with int cl s inside s, read off interior_table, in
+    ascending order."""
     i, full = interior_table(t), t.full
-    return [s for s in t.subsets() if i[full ^ i[full ^ s]] & ~s == 0]
+    return (s for s in t.subsets() if i[full ^ i[full ^ s]] & ~s == 0)
 
 
 def _semi_closure_planes(semi_closed: int, planes, ones: int):
@@ -347,8 +348,10 @@ def b_set_via_semi_closure_bitmap(t: Topology) -> int:
     semi_closed = sum(1 << s for s in _semi_closed_sets(t))
     e, ones = _planes(t.n), (1 << (1 << t.n)) - 1
     scl = _semi_closure_planes(semi_closed, e, ones)
-    smallest = [reduce(or_, [e[y] for y, m in enumerate(t.min_nbhd)
-                             if m >> x & 1]) for x in range(t.n)]
+    smallest = [0] * t.n
+    for y, nbhd in enumerate(t.min_nbhd):
+        for x in iter_points(nbhd):
+            smallest[x] |= e[y]
     return reduce(and_, [~(e[x] ^ (smallest[x] & scl[x]))
                          for x in range(t.n)], ones)
 
@@ -365,14 +368,13 @@ def semi_regular_sandwich_bitmap(t: Topology) -> int:
 
     Sandwich reformulation of semi-regularity, an OR of the intervals
     [u, cl u]; exhaustive agreement with is_semi_regular is a test target.
-    u is regular open iff u = int cl u, and full - cl u is int(full - u).
+    u is regular open iff u = int cl u, and cl u is full - int(full - u).
+    The interval holds the sets u + s for the subsets s of cl u - u, so
+    its bitmap is theirs shifted up by u.
     """
     i, full = interior_table(t), t.full
-    e, ones = _planes(t.n), (1 << (1 << t.n)) - 1
-    return reduce(or_, [
-        reduce(and_, [e[y] for y in iter_points(u)]
-               + [~e[y] for y in iter_points(i[full ^ u])], ones)
-        for u in t.opens if i[full ^ i[full ^ u]] == u], 0)
+    return reduce(or_, [_submasks(full ^ i[full ^ u] ^ u) << u
+                        for u in t.opens if i[full ^ i[full ^ u]] == u], 0)
 
 
 def is_semi_regular_sandwich(t: Topology, a: SubsetMask) -> bool:

@@ -52,6 +52,20 @@ def _or_table(values) -> list:
     return table
 
 
+def _submasks(mask: SubsetMask) -> int:
+    """The bitmap of the subsets of mask: bit s is set iff s is inside it.
+
+    Built by doubling on the low bits of mask: a subset holding the next
+    bit b is one without it, shifted up by b.
+    """
+    bits = 1
+    while mask:
+        low = mask & -mask
+        bits |= bits << low
+        mask ^= low
+    return bits
+
+
 def _point_planes(n: int):
     """E_y per point y over the 2^n subsets a: bit a of E_y is y in a.
 

@@ -648,12 +648,12 @@ def _partitions(n: int):
             yield head + (block,)
 
 
-def _fact_histograms(tx, traces):
-    """Per codomain size ny, {fact word: the number of maps from tx into
-    a space on ny points with that word}, one word per (fiber partition,
-    trace topology)."""
+def _fact_histograms(tx, traces, codomain_n):
+    """Per codomain size ny <= codomain_n, {fact word: the number of maps
+    from tx into a space on ny points with that word}, one word per
+    (fiber partition, trace topology)."""
     facts = _domain_facts(tx)
-    by_ny = [{} for _ in traces]
+    by_ny = [{} for _ in range(codomain_n + 1)]
     for blocks in _partitions(tx.n):
         k = max(blocks, default=-1) + 1
         if k >= len(traces):
@@ -693,13 +693,14 @@ def _map_histograms(domains, codomain_n):
     isomorphism class with its orbit size: the fact words are
     topological, so every labeled domain of an orbit has the same
     histogram.  Codomains range over the spaces on at most codomain_n
-    points, counted by _trace_table without being listed.  Past
+    points, counted by _trace_table without being listed, up to as many
+    blocks as the largest domain has points.  Past
     _POOL_MIN_CALLS _open_bits calls, they run on a pool of one worker
     per CPU this process may use, if more than one; multiprocessing is
     imported only then (see Pool).
     """
-    traces = _trace_table(codomain_n)
-    work = partial(_fact_histograms, traces=traces)
+    traces = _trace_table(codomain_n, len(domains) - 1)
+    work = partial(_fact_histograms, traces=traces, codomain_n=codomain_n)
     reps = [tx for level in domains for tx, _ in level]
     # one call per (representative, partition into k blocks, sigma on k)
     calls = sum(len(level) * len(traces[k]) for n, level in enumerate(domains)

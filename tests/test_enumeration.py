@@ -582,18 +582,48 @@ def test_count_refuses_like_the_labeled_oracle():
 
 def test_count_stops_at_the_first_total_past_the_cap(monkeypatch):
     # 6,942 fits the five-point level, and the six-point sum passes it
-    # before every five-point class is extended
+    # before every five-point class's extensions are counted
     extended = []
-    real = enumeration._extensions
+    real = enumeration._extension_count
 
     def counted(rows):
         extended.append(len(rows))
         return real(rows)
-    monkeypatch.setattr(enumeration, "_extensions", counted)
+    monkeypatch.setattr(enumeration, "_extension_count", counted)
     with pytest.raises(BudgetExceeded,
                        match="^more than 6942 topologies at n=6$"):
         count_topologies(6, EnumerationBudget(max_n=6, max_spaces=6942))
     assert 0 < extended.count(5) < CLASS_COUNTS[5]
+
+
+def _extension_counts_match(max_n):
+    budget = EnumerationBudget(max_n=max_n, max_spaces=10_000_000)
+    for level in enumeration._row_levels(budget):
+        for rows in level:
+            assert enumeration._extension_count(rows) == len(
+                list(enumeration._extensions(rows))), rows
+
+
+def test_extension_count_matches_the_extensions():
+    # every class on at most 6 points: 30,397 extensions on the last level
+    _extension_counts_match(6)
+
+
+@pytest.mark.skipif(not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")
+def test_extension_count_matches_the_extensions_n7():
+    _extension_counts_match(7)
+
+
+def test_count_extends_no_preorder_below_the_counted_size(monkeypatch):
+    # the five-point classes are built, and their extensions only counted
+    real = enumeration._extensions
+
+    def refuse_five(rows):
+        if len(rows) == 5:
+            raise AssertionError("a five-point preorder was extended")
+        return real(rows)
+    monkeypatch.setattr(enumeration, "_extensions", refuse_five)
+    assert count_topologies(6) == 209_527
 
 
 def test_class_budget_stops_inside_the_refused_size(monkeypatch):

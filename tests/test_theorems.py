@@ -1155,22 +1155,25 @@ def _no_classes(*args):
     raise AssertionError("the trace table reads no class or relabeling")
 
 
-@pytest.mark.parametrize("cap", [
-    5,
+@pytest.mark.parametrize("cap, blocks", [
+    (5, 5),
+    # the last level counted, not walked, and one level between unkept
+    (5, 3),
     # 216,859 labeled codomains; the oracle lists each one's traces
-    pytest.param(6, marks=pytest.mark.skipif(
+    pytest.param(6, 6, marks=pytest.mark.skipif(
         not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")),
 ])
-def test_trace_table_matches_labeled_oracle(monkeypatch, cap):
-    # N(ny, k, sigma) for every ny <= cap and k <= ny, from one walk of
-    # the labeled preorders against the labeled codomains' traces
+def test_trace_table_matches_labeled_oracle(monkeypatch, cap, blocks):
+    # N(ny, k, sigma) for every ny <= cap and k <= min(ny, blocks), from
+    # one walk of the labeled preorders against the labeled codomains'
+    # traces
     monkeypatch.setattr(enumeration, "_canonical", _no_classes)
     monkeypatch.setattr(enumeration, "_relabelings", _no_classes)
-    table = theorems._trace_table(cap)
+    table = theorems._trace_table(cap, blocks)
     keyed = [{frozenset(opens): counts for opens, counts in row}
              for row in table]
     assert [len(row) for row in keyed] == [len(row) for row in table]
-    assert keyed == labeled_trace_table(cap)
+    assert keyed == labeled_trace_table(cap)[:blocks + 1]
 
 
 @pytest.mark.parametrize("budget", [EnumerationBudget(max_n=3), CAPPED],
