@@ -39,6 +39,11 @@ and interquartile range of REPEATS runs:
   extensions of 139 classes that count_topologies(6) counts),
   extension_count_n5: the same count from enumeration._extension_count,
   which builds no extension, where the checkout has it,
+  grandchild_count_n4: the 18,356 six-point descendants of the 33
+  four-point classes (the extensions' extensions, which
+  count_topologies(6) weighs by orbit size) counted by
+  enumeration._grandchild_count, which builds no preorder, where the
+  checkout has it,
   class_tables_n6: every family bitmap of the 718 six-point classes,
   read from one ClassTable per chunk of CHUNK_SUBSETS >> 6 classes
   where the checkout has CHUNK_SUBSETS, else from one class_table per
@@ -63,7 +68,9 @@ and interquartile range of REPEATS runs:
   table reads them; trace_table_c5_b4: the rows of at most 4 blocks of
   the same table, the rows that domains on at most 4 points read, where
   the checkout's table takes the blocks, else the whole table as its
-  map sweep builds it;
+  map sweep builds it; trace_table_c6_b4: the rows of at most 4 blocks
+  for codomains on at most 6 points, where the checkout's table takes
+  the blocks;
 - cli_import: `import fintopo.cli` timed inside each of REPEATS fresh
   interpreters, with the package's bytecode compiled beforehand, and
   the number of modules that import adds: the start-up every CLI
@@ -131,8 +138,9 @@ CLASSIFY_SEED = 12
 PROFILE_SIZES = (7, 10, 12)
 PROFILE_MAPS = 6
 PROFILE_SEED = 18
-# codomain cap of the trace_table layers, and the blocks of the second
+# codomain caps of the trace_table layers, and the blocks of the last two
 TRACE_MAX_N = 5
+TRACE_WIDE_N = 6
 TRACE_BLOCKS = 4
 
 
@@ -318,25 +326,27 @@ def _extensions_counted(level):
     return sum(map(enumeration._extension_count, level))
 
 
-def _trace_table_call(blocks):
-    """theorems._trace_table for codomains on at most TRACE_MAX_N
-    points and partitions into at most blocks blocks, as (what it takes,
-    a call with no argument).  A table that takes no blocks gives every
-    row."""
+def _grandchildren_counted(level):
+    return sum(map(enumeration._grandchild_count, level))
+
+
+def _trace_table_call(blocks, cap=TRACE_MAX_N):
+    """theorems._trace_table for codomains on at most cap points and
+    partitions into at most blocks blocks, as (what it takes, a call
+    with no argument).  A table that takes no blocks gives every row."""
     table = theorems._trace_table
     if not hasattr(enumeration, "_trace_table"):
-        levels = list(enumeration._class_levels(
-            EnumerationBudget(max_n=TRACE_MAX_N)))
+        levels = list(enumeration._class_levels(EnumerationBudget(max_n=cap)))
         return "class levels", partial(table, levels)
     if table.__code__.co_argcount == 1:
-        return "cap", partial(table, TRACE_MAX_N)
-    return "cap and blocks", partial(table, TRACE_MAX_N, blocks)
+        return "cap", partial(table, cap)
+    return "cap and blocks", partial(table, cap, blocks)
 
 
-def _trace_table_layer(blocks):
-    takes, trace_table = _trace_table_call(blocks)
+def _trace_table_layer(blocks, cap=TRACE_MAX_N):
+    takes, trace_table = _trace_table_call(blocks, cap)
     return {
-        "codomain_max_n": TRACE_MAX_N,
+        "codomain_max_n": cap,
         "blocks": blocks,
         "takes": takes,
         "sigmas": sum(len(row) for row in trace_table()),
@@ -442,6 +452,13 @@ def layers():
                 "extensions": _extensions_counted(level),
                 **_timed(partial(_extensions_counted, level)),
             }
+        if hasattr(enumeration, "_grandchild_count"):
+            four = [t.min_nbhd for t, _ in classes(4)]
+            out["grandchild_count_n4"] = {
+                "classes": len(four),
+                "grandchildren": _grandchildren_counted(four),
+                **_timed(partial(_grandchildren_counted, four)),
+            }
         six = [t for t, _ in classes(6, EnumerationBudget(max_n=6))]
         out["class_tables_n6"] = {
             "classes": len(six),
@@ -481,6 +498,9 @@ def layers():
     }
     out["trace_table"] = _trace_table_layer(TRACE_MAX_N)
     out["trace_table_c5_b4"] = _trace_table_layer(TRACE_BLOCKS)
+    if _trace_table_call(TRACE_BLOCKS)[0] == "cap and blocks":
+        out["trace_table_c6_b4"] = _trace_table_layer(TRACE_BLOCKS,
+                                                      TRACE_WIDE_N)
     return out
 
 

@@ -20,17 +20,19 @@ within a size.  enumerate_isomorphism_classes gives them with the
 number of labeled topologies in each class.  enumerate_topologies lists
 the labeled members of every class, relabeled through one table per
 size (_relabelings), in canonical order.  count_topologies(n) counts
-from the classes one size down: every labeled preorder on n points is
-one of the _extensions of exactly one on the points 0..n-2, and a
-relabeling of those points carries one preorder's extensions one to one
-onto its image's, so each class on n - 1 points adds its orbit size
-times its representative's extension count.  _extension_count reads
-that count off bitmaps, with no extension built: a popcount of the
-up-sets under each down-set's cap.  _trace_table counts the map sweep's
-codomains by restriction, walking the labeled _extensions tree once
-with no class at all.  It keeps rows only for as many blocks as a
-domain can have, and counts its last level by _extension_count where
-no row of that level is kept.  Two
+from the classes two sizes down: every labeled preorder on n points is
+reached by two _extensions steps from exactly one on the points
+0..n-3, and a relabeling of those points carries one preorder's
+descendants one to one onto its image's, so each class on n - 2 points
+adds its orbit size times its representative's descendants on n
+points.  _extension_count reads the extensions off bitmaps, with no
+extension built: a popcount of the up-sets under each down-set's cap.
+_grandchild_count reads the extensions' extensions off the same
+bitmaps, since an extension's up-sets are read off its parent's.
+_trace_table counts the map sweep's codomains by restriction, walking
+the labeled _extensions tree once with no class at all.  It keeps rows
+only for as many blocks as a domain can have, and counts the last one
+or two levels by those counts where no row of them is kept.  Two
 independent routes exist for cross-checks: a naive filter over all
 candidate open-set families (small n ground truth) and a bit-plane
 transitive-relation counter.
@@ -261,6 +263,53 @@ def _extension_count(rows) -> int:
                for up in ups)
 
 
+def _grandchild_count(rows) -> int:
+    """sum(map(_extension_count, _extensions(rows))), with no preorder
+    built: the preorders on len(rows) + 2 points that restrict to rows.
+
+    Let U be the up-sets of rows, c(v) = cap(full - v) the meet of the
+    rows outside v (an up-set), and N(s) the number of w in U inside s
+    (below, <= is inclusion).
+    The extension e = (V, u), u in U inside c(V), puts the new point p
+    above full - V and below u, so its up-sets are the v in U inside V
+    and the v + p with v in U over u.  Reading _extension_count's sum
+    over each of them:
+
+        ext(e) = 1 + sum_{v in U, v <= V} N(c(v) & u & V)
+                   + sum_{v in U, v >= u} N(c(v) & V)
+                   + sum_{v in U, v >= u | V} #{w in U : u <= w <= c(v)}
+
+    where the 1 is V + p alone.  Summed over e, the 1s give
+    _extension_count(rows); the third sum, over u, gives
+    N(c(v) & V) * N(c(V) & v) per pair (V, v).  w <= c(v) holds iff v
+    holds a(w), the points not below every point of w, so the second
+    sum, grouped by (V, w) with w inside V, is #{v in U : a(w) <= v <=
+    V} * #{u in U : w <= u <= c(V)}; the fourth, grouped by (v, u), is
+    the same sum with the names changed.  Each interval count is a
+    popcount of the up-sets' bitmap masked by one up-set's subsets and
+    another's supersets.
+    """
+    m = len(rows)
+    full = full_mask(m)
+    ups = up_sets(rows)
+    held = sum(1 << u for u in ups)
+    missed = _or_table([full ^ row for row in rows])
+    cap = {v: full ^ missed[full ^ v] for v in ups}
+    # beyond[w] = a(w), the union over y in w of the points not below y
+    beyond = _or_table([full ^ sum((row >> y & 1) << x
+                                   for x, row in enumerate(rows))
+                        for y in range(m)])
+    inside = {v: held & _submasks(v) for v in ups}
+    over = {w: held & (_submasks(full ^ w) << w) for w in ups}
+    count = {v: bits.bit_count() for v, bits in inside.items()}
+    pairs = sum(count[cap[v] & up] * count[cap[up] & v]
+                for up in ups for v in ups)
+    between = sum((over[beyond[w]] & inside[up]).bit_count()
+                  * (over[w] & inside[cap[up]]).bit_count()
+                  for up in ups for w in ups if w & ~up == 0)
+    return sum(count[cap[up]] for up in ups) + pairs + 2 * between
+
+
 def _row_levels(budget: EnumerationBudget):
     """Per size n = 0..budget.max_n, {canonical rows: orbit size} of
     every class on n points.
@@ -387,23 +436,25 @@ def count_topologies(n: int, budget: EnumerationBudget | None = None) -> int:
     """The number of topologies on n labeled points, without listing them.
 
     Each labeled preorder on n points restricts to exactly one on the
-    points 0..n-2 and is one of its _extensions.  A relabeling of those
-    n - 1 points carries the extensions of one preorder one to one onto
-    those of the other, so every member of a class has as many
-    extensions as its representative.  The count is the sum, over the
-    classes on n - 1 points, of orbit size times extension count, read
-    off bitmaps by _extension_count: no preorder on n points is built,
+    points 0..n-3, and is reached from it by two _extensions steps in one
+    way only.  A relabeling of those n - 2 points carries the extensions
+    of one preorder one to one onto those of its image, and, fixing the
+    point n - 2, each extension's extensions onto its image's, so every
+    member of a class has as many descendants on n points as its
+    representative.  The
+    count is the sum, over the classes on n - 2 points, of orbit size
+    times _grandchild_count: no preorder on n - 1 or n points is built,
     and no Topology.  The budget is checked as in enumerate_topologies:
     size n is refused iff it has more than max_spaces topologies, and
     the sum stops at the first partial total above it.
     """
     budget = _checked_budget(n, budget)
-    if n == 0:
+    if n < 2:
         return 1
     total = 0
     for rows, orbit in _level(_row_levels(budget), n, budget,
-                              size=n - 1).items():
-        total += orbit * _extension_count(rows)
+                              size=n - 2).items():
+        total += orbit * _grandchild_count(rows)
         if total > budget.max_spaces:
             raise _refusal(n, budget)
     return total
@@ -421,16 +472,20 @@ def _trace_table(cap: int, blocks: int):
     descendants on ny points in the tree of _extensions, walked once
     from the empty preorder.  No class, relabeling or injection is read.
     A domain on at most blocks points has no partition into more blocks,
-    so no row is kept past them; where the cap lies past them, the walk
-    stops one point short of it and counts the last extensions by
-    _extension_count.
+    so no row is kept past them.  Where the cap lies two or more points
+    past them, the walk stops two points short of it and counts the last
+    two levels by _extension_count and _grandchild_count; where it lies
+    one point past them, it stops one point short and counts the last.
     """
     table = [[] for _ in range(min(cap, blocks) + 1)]
 
     def walk(rows):
         k = len(rows)
         below = [int(ny == k) for ny in range(cap + 1)]
-        if k + 1 == cap > blocks:
+        if k + 2 == cap >= blocks + 2:
+            below[cap - 1] = _extension_count(rows)
+            below[cap] = _grandchild_count(rows)
+        elif k + 1 == cap > blocks:
             below[cap] = _extension_count(rows)
         elif k < cap:
             for extended in _extensions(rows):

@@ -58,8 +58,8 @@ def test_count_builds_no_topology(monkeypatch):
 
 
 def test_count_canonicalizes_nothing_at_the_counted_size(monkeypatch):
-    # the count extends the classes one size down and only counts the
-    # extensions; the sum of orbit sizes at size n is its oracle
+    # the count builds the classes two sizes down and only counts their
+    # descendants; the sum of orbit sizes at size n is its oracle
     canonical, tables = [], []
     real_canonical, real_relabelings = (enumeration._canonical,
                                         enumeration._relabelings)
@@ -79,9 +79,9 @@ def test_count_canonicalizes_nothing_at_the_counted_size(monkeypatch):
             patch.setattr(enumeration, "_canonical", spied_canonical)
             patch.setattr(enumeration, "_relabelings", spied_relabelings)
             count = count_topologies(n)
-        assert all(size < n for size in canonical + tables)
-        if n > 1:  # the spies see the level below
-            assert n - 1 in canonical and n - 1 in tables
+        assert all(size < n - 1 for size in canonical + tables)
+        if n > 2:  # the spies see the level two below
+            assert n - 2 in canonical and n - 2 in tables
         classes = enumerate_isomorphism_classes(n)
         assert count == sum(orbit for _, orbit in classes)
         if n <= 5:
@@ -420,10 +420,11 @@ def test_n8_count():
 
 @pytest.mark.skipif(not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")
 def test_n9_count_in_bounded_memory():
-    # the eight-point classes are built, the nine-point ones only counted
+    # the seven-point classes are built, the eight- and nine-point ones
+    # only counted
     count, peak_kib = _count_in_child(9)
     assert count == 63_260_289_423
-    assert peak_kib < 200 * 1024
+    assert peak_kib < 64 * 1024
 
 
 # homeomorphism classes of topologies for n = 0..6, OEIS A001930
@@ -582,18 +583,18 @@ def test_count_refuses_like_the_labeled_oracle():
 
 def test_count_stops_at_the_first_total_past_the_cap(monkeypatch):
     # 6,942 fits the five-point level, and the six-point sum passes it
-    # before every five-point class's extensions are counted
-    extended = []
-    real = enumeration._extension_count
+    # before every four-point class's descendants are counted
+    counted = []
+    real = enumeration._grandchild_count
 
-    def counted(rows):
-        extended.append(len(rows))
+    def spied(rows):
+        counted.append(len(rows))
         return real(rows)
-    monkeypatch.setattr(enumeration, "_extension_count", counted)
+    monkeypatch.setattr(enumeration, "_grandchild_count", spied)
     with pytest.raises(BudgetExceeded,
                        match="^more than 6942 topologies at n=6$"):
         count_topologies(6, EnumerationBudget(max_n=6, max_spaces=6942))
-    assert 0 < extended.count(5) < CLASS_COUNTS[5]
+    assert 0 < counted.count(4) < CLASS_COUNTS[4]
 
 
 def _extension_counts_match(max_n):
@@ -614,15 +615,35 @@ def test_extension_count_matches_the_extensions_n7():
     _extension_counts_match(7)
 
 
+def _grandchild_counts_match(max_n):
+    budget = EnumerationBudget(max_n=max_n, max_spaces=10_000_000)
+    for level in enumeration._row_levels(budget):
+        for rows in level:
+            assert enumeration._grandchild_count(rows) == sum(map(
+                enumeration._extension_count,
+                enumeration._extensions(rows))), rows
+
+
+def test_grandchild_count_matches_the_extensions():
+    # every class on at most 5 points: 3,920 extensions and 179,012
+    # extensions of those on the last level
+    _grandchild_counts_match(5)
+
+
+@pytest.mark.skipif(not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")
+def test_grandchild_count_matches_the_extensions_n6():
+    _grandchild_counts_match(6)
+
+
 def test_count_extends_no_preorder_below_the_counted_size(monkeypatch):
-    # the five-point classes are built, and their extensions only counted
+    # the four-point classes are built, and their descendants only counted
     real = enumeration._extensions
 
-    def refuse_five(rows):
-        if len(rows) == 5:
-            raise AssertionError("a five-point preorder was extended")
+    def refuse_four_or_five(rows):
+        if len(rows) in (4, 5):
+            raise AssertionError(f"a {len(rows)}-point preorder was extended")
         return real(rows)
-    monkeypatch.setattr(enumeration, "_extensions", refuse_five)
+    monkeypatch.setattr(enumeration, "_extensions", refuse_four_or_five)
     assert count_topologies(6) == 209_527
 
 

@@ -1157,10 +1157,17 @@ def _no_classes(*args):
 
 @pytest.mark.parametrize("cap, blocks", [
     (5, 5),
-    # the last level counted, not walked, and one level between unkept
+    # the last level counted, not walked
+    (5, 4),
+    # the last two levels counted, not walked, with nothing between
     (5, 3),
+    (4, 2),
+    # and with one level walked but unkept
+    (5, 2),
     # 216,859 labeled codomains; the oracle lists each one's traces
     pytest.param(6, 6, marks=pytest.mark.skipif(
+        not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")),
+    pytest.param(6, 4, marks=pytest.mark.skipif(
         not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")),
 ])
 def test_trace_table_matches_labeled_oracle(monkeypatch, cap, blocks):
