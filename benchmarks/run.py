@@ -498,7 +498,7 @@ def layers():
     }
     out["trace_table"] = _trace_table_layer(TRACE_MAX_N)
     out["trace_table_c5_b4"] = _trace_table_layer(TRACE_BLOCKS)
-    if _trace_table_call(TRACE_BLOCKS)[0] == "cap and blocks":
+    if theorems._trace_table.__code__.co_argcount == 2:  # takes blocks
         out["trace_table_c6_b4"] = _trace_table_layer(TRACE_BLOCKS,
                                                       TRACE_WIDE_N)
     return out

@@ -625,8 +625,8 @@ def _grandchild_counts_match(max_n):
 
 
 def test_grandchild_count_matches_the_extensions():
-    # every class on at most 5 points: 3,920 extensions and 179,012
-    # extensions of those on the last level
+    # every class on at most 5 points: on the last level, 3,920
+    # extensions with 179,012 extensions of their own
     _grandchild_counts_match(5)
 
 
