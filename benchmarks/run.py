@@ -37,13 +37,15 @@ and interquartile range of REPEATS runs:
   since the default budget refuses n=7), extensions_n5: one
   enumeration._extensions pass over the five-point classes (the 3,920
   extensions of 139 classes that count_topologies(6) counts),
-  extension_count_n5: the same count from enumeration._extension_count,
-  which builds no extension, where the checkout has it,
-  grandchild_count_n4: the 18,356 six-point descendants of the 33
-  four-point classes (the extensions' extensions, which
-  count_topologies(6) weighs by orbit size) counted by
-  enumeration._grandchild_count, which builds no preorder, where the
-  checkout has it,
+  extension_count_n5: the same count with no extension built, from
+  enumeration._descendant_counts(rows, 1), or from _extension_count on
+  a checkout that has it instead, grandchild_count_n4: the 18,356
+  six-point descendants of the 33 four-point classes (the extensions'
+  extensions, which count_topologies(6) weighs by orbit size) with no
+  preorder built, from _descendant_counts(rows, 2), or from
+  _grandchild_count on a checkout that has it instead (each entry is
+  left out where the checkout has neither routine, and names the one
+  it read),
   class_tables_n6: every family bitmap of the 718 six-point classes,
   read from one ClassTable per chunk of CHUNK_SUBSETS >> 6 classes
   where the checkout has CHUNK_SUBSETS, else from one class_table per
@@ -322,12 +324,32 @@ def _extensions_listed(level):
     return sum(1 for rows in level for _ in enumeration._extensions(rows))
 
 
-def _extensions_counted(level):
-    return sum(map(enumeration._extension_count, level))
+def _counted(count, level):
+    return sum(map(count, level))
 
 
-def _grandchildren_counted(level):
-    return sum(map(enumeration._grandchild_count, level))
+def _tree_count_layer(depth, level, counted):
+    """The preorders depth levels below level's rows in the _extensions
+    tree, counted with none built: by enumeration._descendant_counts,
+    or, on a checkout that has it instead, by _extension_count (depth 1)
+    or _grandchild_count (depth 2).  None where it has neither."""
+    counts = getattr(enumeration, "_descendant_counts", None)
+    if counts is not None:
+        routine = "_descendant_counts"
+
+        def count(rows):
+            return counts(rows, depth)[-1]
+    else:
+        routine = ("_extension_count", "_grandchild_count")[depth - 1]
+        count = getattr(enumeration, routine, None)
+        if count is None:
+            return None
+    return {
+        "routine": routine,
+        "classes": len(level),
+        counted: _counted(count, level),
+        **_timed(partial(_counted, count, level)),
+    }
 
 
 def _trace_table_call(blocks, cap=TRACE_MAX_N):
@@ -446,19 +468,13 @@ def layers():
             "extensions": _extensions_listed(level),
             **_timed(partial(_extensions_listed, level)),
         }
-        if hasattr(enumeration, "_extension_count"):
-            out["extension_count_n5"] = {
-                "classes": len(level),
-                "extensions": _extensions_counted(level),
-                **_timed(partial(_extensions_counted, level)),
-            }
-        if hasattr(enumeration, "_grandchild_count"):
-            four = [t.min_nbhd for t, _ in classes(4)]
-            out["grandchild_count_n4"] = {
-                "classes": len(four),
-                "grandchildren": _grandchildren_counted(four),
-                **_timed(partial(_grandchildren_counted, four)),
-            }
+        four = [t.min_nbhd for t, _ in classes(4)]
+        for name, depth, rows, counted in (
+                ("extension_count_n5", 1, level, "extensions"),
+                ("grandchild_count_n4", 2, four, "grandchildren")):
+            entry = _tree_count_layer(depth, rows, counted)
+            if entry is not None:
+                out[name] = entry
         six = [t for t, _ in classes(6, EnumerationBudget(max_n=6))]
         out["class_tables_n6"] = {
             "classes": len(six),

@@ -25,17 +25,16 @@ reached by two _extensions steps from exactly one on the points
 0..n-3, and a relabeling of those points carries one preorder's
 descendants one to one onto its image's, so each class on n - 2 points
 adds its orbit size times its representative's descendants on n
-points.  _extension_count reads the extensions off bitmaps, with no
-extension built: a popcount of the up-sets under each down-set's cap.
-_grandchild_count reads the extensions' extensions off the same
-bitmaps, since an extension's up-sets are read off its parent's.
-_trace_table counts the map sweep's codomains by restriction, walking
-the labeled _extensions tree once with no class at all.  It keeps rows
-only for as many blocks as a domain can have, and counts the last one
-or two levels by those counts where no row of them is kept.  Two
-independent routes exist for cross-checks: a naive filter over all
-candidate open-set families (small n ground truth) and a bit-plane
-transitive-relation counter.
+points.  _descendant_counts reads one or two levels of that tree off
+up-set bitmaps, with no preorder built: a popcount of the up-sets
+under each down-set's cap, and the same read off the parent's bitmaps
+for the extensions' extensions.  _trace_table counts the map sweep's
+codomains by restriction, walking the labeled _extensions tree once
+with no class at all.  It keeps rows only for as many blocks as a
+domain can have, and counts the last one or two levels where no row
+of them is kept.  Two independent routes exist for cross-checks: a
+naive filter over all candidate open-set families (small n ground
+truth) and a bit-plane transitive-relation counter.
 """
 
 from collections import namedtuple
@@ -245,55 +244,47 @@ def _extensions(rows):
                 yield lowered + (new | u,)
 
 
-def _extension_count(rows) -> int:
-    """len(list(_extensions(rows))), with no preorder built.
-
-    The extensions over an up-set V are the up-sets inside cap(D), the
-    meet of the rows of its down-set D = full - V, and cap(D) is full
-    less the union of the rows' complements over D: one union table.
-    Per V, the up-sets' bitmap masked by the bitmap of cap(D)'s subsets
-    has one bit per extension, read by popcount (Warren, Hacker's
-    Delight, ch. 5).
-    """
-    full = full_mask(len(rows))
-    ups = up_sets(rows)
-    held = sum(1 << u for u in ups)
-    missed = _or_table([full ^ row for row in rows])
-    return sum((held & _submasks(full ^ missed[full ^ up])).bit_count()
-               for up in ups)
-
-
-def _grandchild_count(rows) -> int:
-    """sum(map(_extension_count, _extensions(rows))), with no preorder
-    built: the preorders on len(rows) + 2 points that restrict to rows.
+def _descendant_counts(rows, depth: int):
+    """The preorders on len(rows) + 1 points that restrict to rows, and
+    for depth 2 those on len(rows) + 2 points too, as [children] or
+    [children, grandchildren], with no preorder built.
 
     Let U be the up-sets of rows, c(v) = cap(full - v) the meet of the
     rows outside v (an up-set), and N(s) the number of w in U inside s
-    (below, <= is inclusion).
-    The extension e = (V, u), u in U inside c(V), puts the new point p
-    above full - V and below u, so its up-sets are the v in U inside V
-    and the v + p with v in U over u.  Reading _extension_count's sum
-    over each of them:
+    (below, <= is inclusion).  c(v) is full less the union of the rows'
+    complements over full - v: one union table.
+
+    The extensions over V in U are the u in U inside c(V), so the
+    children are sum_{V in U} N(c(V)): per V, a popcount of the up-sets'
+    bitmap masked by the bitmap of c(V)'s subsets (Warren, Hacker's
+    Delight, ch. 5).
+
+    The extension e = (V, u) puts the new point p above full - V and
+    below u, so its up-sets are the v in U inside V and the v + p with v
+    in U over u.  Its own children, read as above over each of them:
 
         ext(e) = 1 + sum_{v in U, v <= V} N(c(v) & u & V)
                    + sum_{v in U, v >= u} N(c(v) & V)
                    + sum_{v in U, v >= u | V} #{w in U : u <= w <= c(v)}
 
-    where the 1 is V + p alone.  Summed over e, the 1s give
-    _extension_count(rows); the third sum, over u, gives
-    N(c(v) & V) * N(c(V) & v) per pair (V, v).  w <= c(v) holds iff v
-    holds a(w), the points not below every point of w, so the second
-    sum, grouped by (V, w) with w inside V, is #{v in U : a(w) <= v <=
-    V} * #{u in U : w <= u <= c(V)}; the fourth, grouped by (v, u), is
-    the same sum with the names changed.  Each interval count is a
-    popcount of the up-sets' bitmap masked by one up-set's subsets and
-    another's supersets.
+    where the 1 is V + p alone.  Summed over e, the 1s give the
+    children; the third sum, over u, gives N(c(v) & V) * N(c(V) & v) per
+    pair (V, v).  w <= c(v) holds iff v holds a(w), the points not below
+    every point of w, so the second sum, grouped by (V, w) with w inside
+    V, is #{v in U : a(w) <= v <= V} * #{u in U : w <= u <= c(V)}; the
+    fourth, grouped by (v, u), is the same sum with the names changed.
+    Each interval count is a popcount of the up-sets' bitmap masked by
+    one up-set's subsets and another's supersets.
     """
     m = len(rows)
     full = full_mask(m)
     ups = up_sets(rows)
     held = sum(1 << u for u in ups)
     missed = _or_table([full ^ row for row in rows])
+    children = sum((held & _submasks(full ^ missed[full ^ up])).bit_count()
+                   for up in ups)
+    if depth == 1:
+        return [children]
     cap = {v: full ^ missed[full ^ v] for v in ups}
     # beyond[w] = a(w), the union over y in w of the points not below y
     beyond = _or_table([full ^ sum((row >> y & 1) << x
@@ -302,12 +293,12 @@ def _grandchild_count(rows) -> int:
     inside = {v: held & _submasks(v) for v in ups}
     over = {w: held & (_submasks(full ^ w) << w) for w in ups}
     count = {v: bits.bit_count() for v, bits in inside.items()}
-    pairs = sum(count[cap[v] & up] * count[cap[up] & v]
-                for up in ups for v in ups)
+    pairs = sum(count[cap[v] & up] * count[c & v]
+                for up, c in cap.items() for v in ups)
     between = sum((over[beyond[w]] & inside[up]).bit_count()
-                  * (over[w] & inside[cap[up]]).bit_count()
-                  for up in ups for w in ups if w & ~up == 0)
-    return sum(count[cap[up]] for up in ups) + pairs + 2 * between
+                  * (over[w] & inside[c]).bit_count()
+                  for up, c in cap.items() for w in ups if w & ~up == 0)
+    return [children, children + pairs + 2 * between]
 
 
 def _row_levels(budget: EnumerationBudget):
@@ -441,12 +432,12 @@ def count_topologies(n: int, budget: EnumerationBudget | None = None) -> int:
     of one preorder one to one onto those of its image, and, fixing the
     point n - 2, each extension's extensions onto its image's, so every
     member of a class has as many descendants on n points as its
-    representative.  The
-    count is the sum, over the classes on n - 2 points, of orbit size
-    times _grandchild_count: no preorder on n - 1 or n points is built,
-    and no Topology.  The budget is checked as in enumerate_topologies:
-    size n is refused iff it has more than max_spaces topologies, and
-    the sum stops at the first partial total above it.
+    representative.  The count is the sum, over the classes on n - 2
+    points, of orbit size times the representative's grandchildren
+    (_descendant_counts): no preorder on n - 1 or n points is built, and
+    no Topology.  The budget is checked as in enumerate_topologies: size
+    n is refused iff it has more than max_spaces topologies, and the sum
+    stops at the first partial total above it.
     """
     budget = _checked_budget(n, budget)
     if n < 2:
@@ -454,7 +445,7 @@ def count_topologies(n: int, budget: EnumerationBudget | None = None) -> int:
     total = 0
     for rows, orbit in _level(_row_levels(budget), n, budget,
                               size=n - 2).items():
-        total += orbit * _grandchild_count(rows)
+        total += orbit * _descendant_counts(rows, 2)[1]
         if total > budget.max_spaces:
             raise _refusal(n, budget)
     return total
@@ -472,21 +463,18 @@ def _trace_table(cap: int, blocks: int):
     descendants on ny points in the tree of _extensions, walked once
     from the empty preorder.  No class, relabeling or injection is read.
     A domain on at most blocks points has no partition into more blocks,
-    so no row is kept past them.  Where the cap lies two or more points
-    past them, the walk stops two points short of it and counts the last
-    two levels by _extension_count and _grandchild_count; where it lies
-    one point past them, it stops one point short and counts the last.
+    so no row is kept past them: a node on k points with max(blocks,
+    cap - 2) <= k < cap walks no child, and its descendants on the
+    cap - k levels up to cap are read from _descendant_counts.
     """
     table = [[] for _ in range(min(cap, blocks) + 1)]
+    leaf = max(blocks, cap - 2)
 
     def walk(rows):
         k = len(rows)
         below = [int(ny == k) for ny in range(cap + 1)]
-        if k + 2 == cap >= blocks + 2:
-            below[cap - 1] = _extension_count(rows)
-            below[cap] = _grandchild_count(rows)
-        elif k + 1 == cap > blocks:
-            below[cap] = _extension_count(rows)
+        if leaf <= k < cap:
+            below[k + 1:] = _descendant_counts(rows, cap - k)
         elif k < cap:
             for extended in _extensions(rows):
                 below = [a + b for a, b in zip(below, walk(extended))]

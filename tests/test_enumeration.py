@@ -380,7 +380,7 @@ _COUNT_CHILD = """
 import resource, sys
 from fintopo import EnumerationBudget, count_topologies
 n = int(sys.argv[1])
-budget = EnumerationBudget(max_n=n, max_spaces=10**12)
+budget = EnumerationBudget(max_n=n, max_spaces=10**13)
 print(count_topologies(n, budget))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
@@ -405,7 +405,7 @@ def _count_in_child(n):
     return int(out[0]), int(out[1])
 
 
-# labeled topologies for n = 7, 8, 9, OEIS A000798
+# labeled topologies for n = 7, 8, 9, 10, OEIS A000798
 @pytest.mark.skipif(not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")
 def test_n7_count_in_bounded_memory():
     count, peak_kib = _count_in_child(7)
@@ -425,6 +425,14 @@ def test_n9_count_in_bounded_memory():
     count, peak_kib = _count_in_child(9)
     assert count == 63_260_289_423
     assert peak_kib < 64 * 1024
+
+
+@pytest.mark.skipif(not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")
+def test_n10_count_in_bounded_memory():
+    # the eight-point classes are built, most of the peak _relabelings(8)
+    count, peak_kib = _count_in_child(10)
+    assert count == 8_977_053_873_043
+    assert peak_kib < 160 * 1024
 
 
 # homeomorphism classes of topologies for n = 0..6, OEIS A001930
@@ -585,54 +593,74 @@ def test_count_stops_at_the_first_total_past_the_cap(monkeypatch):
     # 6,942 fits the five-point level, and the six-point sum passes it
     # before every four-point class's descendants are counted
     counted = []
-    real = enumeration._grandchild_count
+    real = enumeration._descendant_counts
 
-    def spied(rows):
+    def spied(rows, depth):
         counted.append(len(rows))
-        return real(rows)
-    monkeypatch.setattr(enumeration, "_grandchild_count", spied)
+        return real(rows, depth)
+    monkeypatch.setattr(enumeration, "_descendant_counts", spied)
     with pytest.raises(BudgetExceeded,
                        match="^more than 6942 topologies at n=6$"):
         count_topologies(6, EnumerationBudget(max_n=6, max_spaces=6942))
     assert 0 < counted.count(4) < CLASS_COUNTS[4]
 
 
-def _extension_counts_match(max_n):
+def _children(rows):
+    return len(list(enumeration._extensions(rows)))
+
+
+def _descendant_counts_match(depth, max_n):
+    # counted with _extensions alone, not through the routine under test
     budget = EnumerationBudget(max_n=max_n, max_spaces=10_000_000)
     for level in enumeration._row_levels(budget):
         for rows in level:
-            assert enumeration._extension_count(rows) == len(
-                list(enumeration._extensions(rows))), rows
+            want = [_children(rows)]
+            got = enumeration._descendant_counts(rows, depth)
+            if depth == 2:
+                want.append(sum(map(_children,
+                                    enumeration._extensions(rows))))
+                assert got[:1] == enumeration._descendant_counts(rows, 1)
+            assert got == want, rows
 
 
-def test_extension_count_matches_the_extensions():
+@pytest.mark.parametrize("depth, max_n", [
     # every class on at most 6 points: 30,397 extensions on the last level
-    _extension_counts_match(6)
-
-
-@pytest.mark.skipif(not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")
-def test_extension_count_matches_the_extensions_n7():
-    _extension_counts_match(7)
-
-
-def _grandchild_counts_match(max_n):
-    budget = EnumerationBudget(max_n=max_n, max_spaces=10_000_000)
-    for level in enumeration._row_levels(budget):
-        for rows in level:
-            assert enumeration._grandchild_count(rows) == sum(map(
-                enumeration._extension_count,
-                enumeration._extensions(rows))), rows
-
-
-def test_grandchild_count_matches_the_extensions():
+    (1, 6),
+    pytest.param(1, 7, marks=pytest.mark.skipif(
+        not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")),
     # every class on at most 5 points: on the last level, 3,920
     # extensions with 179,012 extensions of their own
-    _grandchild_counts_match(5)
+    (2, 5),
+    pytest.param(2, 6, marks=pytest.mark.skipif(
+        not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")),
+])
+def test_descendant_counts_match_the_extensions(depth, max_n):
+    # depth 1 gives [children], depth 2 [children, grandchildren], so the
+    # first entry at depth 2 is depth 1's
+    _descendant_counts_match(depth, max_n)
 
 
-@pytest.mark.skipif(not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable")
-def test_grandchild_count_matches_the_extensions_n6():
-    _grandchild_counts_match(6)
+@pytest.mark.parametrize("cap, blocks", [
+    (3, 3), (4, 4), (5, 4), (5, 3), (4, 2), (5, 2),
+    (0, 0), (1, 0), (2, 0), (3, 0),
+])
+def test_trace_walk_counts_one_level_of_leaves(monkeypatch, cap, blocks):
+    # the walk counts, and walks no further from, every preorder on
+    # k = max(blocks, cap - 2) points when k < cap, for the cap - k
+    # levels up to cap; it counts nothing where cap <= blocks
+    calls = []
+    real = enumeration._descendant_counts
+
+    def spied(rows, depth):
+        calls.append((len(rows), depth))
+        return real(rows, depth)
+    monkeypatch.setattr(enumeration, "_descendant_counts", spied)
+    enumeration._trace_table(cap, blocks)
+    k = max(blocks, cap - 2)
+    if cap <= blocks:
+        assert calls == []
+    else:
+        assert calls == [(k, cap - k)] * KNOWN_COUNTS[k]
 
 
 def test_count_extends_no_preorder_below_the_counted_size(monkeypatch):

@@ -492,21 +492,29 @@ def test_class_table_projects_existential_bitmaps_on_first_read(monkeypatch):
 
 
 BIG = os.environ.get("FINTOPO_BIG_SWEEPS") == "1"
-_ALL_SPACES = EnumerationBudget(max_n=7, max_spaces=10**7)
+_ALL_SPACES = EnumerationBudget(max_n=8, max_spaces=10**9)
+# 2,000 of the 35,979 classes on 8 points (OEIS A001930), drawn by this seed
+_SAMPLE_SEED = 8
 
 
-def _chunk_spaces(n, classes_only=False):
-    """Every labeled space on n points, or one per isomorphism class."""
-    if classes_only:
-        return [t for t, _ in enumerate_isomorphism_classes(n, _ALL_SPACES)]
-    return list(enumerate_topologies(n, _ALL_SPACES))
+def _chunk_spaces(n, classes=False):
+    """Every labeled space on n points (classes False), one per
+    isomorphism class (True), or a seeded sample of that many classes."""
+    if classes is False:
+        return list(enumerate_topologies(n, _ALL_SPACES))
+    found = [t for t, _ in enumerate_isomorphism_classes(n, _ALL_SPACES)]
+    if classes is True:
+        return found
+    # the classes come in no promised order, so draw from them sorted
+    found.sort(key=lambda t: t.min_nbhd)
+    return random.Random(_SAMPLE_SEED).sample(found, classes)
 
 
 _SIZES = [
     *((n, False) for n in range(6)),
     *(pytest.param(n, classes, marks=pytest.mark.skipif(
         not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable"))
-      for n, classes in ((6, False), (7, True))),
+      for n, classes in ((6, False), (7, True), (8, 2000))),
 ]
 
 
@@ -522,15 +530,16 @@ def _blocks(spaces, sizes):
         yield spaces[start:start + step]
 
 
-@pytest.mark.parametrize("n, classes_only", _SIZES)
-def test_chunk_bitmaps_match_one_space_tables(n, classes_only):
+@pytest.mark.parametrize("n, classes", _SIZES)
+def test_chunk_bitmaps_match_one_space_tables(n, classes):
     # every one of the 19 bitmaps of a chunk of K spaces is, segment by
     # segment, that of each space's own table, for K = 1, 2, 3 and the
     # whole level (the sweep's chunk where the level is wider than
     # _WHOLE_LEVEL_BITS): so no fold mask, projection or shift reaches
     # into a neighbouring segment.  Every labeled space on at most five
-    # points (opt-in: six, and every class on seven).
-    spaces = _chunk_spaces(n, classes_only)
+    # points (opt-in: six, every class on seven, and 2,000 seeded
+    # classes on eight).
+    spaces = _chunk_spaces(n, classes)
     whole = len(spaces)
     if whole << n > _WHOLE_LEVEL_BITS:
         whole = CHUNK_SUBSETS >> n
@@ -559,21 +568,21 @@ def _planes_per_space(planes, n, count):
             for k in range(count)]
 
 
-@pytest.mark.parametrize("n, classes_only", [
+@pytest.mark.parametrize("n, classes", [
     *((n, False) for n in range(6)),
     (6, True),
     *(pytest.param(n, classes, marks=pytest.mark.skipif(
         not BIG, reason="set FINTOPO_BIG_SWEEPS=1 to enable"))
-      for n, classes in ((6, False), (7, True))),
+      for n, classes in ((6, False), (7, True), (8, 2000))),
 ])
-def test_semi_closure_planes_match_semi_closures(n, classes_only):
+def test_semi_closure_planes_match_semi_closures(n, classes):
     # the planes "x in sCl a" of a whole level (in runs of
     # _WHOLE_LEVEL_BITS where it is wider), pushed from its SEMI_CLOSED
     # bitmap, against the per-subset fold over the semi-closed family of
     # each space: every labeled space on at most five points and every
-    # class on six (opt-in: every labeled space on six and every class
-    # on seven)
-    spaces = _chunk_spaces(n, classes_only)
+    # class on six (opt-in: every labeled space on six, every class on
+    # seven, and 2,000 seeded classes on eight)
+    spaces = _chunk_spaces(n, classes)
     moved = 0
     for part in _blocks(spaces, [_WHOLE_LEVEL_BITS >> n]):
         chunk = ClassTable(part)
