@@ -76,7 +76,11 @@ and interquartile range of REPEATS runs:
 - cli_import: `import fintopo.cli` timed inside each of REPEATS fresh
   interpreters, with the package's bytecode compiled beforehand, and
   the number of modules that import adds: the start-up every CLI
-  command pays before it checks anything.
+  command pays before it checks anything;
+- cli_first_call: the first main(["enumerate", "--n", "0",
+  "--count-only"]) after `import fintopo.cli`, timed inside each of
+  REPEATS fresh interpreters, and the modules that call adds: the
+  argument parsing every CLI command pays, with next to no work.
 
 Every timed run starts after a garbage collection, with empty
 class_table and interior_table caches, so that no entry reads state an
@@ -399,19 +403,44 @@ _IMPORT_CLI = (
     "start = time.perf_counter(); import fintopo.cli; "
     "print(time.perf_counter() - start, len(sys.modules) - before)"
 )
+# run in a fresh interpreter after `import fintopo.cli`: the seconds the
+# first main() call takes, argument parsing included, and the modules it
+# adds (its stdout, the count, is kept apart)
+_FIRST_CALL = """\
+import contextlib, io, sys, time
+import fintopo.cli
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    start = time.perf_counter()
+    fintopo.cli.main(["enumerate", "--n", "0", "--count-only"])
+    elapsed = time.perf_counter() - start
+print(elapsed, *sorted(set(sys.modules) - before))
+"""
 
 
-def cli_import():
+def _fresh_runs(code):
+    """The whitespace-split stdout of code in each of REPEATS fresh
+    interpreters, with the package's bytecode compiled first."""
     package = Path(fintopo.__file__).resolve().parent
     compileall.compile_dir(str(package), quiet=1)
     env = {**os.environ, "PYTHONPATH": str(package.parent)}
-    runs = [
-        subprocess.run([sys.executable, "-c", _IMPORT_CLI], check=True,
+    return [
+        subprocess.run([sys.executable, "-c", code], check=True,
                        capture_output=True, text=True, env=env).stdout.split()
         for _ in range(REPEATS)
     ]
+
+
+def cli_import():
+    runs = _fresh_runs(_IMPORT_CLI)
     return {**_summary([float(s) for s, _ in runs]),
             "modules_added": max(int(m) for _, m in runs)}
+
+
+def cli_first_call():
+    runs = _fresh_runs(_FIRST_CALL)
+    return {**_summary([float(run[0]) for run in runs]),
+            "modules_added": sorted({m for run in runs for m in run[1:]})}
 
 
 def end_to_end():
@@ -539,6 +568,7 @@ def main(argv=None) -> int:
         "repeats": REPEATS,
         "end_to_end": end_to_end(),
         "cli_import": cli_import(),
+        "cli_first_call": cli_first_call(),
         "layers": layers(),
     }
     sha = (source["commit"] or "unknown")[:7]

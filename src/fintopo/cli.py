@@ -2,15 +2,15 @@
 
 Exit codes: 0 when everything requested verified or was found as
 expected, 1 when a swept proposition failed, 2 on usage, parse, or
-validation errors and on a report that cannot be written, 141 when
-stdout was closed before the output ended.
+validation errors and on a report or stdout that cannot be written, 141
+when stdout was closed before the output ended.
 """
 
-import argparse
 import json
 import os
 import sys
 from functools import cache
+from types import SimpleNamespace
 
 from .documents import (
     default_point_names,
@@ -162,10 +162,130 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+# a flag without a default: the call must give it
+_REQUIRED = object()
+
+# The grammar of the CLI, stated once for build_parser and _read_argv.
+# Per command: its handler, its help, its positionals as (name, nargs,
+# help), where nargs is None (one value), "*" or "+" and only the last
+# one may take several, and its long flags as {flag: (kind, default,
+# help)}, where kind is int, str or bool (store_true, default False).
+COMMANDS = {
+    "classify-set": (
+        cmd_classify_set,
+        "membership of a subset in every implemented set class",
+        (("space", None, "path to a space document (JSON)"),
+         ("subset", "*", "point names forming the subset (empty = {})")),
+        {},
+    ),
+    "classify-space": (
+        cmd_classify_space,
+        "verdicts for the global space properties",
+        (("space", None, "path to a space document (JSON)"),),
+        {},
+    ),
+    "classify-map": (
+        cmd_classify_map,
+        "verdicts for every continuity class of a map",
+        (("map", None, "path to a map document (JSON)"),),
+        {},
+    ),
+    "verify": (
+        cmd_verify,
+        "sweep propositions exhaustively and report verdicts",
+        (("propositions", "+", "proposition ids, or 'all'"),),
+        {
+            "--max-n": (int, None, "ground-set size cap (default: 4 for "
+                                   "set/space sweeps, 3 for map sweeps)"),
+            "--codomain-max-n": (int, None, "codomain size cap of map "
+                                            "sweeps (default: --max-n)"),
+            "--max-spaces": (int, None, "largest number of labeled spaces "
+                                        "of one size (default: 1000000)"),
+            "--max-maps": (int, None, "largest number of maps a map sweep "
+                                      "may cover (default: 5000000)"),
+            "--parallel": (bool, False, "accepted and ignored: a map sweep "
+                                        "picks its process pool itself "
+                                        "(see README)"),
+            "--workers": (int, None, "accepted and ignored, but at least 1"),
+            "--report": (str, None, "write the full JSON report to this "
+                                    "path"),
+        },
+    ),
+    "enumerate": (
+        cmd_enumerate,
+        "stream all topologies on n labeled points",
+        (),
+        {
+            "--n": (int, _REQUIRED,
+                    f"ground-set size (0..{MAX_ENUMERATION_N})"),
+            "--count-only": (bool, False,
+                             "print only the number of topologies"),
+        },
+    ),
+}
+
+
+def _read_argv(argv):
+    """The arguments argparse would give a well-formed call, or None.
+
+    Reads [command, *positionals, *options] alone: an exact command name,
+    positionals that do not start with "-", then exact long flags, each
+    with its value as a separate token, an int value matching -?[0-9]+
+    and a str value not starting with "-". Anything else (help, "--",
+    "--flag=value", an abbreviation, a missing value or a token out of
+    place) is None and left to argparse, so its output and exit codes
+    stay argparse's.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, positionals, flags = COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": func}
+    end = 1
+    while end < len(argv) and not argv[end].startswith("-"):
+        end += 1
+    given = list(argv[1:end])
+    for name, nargs, _ in positionals:
+        if nargs is None and given:
+            values[name] = given.pop(0)
+        elif nargs == "*" or nargs == "+" and given:
+            values[name], given = given, []
+        else:
+            return None
+    if given:
+        return None
+    for flag, (_, default, _) in flags.items():
+        values[flag[2:].replace("-", "_")] = default
+    tokens = iter(argv[end:])
+    for flag in tokens:
+        if flag not in flags:
+            return None
+        kind = flags[flag][0]
+        # a missing value reads as "-", which no int or str value may be
+        value = True if kind is bool else next(tokens, "-")
+        if kind is int:
+            digits = value.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # past int's limit on digits
+                return None
+        elif kind is str and value.startswith("-"):
+            return None
+        values[flag[2:].replace("-", "_")] = value
+    if _REQUIRED in values.values():
+        return None
+    return SimpleNamespace(**values)
+
+
 # argparse looks sys.stdout and sys.stderr up as it writes, so one parser
-# serves every main() call of a process
+# serves every main() call of a process; it is built only for a call
+# _read_argv leaves to it (help and usage errors)
 @cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of COMMANDS."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fintopo",
         description="Classify generalized open sets, space properties, "
@@ -173,87 +293,46 @@ def build_parser() -> argparse.ArgumentParser:
                     "spaces, and sweep the full proposition registry.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "classify-set",
-        help="membership of a subset in every implemented set class",
-    )
-    p.add_argument("space", help="path to a space document (JSON)")
-    p.add_argument("subset", nargs="*",
-                   help="point names forming the subset (empty = {})")
-    p.set_defaults(func=cmd_classify_set)
-
-    p = sub.add_parser(
-        "classify-space",
-        help="verdicts for the global space properties",
-    )
-    p.add_argument("space", help="path to a space document (JSON)")
-    p.set_defaults(func=cmd_classify_space)
-
-    p = sub.add_parser(
-        "classify-map",
-        help="verdicts for every continuity class of a map",
-    )
-    p.add_argument("map", help="path to a map document (JSON)")
-    p.set_defaults(func=cmd_classify_map)
-
-    p = sub.add_parser(
-        "verify",
-        help="sweep propositions exhaustively and report verdicts",
-    )
-    p.add_argument("propositions", nargs="+",
-                   help="proposition ids, or 'all'")
-    p.add_argument("--max-n", type=int, default=None,
-                   help="ground-set size cap (default: 4 for set/space "
-                        "sweeps, 3 for map sweeps)")
-    p.add_argument("--codomain-max-n", type=int, default=None,
-                   help="codomain size cap of map sweeps (default: "
-                        "--max-n)")
-    p.add_argument("--max-spaces", type=int, default=None,
-                   help="largest number of labeled spaces of one size "
-                        "(default: 1000000)")
-    p.add_argument("--max-maps", type=int, default=None,
-                   help="largest number of maps a map sweep may cover "
-                        "(default: 5000000)")
-    p.add_argument("--parallel", action="store_true",
-                   help="accepted and ignored: a map sweep picks its "
-                        "process pool itself (see README)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="accepted and ignored, but at least 1")
-    p.add_argument("--report", default=None,
-                   help="write the full JSON report to this path")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser(
-        "enumerate",
-        help="stream all topologies on n labeled points",
-    )
-    p.add_argument("--n", type=int, required=True,
-                   help=f"ground-set size (0..{MAX_ENUMERATION_N})")
-    p.add_argument("--count-only", action="store_true",
-                   help="print only the number of topologies")
-    p.set_defaults(func=cmd_enumerate)
+    for command, (func, text, positionals, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, nargs, help_text in positionals:
+            p.add_argument(name, nargs=nargs, help=help_text)
+        for flag, (kind, default, help_text) in flags.items():
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=help_text)
+            elif default is _REQUIRED:
+                p.add_argument(flag, type=kind, required=True,
+                               help=help_text)
+            else:
+                p.add_argument(flag, type=kind, default=default,
+                               help=help_text)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         code = args.func(args)
-        # a closed reader surfaces here rather than at interpreter exit
+        # an unwritable stdout surfaces here rather than at interpreter exit
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # the exit-time flush must not hit the closed pipe again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141  # 128 + SIGPIPE, as if the signal had killed us
     # DocumentError and TopologyError are ValueErrors
     except (BudgetExceeded, ValueError) as exc:
         return _fail(str(exc))
+    except OSError as exc:
+        # the commands report their own files' errors, so this is stdout
+        # (a closed pipe, a full disk); the exit-time flush must not hit
+        # it again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return 141  # 128 + SIGPIPE, as if the signal had killed us
+        return _fail(f"cannot write output: {exc.strerror or exc}")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Command line behavior: outputs, exit codes, library agreement."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from functools import partial
@@ -30,6 +32,7 @@ from fintopo import (
     theorems,
     verify,
 )
+from fintopo import cli
 from fintopo.cli import main
 from fintopo.setclasses import WITNESS_FUNCTIONS
 
@@ -360,10 +363,19 @@ def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 2
 
 
+def _fresh_run(argv, cwd=None):
+    """(exit code, stdout, stderr) of the CLI in a fresh process."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "fintopo.cli", *argv], capture_output=True,
+        cwd=cwd, env={**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80"},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def test_one_process_answers_like_fresh_ones(space_files, capsys,
                                             monkeypatch):
-    # main() builds its parser once per process; every call must still
-    # print and exit as a run in a fresh process does
+    # main() builds its parser at most once per process; every call, read
+    # with or without it, must print and exit as in a fresh process
     monkeypatch.setenv("COLUMNS", "80")  # the width --help wraps at
     calls = [
         ["classify-set", space_files["e4"], "b", "c"],
@@ -373,14 +385,164 @@ def test_one_process_answers_like_fresh_ones(space_files, capsys,
     ]
     for argv in calls:
         code = main(argv)
-        captured = capsys.readouterr()
-        fresh = subprocess.run(
-            [sys.executable, "-m", "fintopo.cli", *argv],
-            capture_output=True, text=True,
+        out, err = capsys.readouterr()
+        assert (code, out.encode(), err.encode()) == _fresh_run(argv)
+
+
+# sha256 of the exit code, stdout and stderr (joined by NUL bytes) of
+# help, usage errors and argument forms only argparse reads, recorded
+# with COLUMNS=80 under Python 3.11 while argparse parsed every call;
+# "space.json" has the points a and -x
+USAGE_SHA256 = [
+    (["--help"],
+     "4f1ad0dc3d838f980f73d043b3914ad98797e06fcddbff379462349bf207f275"),
+    (["classify-set", "-h"],
+     "210941a2ec0519ef9943da7ef597c6fa70aa849a6fd882ee22a345bacf6bc351"),
+    (["classify-space", "-h"],
+     "e95f3db44d290d7c8610c228543f6a32498fdc9432f68e4fe536dc342f8a256c"),
+    (["classify-map", "-h"],
+     "4ba7448582987b65d5ca2e576e141cf405cf5e34a97eecce73f2ec2adbd036f5"),
+    (["verify", "-h"],
+     "417ce6c55fd99409970739e5c0ba20ebbb73cf2e0c0c3f06ef6bdabec79d24b2"),
+    (["enumerate", "-h"],
+     "323bb4f928daf042c2c1aa2a4051901e6ade3f3aa1628a26c6f2a04726444a0d"),
+    ([],
+     "235de1555b68edf1f9fc88477b252cc661d5c1e8f294cf09d2ea7bba74bbe02a"),
+    (["frobnicate"],
+     "880fbe27364ceb392d071b0dbf5513c883bffd85410659cd8895901b653d058a"),
+    (["enumerate"],
+     "31be5503dcd611986190c4a32826f1ead485d736da03517b8064b5a6d1f6f7bd"),
+    (["enumerate", "--n", "x"],
+     "c65beadb9511e42f65f3695270aaa6e4388b600e00ea846b746cb42af7e6a4fe"),
+    (["enumerate", "--n=2", "--count-only"],
+     "f38c2765cfa197dbbb6b9b1a584a186b8255b0a1db17fc0b9ddc675922fe747d"),
+    (["enumerate", "--n", "2", "--count"],
+     "f38c2765cfa197dbbb6b9b1a584a186b8255b0a1db17fc0b9ddc675922fe747d"),
+    (["verify", "t00", "--max-n", "2", "extra", "--report"],
+     "ce67127d501675ae75857193ae13a28e3409d1a31dcb318455d0052ce873dec9"),
+    (["classify-set", "space.json", "--", "-x"],
+     "9a327b37c603142f9e67f29c4e12389589e292cb6760e7d727c57675340ace9a"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse's texts were recorded under Python 3.11")
+@pytest.mark.parametrize("argv, digest", USAGE_SHA256,
+                         ids=[" ".join(a) or "no-arguments"
+                              for a, _ in USAGE_SHA256])
+def test_help_and_usage_errors_keep_their_bytes(tmp_path, argv, digest):
+    (tmp_path / "space.json").write_text(json.dumps(
+        {"points": ["a", "-x"], "opens": [[], ["a"], ["a", "-x"]]}))
+    code, out, err = _fresh_run(argv, tmp_path)
+    got = hashlib.sha256(b"\0".join([str(code).encode(), out, err]))
+    assert got.hexdigest() == digest, (code, out, err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full, a device every write to fails")
+@pytest.mark.parametrize("argv", [["enumerate", "--n", "3"],
+                                  ["enumerate", "--n", "5"],
+                                  ["verify", "t1", "--max-n", "1"]],
+                         ids=" ".join)
+def test_full_stdout_is_one_error_line(argv):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fintopo.cli", *argv], stdout=full,
+            stderr=subprocess.PIPE, text=True,
             env={**os.environ, "PYTHONPATH": SRC},
         )
-        assert (code, captured.out, captured.err) == (
-            fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write output: No space left on device\n"
+
+
+def _parsed(argv):
+    """vars() of what _read_argv reads from argv, checked against argparse;
+    None where _read_argv leaves argv to argparse."""
+    args = cli._read_argv(argv)
+    if args is None:
+        return None
+    # parse_args exits on a usage error, so a form _read_argv accepts
+    # but argparse refuses fails here
+    assert vars(args) == vars(cli.build_parser().parse_args(argv)), argv
+    return vars(args)
+
+
+_ODD_TOKENS = ["", "-1", "-x", "--", "-", "=", "-0", "007", "+5", " 5",
+               "\u0663", "a b", "all", "t00", "x=1", "-1.5", "9" * 5000]
+
+
+def _random_argv(rng):
+    """A call built from COMMANDS, then perhaps put out of shape."""
+    command = rng.choice(list(cli.COMMANDS))
+    _, _, positionals, flags = cli.COMMANDS[command]
+    argv = [command]
+    for _, nargs, _ in positionals:
+        count = 1 if nargs is None else rng.randrange(3)
+        argv += [rng.choice(["a", "b", "all", "t00", "p.json", ""])
+                 for _ in range(count)]
+    for flag in rng.sample(list(flags), rng.randrange(len(flags) + 1)):
+        kind = flags[flag][0]
+        argv.append(flag)
+        if kind is not bool and rng.random() < 0.2:
+            argv.append(rng.choice(_ODD_TOKENS))
+        elif kind is int:
+            argv.append(str(rng.randrange(-3, 300)))
+        elif kind is str:
+            argv.append(rng.choice(["out.json", "r", ""]))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        i = rng.randrange(len(argv) + 1)
+        token = rng.choice([
+            rng.choice(_ODD_TOKENS),
+            rng.choice(list(cli.COMMANDS) + ["verif", "-h", "--help"]),
+            *[f"{flag}={rng.randrange(5)}" for flag in flags],
+            *[flag[:rng.randrange(2, len(flag))] for flag in flags],
+            *flags,
+        ])
+        if rng.random() < 0.3 and len(argv) > 1:
+            argv[rng.randrange(len(argv))] = token
+        elif rng.random() < 0.2 and len(argv) > 1:
+            del argv[rng.randrange(len(argv))]
+        else:
+            argv.insert(i, token)
+    return argv
+
+
+def test_read_argv_agrees_with_argparse():
+    rng = random.Random(2718)
+    argvs = [_random_argv(rng) for _ in range(3000)]
+    read = [_parsed(argv) for argv in argvs]
+    accepted = sum(r is not None for r in read)
+    # both sides of the split are exercised
+    assert 800 < accepted < 2200, accepted
+
+
+def _readme_calls():
+    """The argument lists of the README's fintopo commands, up to a pipe
+    or a redirection, each bracketed option once left out and once given."""
+    text = (Path(SRC).parent / "README.md").read_text(encoding="utf-8")
+    lines = re.findall(r"^fintopo ([^#\n]+)", text, flags=re.M)
+    lines += [m for m in re.findall(r"`fintopo ([^`|>]+)", text)
+              if " " in m.strip()]
+    for line in lines:
+        yield re.sub(r"\[[^\]]*\]", "", line).split()
+        yield re.sub(r"\[([^\]]*?)( \.\.\.)?\]", r"\1", line).split()
+
+
+def test_read_argv_reads_every_benchmark_and_readme_call(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        Path(SRC).parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    calls = [workloads.cli_argv(w, str(tmp_path / "report.json"))
+             for w in workloads.CLI_ARGV]
+    _, _, queries = workloads.generate_classify(1)
+    calls += [[q["argv"][0], str(tmp_path / q["argv"][1]), *q["argv"][2:]]
+              for q in queries]
+    readme = list(_readme_calls())
+    assert len(readme) >= 16
+    for argv in calls + readme:
+        assert _parsed(argv) is not None, argv
 
 
 def _chain_document(n):

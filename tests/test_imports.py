@@ -100,20 +100,47 @@ def test_src_imports_only_the_standard_library():
     assert sorted(outside - sys.stdlib_module_names) == []
 
 
-def test_cli_import_loads_no_pool_or_dataclass_machinery():
-    # every command starts a cold process: multiprocessing waits for the
-    # first map sweep that takes a pool, and the records are named tuples
-    code = ("import sys; before = set(sys.modules); import fintopo.cli; "
-            "print(*sorted(set(sys.modules) - before))")
+# modules no CLI process should load before it needs them: a map sweep
+# takes a pool, the records are named tuples, and argparse (with its
+# gettext and locale) reads only help and usage errors
+_HEAVY = ("multiprocessing", "dataclasses", "inspect",
+          "argparse", "gettext", "locale")
+
+
+def _heavy(modules):
+    return [m for m in modules if m.split(".")[0].lstrip("_") in _HEAVY]
+
+
+def _modules_added(code):
+    """The modules code prints, run in a fresh interpreter."""
     path = os.pathsep.join(filter(None, [str(SRC.parent),
                                          os.environ.get("PYTHONPATH")]))
-    added = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         check=True, env={**os.environ, "PYTHONPATH": path},
     ).stdout.split()
+
+
+def test_cli_import_loads_no_pool_or_dataclass_machinery():
+    # every command starts a cold process
+    added = _modules_added(
+        "import sys; before = set(sys.modules); import fintopo.cli; "
+        "print(*sorted(set(sys.modules) - before))")
     assert "fintopo.cli" in added
-    heavy = ("multiprocessing", "dataclasses", "inspect")
-    assert [m for m in added if m.split(".")[0] in heavy] == []
+    assert _heavy(added) == []
+
+
+def test_well_formed_call_loads_no_argument_parser():
+    added = _modules_added(
+        "import io, sys, contextlib; import fintopo.cli; "
+        "before = set(sys.modules); out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = fintopo.cli.main(['enumerate', '--n', '0', "
+        "'--count-only'])\n"
+        "print(code, out.getvalue().strip(), "
+        "*sorted(set(sys.modules) - before))")
+    assert added[:2] == ["0", "1"]
+    assert _heavy(added[2:]) == []
 
 
 def test_every_class_table_member_has_a_reader():
