@@ -20,42 +20,33 @@ and interquartile range of REPEATS runs:
   count_reflexive_transitive_relations(5) (the relation filter),
   list(enumerate_topologies(6)) (the labeled stream), and the 12 map
   propositions at the default map budget (max_n=3, 24,907 maps), at
-  max_n=4 (33,827,652 maps, every one counted; a checkout that builds
-  each map takes minutes per run), at max_n=5 with codomains on at most
-  3 points, at max_n=4 with codomains on at most 5 points (max_maps
+  max_n=4 (33,827,652 maps, every one counted), at max_n=5 with
+  codomains on at most 3 points, at max_n=4 with codomains on at most 5 points (max_maps
   raised to 1,599,984,504, every map counted), at max_n=5 with max_maps
   raised to 154,771,368,636 (every map counted) and at max_n=6, which
-  max_maps refuses (a checkout that
-  lists every labeled space first takes seconds per run).  A checkout
-  whose map sweep picks its own process pool runs maps_n4 in process
-  and, on more than one CPU, maps_n5_c3 and maps_n5 on the pool;
+  max_maps refuses.  The map sweep picks its own process pool: it runs
+  maps_n4 in process and, on more than one CPU, maps_n5_c3 and maps_n5
+  on the pool;
 - layers: class_table (with every family bitmap read, as the sweeps
   read them) and space_profile over the spaces the set/space sweep
-  visits at max_n=5 (every labeled space, or one per isomorphism class
-  where the checkout has enumerate_isomorphism_classes), that
-  class generator per n up to 7 (with max_spaces raised to 10,000,000,
-  since the default budget refuses n=7), extensions_n5: one
+  visits at max_n=5 (one per isomorphism class), that class generator
+  per n up to 7 (with max_spaces raised to 10,000,000, since the
+  default budget refuses n=7), extensions_n5: one
   enumeration._extensions pass over the five-point classes (the 3,920
   extensions of 139 classes that count_topologies(6) counts),
   extension_count_n5: the same count with no extension built, from
-  enumeration._descendant_counts(rows, 1), or from _extension_count on
-  a checkout that has it instead, grandchild_count_n4: the 18,356
-  six-point descendants of the 33 four-point classes (the extensions'
-  extensions, which count_topologies(6) weighs by orbit size) with no
-  preorder built, from _descendant_counts(rows, 2), or from
-  _grandchild_count on a checkout that has it instead (each entry is
-  left out where the checkout has neither routine, and names the one
-  it read),
+  enumeration._descendant_counts(rows, 1), grandchild_count_n4: the
+  18,356 six-point descendants of the 33 four-point classes (the
+  extensions' extensions, which count_topologies(6) weighs by orbit
+  size) with no preorder built, from _descendant_counts(rows, 2),
   class_tables_n6: every family bitmap of the 718 six-point classes,
-  read from one ClassTable per chunk of CHUNK_SUBSETS >> 6 classes
-  where the checkout has CHUNK_SUBSETS, else from one class_table per
-  class, and class_table_classify: what
-  classify-set asks of one space, a fresh class_table plus one witness
-  per existential class, over fixed seeded random spaces on 8, 11 and
-  12 points (per size, the median is for all of its spaces together),
-  interior_closure: interior and closure of every subset of those same
-  spaces, interior_table: the same interiors and closures read from
-  one interior table per space, where the checkout has interior_table,
+  read from one ClassTable per chunk of CHUNK_SUBSETS >> 6 classes,
+  class_table_classify: what classify-set asks of one space, a fresh
+  class_table plus one witness per existential class, over fixed
+  seeded random spaces on 8, 11 and 12 points (per size, the median is
+  for all of its spaces together), interior_closure: interior and
+  closure of every subset of those same spaces, interior_table: the
+  same interiors and closures read from one interior table per space,
   and build_topology: validating the opens of those same spaces, and
   apart the discrete 12-point family of 4,096 opens;
 - map_facts: the map sweep's per-domain and per-partition step,
@@ -65,14 +56,10 @@ and interquartile range of REPEATS runs:
   median is for all of its maps together);
 - trace_table: the map sweep's trace counts N(ny, k, sigma) for
   codomains on at most 5 points, every row, theorems._trace_table
-  alone, called with the codomain cap (and as many blocks), or with the
-  codomain class levels (built before the timing) where the checkout's
-  table reads them; trace_table_c5_b4: the rows of at most 4 blocks of
-  the same table, the rows that domains on at most 4 points read, where
-  the checkout's table takes the blocks, else the whole table as its
-  map sweep builds it; trace_table_c6_b4: the rows of at most 4 blocks
-  for codomains on at most 6 points, where the checkout's table takes
-  the blocks;
+  alone, called with the codomain cap and as many blocks;
+  trace_table_c5_b4: the rows of at most 4 blocks of the same table,
+  the rows that domains on at most 4 points read; trace_table_c6_b4:
+  the rows of at most 4 blocks for codomains on at most 6 points;
 - cli_import: `import fintopo.cli` timed inside each of REPEATS fresh
   interpreters, with the package's bytecode compiled beforehand, and
   the number of modules that import adds: the start-up every CLI
@@ -217,15 +204,8 @@ def _source():
 def _swept_spaces():
     """The spaces the set/space sweep evaluates at max_n=SETS_MAX_N."""
     budget = EnumerationBudget(max_n=SETS_MAX_N)
-    classes = getattr(enumeration, "enumerate_isomorphism_classes", None)
-    if classes is None:
-        return "labeled", [
-            t for n in range(SETS_MAX_N + 1)
-            for t in enumeration.enumerate_topologies(n, budget)
-        ]
-    return "one per isomorphism class", [
-        t for n in range(SETS_MAX_N + 1) for t, _ in classes(n, budget)
-    ]
+    return [t for n in range(SETS_MAX_N + 1)
+            for t, _ in enumeration.enumerate_isomorphism_classes(n, budget)]
 
 
 def _sparse_space(rng, n):
@@ -294,14 +274,8 @@ def _read_bitmaps(table):
 
 
 def _class_tables(spaces):
-    """Every family bitmap of every space, from chunked tables where the
-    checkout has them."""
-    chunk = getattr(setclasses, "CHUNK_SUBSETS", None)
-    if chunk is None:
-        for t in spaces:
-            _read_bitmaps(setclasses.class_table.__wrapped__(t))
-        return
-    size = max(1, chunk >> spaces[0].n)
+    """Every family bitmap of every space, from chunked tables."""
+    size = max(1, setclasses.CHUNK_SUBSETS >> spaces[0].n)
     for start in range(0, len(spaces), size):
         _read_bitmaps(setclasses.ClassTable(spaces[start:start + size]))
 
@@ -328,53 +302,30 @@ def _extensions_listed(level):
     return sum(1 for rows in level for _ in enumeration._extensions(rows))
 
 
-def _counted(count, level):
-    return sum(map(count, level))
+def _descendants(depth, level):
+    """The preorders depth levels below level's rows in the _extensions
+    tree, counted with none built."""
+    return sum(enumeration._descendant_counts(rows, depth)[-1]
+               for rows in level)
 
 
 def _tree_count_layer(depth, level, counted):
-    """The preorders depth levels below level's rows in the _extensions
-    tree, counted with none built: by enumeration._descendant_counts,
-    or, on a checkout that has it instead, by _extension_count (depth 1)
-    or _grandchild_count (depth 2).  None where it has neither."""
-    counts = getattr(enumeration, "_descendant_counts", None)
-    if counts is not None:
-        routine = "_descendant_counts"
-
-        def count(rows):
-            return counts(rows, depth)[-1]
-    else:
-        routine = ("_extension_count", "_grandchild_count")[depth - 1]
-        count = getattr(enumeration, routine, None)
-        if count is None:
-            return None
     return {
-        "routine": routine,
+        "routine": "_descendant_counts",
         "classes": len(level),
-        counted: _counted(count, level),
-        **_timed(partial(_counted, count, level)),
+        counted: _descendants(depth, level),
+        **_timed(partial(_descendants, depth, level)),
     }
 
 
-def _trace_table_call(blocks, cap=TRACE_MAX_N):
-    """theorems._trace_table for codomains on at most cap points and
-    partitions into at most blocks blocks, as (what it takes, a call
-    with no argument).  A table that takes no blocks gives every row."""
-    table = theorems._trace_table
-    if not hasattr(enumeration, "_trace_table"):
-        levels = list(enumeration._class_levels(EnumerationBudget(max_n=cap)))
-        return "class levels", partial(table, levels)
-    if table.__code__.co_argcount == 1:
-        return "cap", partial(table, cap)
-    return "cap and blocks", partial(table, cap, blocks)
-
-
 def _trace_table_layer(blocks, cap=TRACE_MAX_N):
-    takes, trace_table = _trace_table_call(blocks, cap)
+    """theorems._trace_table for codomains on at most cap points and
+    partitions into at most blocks blocks."""
+    trace_table = partial(theorems._trace_table, cap, blocks)
     return {
         "codomain_max_n": cap,
         "blocks": blocks,
-        "takes": takes,
+        "takes": "cap and blocks",
         "sigmas": sum(len(row) for row in trace_table()),
         **_timed(trace_table),
     }
@@ -392,8 +343,7 @@ def _build_topologies(families):
 
 def _clear_caches():
     setclasses.class_table.cache_clear()
-    if hasattr(setclasses, "interior_table"):
-        setclasses.interior_table.cache_clear()
+    setclasses.interior_table.cache_clear()
 
 
 # run in a fresh interpreter: the seconds `import fintopo.cli` takes and
@@ -475,41 +425,37 @@ def end_to_end():
 
 
 def layers():
-    visits, spaces = _swept_spaces()
+    spaces = _swept_spaces()
     build = setclasses.class_table.__wrapped__
+    classes = enumeration.enumerate_isomorphism_classes
+    level = [t.min_nbhd for t, _ in classes(5, EnumerationBudget(max_n=5))]
+    four = [t.min_nbhd for t, _ in classes(4)]
+    six = [t for t, _ in classes(6, EnumerationBudget(max_n=6))]
     out = {
-        "swept_spaces": {"visits": visits, "count": len(spaces)},
+        "swept_spaces": {"visits": "one per isomorphism class",
+                         "count": len(spaces)},
         "class_table": _timed(
             lambda: [_read_bitmaps(build(t)) for t in spaces]),
         "space_profile": _timed(
             lambda: [spaceprops.space_profile(t) for t in spaces]),
-    }
-    classes = getattr(enumeration, "enumerate_isomorphism_classes", None)
-    if classes is not None:
-        out["class_generator"] = {
+        "class_generator": {
             str(n): _timed(lambda n=n: classes(n, EnumerationBudget(
                 max_n=n, max_spaces=10_000_000)))
             for n in range(GENERATOR_MAX_N + 1)
-        }
-        level = [t.min_nbhd for t, _ in classes(5, EnumerationBudget(max_n=5))]
-        out["extensions_n5"] = {
+        },
+        "extensions_n5": {
             "classes": len(level),
             "extensions": _extensions_listed(level),
             **_timed(partial(_extensions_listed, level)),
-        }
-        four = [t.min_nbhd for t, _ in classes(4)]
-        for name, depth, rows, counted in (
-                ("extension_count_n5", 1, level, "extensions"),
-                ("grandchild_count_n4", 2, four, "grandchildren")):
-            entry = _tree_count_layer(depth, rows, counted)
-            if entry is not None:
-                out[name] = entry
-        six = [t for t, _ in classes(6, EnumerationBudget(max_n=6))]
-        out["class_tables_n6"] = {
+        },
+        "extension_count_n5": _tree_count_layer(1, level, "extensions"),
+        "grandchild_count_n4": _tree_count_layer(2, four, "grandchildren"),
+        "class_tables_n6": {
             "classes": len(six),
-            "chunked": hasattr(setclasses, "CHUNK_SUBSETS"),
+            "chunked": True,
             **_timed(partial(_class_tables, six)),
-        }
+        },
+    }
     rng = random.Random(CLASSIFY_SEED)
     queries = {n: _classify_queries(n, rng) for n in CLASSIFY_SIZES}
     out["class_table_classify"] = {
@@ -519,12 +465,11 @@ def layers():
         str(n): _timed(partial(_interior_closure, q))
         for n, q in queries.items()
     }
-    table = getattr(setclasses, "interior_table", None)
-    if table is not None:
-        out["interior_table"] = {
-            str(n): _timed(partial(_interior_table, table.__wrapped__, q))
-            for n, q in queries.items()
-        }
+    out["interior_table"] = {
+        str(n): _timed(partial(_interior_table,
+                               setclasses.interior_table.__wrapped__, q))
+        for n, q in queries.items()
+    }
     out["build_topology"] = {
         str(n): _timed(partial(_build_topologies,
                                [(t.n, t.opens) for t, _ in q]))
@@ -543,9 +488,7 @@ def layers():
     }
     out["trace_table"] = _trace_table_layer(TRACE_MAX_N)
     out["trace_table_c5_b4"] = _trace_table_layer(TRACE_BLOCKS)
-    if theorems._trace_table.__code__.co_argcount == 2:  # takes blocks
-        out["trace_table_c6_b4"] = _trace_table_layer(TRACE_BLOCKS,
-                                                      TRACE_WIDE_N)
+    out["trace_table_c6_b4"] = _trace_table_layer(TRACE_BLOCKS, TRACE_WIDE_N)
     return out
 
 

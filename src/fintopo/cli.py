@@ -195,14 +195,18 @@ COMMANDS = {
         "sweep propositions exhaustively and report verdicts",
         (("propositions", "+", "proposition ids, or 'all'"),),
         {
-            "--max-n": (int, None, "ground-set size cap (default: 4 for "
-                                   "set/space sweeps, 3 for map sweeps)"),
+            "--max-n": (int, None, "ground-set size cap (default: {} for "
+                        "set/space sweeps, {} for map sweeps)".format(
+                            default_budget("set").max_n,
+                            default_budget("map").max_n)),
             "--codomain-max-n": (int, None, "codomain size cap of map "
                                             "sweeps (default: --max-n)"),
             "--max-spaces": (int, None, "largest number of labeled spaces "
-                                        "of one size (default: 1000000)"),
+                             "of one size (default: {max_spaces})".format_map(
+                                 EnumerationBudget._field_defaults)),
             "--max-maps": (int, None, "largest number of maps a map sweep "
-                                      "may cover (default: 5000000)"),
+                           "may cover (default: {max_maps})".format_map(
+                               EnumerationBudget._field_defaults)),
             "--parallel": (bool, False, "accepted and ignored: a map sweep "
                                         "picks its process pool itself "
                                         "(see README)"),

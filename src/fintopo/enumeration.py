@@ -46,6 +46,7 @@ from .errors import BudgetExceeded
 from .space import (
     Preorder,
     Topology,
+    _columns,
     _or_table,
     _point_planes,
     _sorted_opens,
@@ -146,13 +147,8 @@ def enumerate_topologies(n: int, budget: EnumerationBudget | None = None):
 
 def _canonical_stream(n: int, budget: EnumerationBudget):
     classes = _level(_class_levels(budget), n, budget)
-    tables = _relabelings(n)
-    keys = [(len(opens), opens, rows) for t, _ in classes
-            for rows, opens in _orbit(t, tables).items()]
-    del tables
     # (count, opens) is the canonical key and unique, so rows never decide
-    keys.sort()
-    for _, opens, rows in keys:
+    for _, opens, rows in sorted(_orbit_keys([t for t, _ in classes], n)):
         # rows double as the minimal neighbourhoods
         yield Topology(n, opens, rows)
 
@@ -183,6 +179,17 @@ def _orbit(t: Topology, tables):
     return members
 
 
+def _orbit_keys(topologies, n: int):
+    """(count, opens, rows) of every labeled member of the classes of
+    the given topologies on n points, (count, opens) being the canonical
+    key.  One _relabelings(n) table serves them all, and it is dropped
+    once the last key is given."""
+    tables = _relabelings(n)
+    for t in topologies:
+        for rows, opens in _orbit(t, tables).items():
+            yield len(opens), opens, rows
+
+
 def _invariants(rows):
     """Each point's (row size, column size), packed into one int.
 
@@ -190,13 +197,8 @@ def _invariants(rows):
     the pairs do: column sizes are at most n.
     """
     n = len(rows)
-    cols = [0] * n
-    for row in rows:
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] += 1
-            row ^= low
-    return [row.bit_count() * (n + 1) + col for row, col in zip(rows, cols)]
+    return [row.bit_count() * (n + 1) + column.bit_count()
+            for row, column in zip(rows, _columns(rows))]
 
 
 def _canonical(rows, tables, invariant):
@@ -276,8 +278,7 @@ def _descendant_counts(rows, depth: int):
     Each interval count is a popcount of the up-sets' bitmap masked by
     one up-set's subsets and another's supersets.
     """
-    m = len(rows)
-    full = full_mask(m)
+    full = full_mask(len(rows))
     ups = up_sets(rows)
     held = sum(1 << u for u in ups)
     missed = _or_table([full ^ row for row in rows])
@@ -286,10 +287,9 @@ def _descendant_counts(rows, depth: int):
     if depth == 1:
         return [children]
     cap = {v: full ^ missed[full ^ v] for v in ups}
-    # beyond[w] = a(w), the union over y in w of the points not below y
-    beyond = _or_table([full ^ sum((row >> y & 1) << x
-                                   for x, row in enumerate(rows))
-                        for y in range(m)])
+    # beyond[w] = a(w), the union over y in w of the points not below y:
+    # column y holds the points below y
+    beyond = _or_table([full ^ column for column in _columns(rows)])
     inside = {v: held & _submasks(v) for v in ups}
     over = {w: held & (_submasks(full ^ w) << w) for w in ups}
     count = {v: bits.bit_count() for v, bits in inside.items()}
@@ -385,11 +385,8 @@ def first_in_orbits(topologies) -> Topology:
     """
     fewest = min(len(t.opens) for t in topologies)
     n = topologies[0].n
-    tables = _relabelings(n)
-    opens, rows = min(
-        (opens, rows) for t in topologies if len(t.opens) == fewest
-        for rows, opens in _orbit(t, tables).items()
-    )
+    _, opens, rows = min(_orbit_keys(
+        [t for t in topologies if len(t.opens) == fewest], n))
     return Topology(n, opens, rows)
 
 

@@ -14,8 +14,9 @@ from functools import cache, cached_property, lru_cache, reduce, wraps
 from operator import and_, or_
 
 from .errors import GroundSetTooLarge
-from .space import (SubsetMask, Topology, _or_table, _point_planes,
-                    _submasks, closure, interior, iter_points)
+from .space import (SubsetMask, Topology, _columns, _or_table,
+                    _point_planes, _submasks, closure, interior,
+                    iter_points)
 
 # class_table, and the CLI's classify commands, refuse ground sets with
 # more than this many subsets (more than 12 points).
@@ -220,14 +221,9 @@ def interior_table(t: Topology):
     stay independent of the table they check.
     """
     check_subset_budget(t.n)
-    columns = [0] * t.n
-    for x, nbhd in enumerate(t.min_nbhd):
-        while nbhd:
-            low = nbhd & -nbhd
-            columns[low.bit_length() - 1] |= 1 << x
-            nbhd ^= low
     full = t.full
-    return tuple([full ^ c for c in reversed(_or_table(columns))])
+    return tuple([full ^ c
+                  for c in reversed(_or_table(_columns(t.min_nbhd)))])
 
 
 def _semi_closed_sets(t: Topology):
@@ -343,15 +339,14 @@ def b_set_via_semi_closure_bitmap(t: Topology) -> int:
     a, so it holds the smallest open U(a) over a too, and U(a) & sCl(a)
     lies between a and u & sCl(a): U(a) is the one open to try.  On
     point planes, x is in U(a) iff a meets the points y with x in N(y),
-    and sCl a comes from the semi-closed sets of interior_table.
+    column x, that is iff a is no subset of the rest, and sCl a comes
+    from the semi-closed sets of interior_table.
     """
     semi_closed = sum(1 << s for s in _semi_closed_sets(t))
     e, ones = _planes(t.n), (1 << (1 << t.n)) - 1
     scl = _semi_closure_planes(semi_closed, e, ones)
-    smallest = [0] * t.n
-    for y, nbhd in enumerate(t.min_nbhd):
-        for x in iter_points(nbhd):
-            smallest[x] |= e[y]
+    smallest = [ones ^ _submasks(t.full ^ column)
+                for column in _columns(t.min_nbhd)]
     return reduce(and_, [~(e[x] ^ (smallest[x] & scl[x]))
                          for x in range(t.n)], ones)
 

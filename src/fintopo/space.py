@@ -52,6 +52,23 @@ def _or_table(values) -> list:
     return table
 
 
+def _columns(rows) -> list:
+    """Per point y, the mask of the points x whose row holds y.
+
+    When the rows are minimal neighbourhoods N(x), column y is cl{y}: x
+    is in the closure of {y} iff every open around x meets {y}, and
+    N(x) is the least of them.
+    """
+    columns = [0] * len(rows)
+    for x, row in enumerate(rows):
+        bit = 1 << x
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1] |= bit
+            row ^= low
+    return columns
+
+
 def _submasks(mask: SubsetMask) -> int:
     """The bitmap of the subsets of mask: bit s is set iff s is inside it.
 

@@ -13,6 +13,7 @@ below read right to left.
 
 import math
 import os
+import random
 from functools import cache
 from itertools import chain, islice, permutations, product
 from multiprocessing import Pool
@@ -80,6 +81,18 @@ def random_preorder_topology(seeds):
                 rows[i] = merged
                 changed = True
     return topology_from_preorder(Preorder(tuple(rows)))
+
+
+def small_and_seeded_spaces(seed):
+    """Every labeled space on at most 4 points, then 20 seeded spaces on
+    each of 8 and 9 points, closed from sparse random rows."""
+    for n in range(5):
+        yield from labeled_topologies(n, EnumerationBudget(max_n=n))
+    rng = random.Random(seed)
+    for n in (8, 9):
+        for _ in range(20):
+            yield random_preorder_topology(
+                [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)])
 
 
 def where(t, holds):

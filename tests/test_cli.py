@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -528,21 +529,64 @@ def _readme_calls():
         yield re.sub(r"\[([^\]]*?)( \.\.\.)?\]", r"\1", line).split()
 
 
-def test_read_argv_reads_every_benchmark_and_readme_call(tmp_path):
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded without writing anything."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads",
         Path(SRC).parent / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _classify_argvs(queries, directory):
+    """The queries' argument lists, with their documents in directory."""
+    return [[q["argv"][0], str(directory / q["argv"][1]), *q["argv"][2:]]
+            for q in queries]
+
+
+def test_read_argv_reads_every_benchmark_and_readme_call(tmp_path):
+    workloads = _perfbench_workloads()
     calls = [workloads.cli_argv(w, str(tmp_path / "report.json"))
              for w in workloads.CLI_ARGV]
     _, _, queries = workloads.generate_classify(1)
-    calls += [[q["argv"][0], str(tmp_path / q["argv"][1]), *q["argv"][2:]]
-              for q in queries]
+    calls += _classify_argvs(queries, tmp_path)
     readme = list(_readme_calls())
     assert len(readme) >= 16
     for argv in calls + readme:
         assert _parsed(argv) is not None, argv
+
+
+def test_classify_batch_grows_no_fintopo_memory(tmp_path, capsys):
+    # the perfbench classify-queries batch, answered four times in one
+    # process: after the first pass, which fills the bounded caches, the
+    # memory that fintopo's own code allocated stays put
+    _, documents, queries = _perfbench_workloads().generate_classify(1)
+    for name, doc in documents.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    argvs = _classify_argvs(queries, tmp_path)
+    package = [tracemalloc.Filter(
+        True, str(Path(fintopo.__file__).parent / "*"))]
+
+    def held():
+        snapshot = tracemalloc.take_snapshot().filter_traces(package)
+        return sum(stat.size for stat in snapshot.statistics("filename"))
+
+    def answer_all():
+        for argv in argvs:
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+
+    tracemalloc.start()
+    try:
+        answer_all()
+        warm = held()
+        for _ in range(3):
+            answer_all()
+        grown = held() - warm
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024, (warm, grown)
 
 
 def _chain_document(n):

@@ -467,6 +467,17 @@ def _levels_match_the_unfiltered_oracle(max_n):
         level = filtered
 
 
+def test_invariants_count_rows_and_columns():
+    # each point's row size and column size, counted one pair at a time
+    for t in helpers.small_and_seeded_spaces(35):
+        rows, n = t.min_nbhd, t.n
+        sizes = [(sum(rows[x] >> y & 1 for y in range(n)),
+                  sum(rows[y] >> x & 1 for y in range(n)))
+                 for x in range(n)]
+        assert enumeration._invariants(rows) == [
+            row * (n + 1) + column for row, column in sizes], t
+
+
 def test_filtered_levels_equal_the_unfiltered_oracle():
     _levels_match_the_unfiltered_oracle(6)
 

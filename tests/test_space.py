@@ -34,6 +34,7 @@ from helpers import (
     four_point_space,
     indiscrete,
     random_preorder_topology,
+    small_and_seeded_spaces,
     subbasis_closure,
     three_point_space,
 )
@@ -267,6 +268,14 @@ def test_preorder_round_trip_small():
         indiscrete(3),
     ):
         assert topology_from_preorder(specialization_preorder(t)) == t
+
+
+def test_columns_are_point_closures():
+    # _columns transposes the rows; on minimal neighbourhoods, column y
+    # is cl{y}, here taken through the interior of its complement
+    for t in small_and_seeded_spaces(35):
+        assert space._columns(t.min_nbhd) == [
+            closure(t, 1 << y) for y in range(t.n)], t
 
 
 def test_topology_from_preorder_opens_are_up_sets():
