@@ -21,10 +21,10 @@ and interquartile range of REPEATS runs:
   list(enumerate_topologies(6)) (the labeled stream), and the 12 map
   propositions at the default map budget (max_n=3, 24,907 maps), at
   max_n=4 (33,827,652 maps, every one counted), at max_n=5 with
-  codomains on at most 3 points, at max_n=4 with codomains on at most 5 points (max_maps
-  raised to 1,599,984,504, every map counted), at max_n=5 with max_maps
-  raised to 154,771,368,636 (every map counted) and at max_n=6, which
-  max_maps refuses.  The map sweep picks its own process pool: it runs
+  codomains on at most 3 points, at max_n=4 with codomains on at most
+  5 points (max_maps raised to 1,599,984,504, every map counted), at
+  max_n=5 with max_maps raised to 154,771,368,636 (every map counted)
+  and at max_n=6, which max_maps refuses.  The map sweep picks its own process pool: it runs
   maps_n4 in process and, on more than one CPU, maps_n5_c3 and maps_n5
   on the pool;
 - layers: class_table (with every family bitmap read, as the sweeps
